@@ -56,6 +56,19 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _subject_params(args) -> list[Fraction]:
     want = _SUBJECT_ARITY[args.subject]
     if len(args.params) != want:
@@ -296,7 +309,7 @@ def _add_common(sub, offset=False):
                      help="truncation order (default 32)")
     sub.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     if offset:
-        sub.add_argument("--offset", type=int, default=None,
+        sub.add_argument("--offset", type=_int_at_least(0), default=None,
                          help="drop this many leading transform values")
 
 
@@ -342,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'paper' diffs embedded golden data, 'conjecture' "
                              "runs seeded randomized Somos checks")
     verify.add_argument("--seed", type=int, default=1)
-    verify.add_argument("--trials", type=int, default=30)
+    verify.add_argument("--trials", type=_int_at_least(1), default=30)
     _add_common(verify)
     verify.set_defaults(func=cmd_verify)
     return parser

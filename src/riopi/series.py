@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 
 class SeriesError(ValueError):
@@ -38,6 +39,27 @@ class NonConvergent(SeriesError):
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator d of ``coeffs``."""
+    d = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _append_ratio(nums: list[int], d: int, top: int, den: int) -> tuple[list[int], int]:
+    """Append top/(den*d) to ``nums``, ints over the common denominator d.
+
+    d (and every earlier entry) grows by the part of den > 0 that does not
+    divide top, so d grows only when the new value needs it.
+    """
+    g = math.gcd(top, den)
+    if g != den:
+        grow = den // g
+        d *= grow
+        nums = [c * grow for c in nums]
+    nums.append(top // g)
+    return nums, d
 
 
 def rational(value) -> Fraction:
@@ -71,6 +93,13 @@ class Series:
         if not cs:
             raise ValueError("a series needs at least its constant term")
         self._coeffs = tuple(cs)
+
+    @classmethod
+    def _from_fractions(cls, coeffs) -> "Series":
+        """Wrap a nonempty sequence that already holds only Fractions."""
+        s = object.__new__(cls)
+        s._coeffs = tuple(coeffs)
+        return s
 
     @classmethod
     def constant(cls, value, order: int) -> "Series":
@@ -121,7 +150,7 @@ class Series:
         """Multiply by x^k; the k new low coefficients are exactly zero."""
         if k < 0:
             return self.unshift(-k)
-        return Series((_ZERO,) * k + self._coeffs)
+        return Series._from_fractions((_ZERO,) * k + self._coeffs)
 
     def unshift(self, k: int = 1) -> "Series":
         """Divide by x^k; requires valuation >= k."""
@@ -132,7 +161,7 @@ class Series:
                 f"valuation {self.valuation()} < {k}, cannot divide by x^{k}")
         if self.order - k < 1:
             raise DivisionByHigherValuation("no coefficients left after shift")
-        return Series(self._coeffs[k:])
+        return Series._from_fractions(self._coeffs[k:])
 
     def integers(self) -> list[int]:
         """Coefficients as ints; raises if any coefficient is not integral."""
@@ -171,47 +200,45 @@ class Series:
     def __add__(self, other):
         if isinstance(other, Series):
             n = min(self.order, other.order)
-            return Series([self._coeffs[i] + other._coeffs[i] for i in range(n)])
+            return Series._from_fractions(
+                [self._coeffs[i] + other._coeffs[i] for i in range(n)])
         q = self._scalar(other)
         if q is None:
             return NotImplemented
-        return Series((self._coeffs[0] + q,) + self._coeffs[1:])
+        return Series._from_fractions((self._coeffs[0] + q,) + self._coeffs[1:])
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Series):
             n = min(self.order, other.order)
-            return Series([self._coeffs[i] - other._coeffs[i] for i in range(n)])
+            return Series._from_fractions(
+                [self._coeffs[i] - other._coeffs[i] for i in range(n)])
         q = self._scalar(other)
         if q is None:
             return NotImplemented
-        return Series((self._coeffs[0] - q,) + self._coeffs[1:])
+        return Series._from_fractions((self._coeffs[0] - q,) + self._coeffs[1:])
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Series([-c for c in self._coeffs])
+        return Series._from_fractions([-c for c in self._coeffs])
 
     def __mul__(self, other):
         if isinstance(other, Series):
+            # Schoolbook convolution over the cleared numerators.
             n = min(self.order, other.order)
-            a, b = self._coeffs, other._coeffs
-            out = [_ZERO] * n
-            for i in range(n):
-                ai = a[i]
-                if not ai:
-                    continue
-                for j in range(n - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-            return Series(out)
+            a, da = _cleared(self._coeffs[:n])
+            b, db = _cleared(other._coeffs[:n])
+            rb = b[::-1]
+            d = da * db
+            return Series._from_fractions(
+                [Fraction(sum(map(mul, a[:k + 1], rb[n - 1 - k:])), d) for k in range(n)])
         q = self._scalar(other)
         if q is None:
             return NotImplemented
-        return Series([c * q for c in self._coeffs])
+        return Series._from_fractions([c * q for c in self._coeffs])
 
     __rmul__ = __mul__
 
@@ -223,7 +250,7 @@ class Series:
             return NotImplemented
         if q == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return Series([c / q for c in self._coeffs])
+        return Series._from_fractions([c / q for c in self._coeffs])
 
     def __rtruediv__(self, other):
         q = self._scalar(other)
@@ -241,17 +268,23 @@ class Series:
         num = self.unshift(vt) if vt else self
         den = other.unshift(vt) if vt else other
         n = min(num.order, den.order)
-        a, b = num._coeffs, den._coeffs
-        inv = _ONE / b[0]
-        q = [_ZERO] * n
+        # num/den = (db/da) * (a/b) with a, b the cleared numerators; a/b
+        # is kept as ints q over one denominator dq, and
+        # (a/b)[k] = (a[k]*dq - sum q[i]*b[k-i]) / (b[0]*dq).
+        a, da = _cleared(num._coeffs[:n])
+        b, db = _cleared(den._coeffs[:n])
+        if b[0] < 0:
+            b = [-c for c in b]
+            db = -db
+        b0 = b[0]
+        rb = b[::-1]
+        q: list[int] = []
+        dq = 1
         for k in range(n):
-            acc = a[k]
-            for i in range(k):
-                qi = q[i]
-                if qi:
-                    acc -= qi * b[k - i]
-            q[k] = acc * inv
-        return Series(q)
+            top = a[k] * dq - sum(map(mul, q, rb[n - 1 - k:n - 1]))
+            q, dq = _append_ratio(q, dq, top, b0)
+        d = da * dq
+        return Series._from_fractions([Fraction(db * c, d) for c in q])
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -291,26 +324,34 @@ class Series:
         for m in range(2, n):
             p = p * u
             out[m] = p[m - 1] / m
-        return Series(out)
+        return Series._from_fractions(out)
 
     def sqrt(self) -> "Series":
         """Principal square root (constant term +1) of a series with s(0)=1."""
         if self._coeffs[0] != 1:
             raise SqrtConstantTerm("square root requires constant term 1")
-        n = self.order
-        r = [_ZERO] * n
-        r[0] = _ONE
-        for k in range(1, n):
-            acc = self._coeffs[k]
-            for i in range(1, k):
-                acc -= r[i] * r[k - i]
-            r[k] = acc / 2
-        return Series(r)
+        # r = rs/dr over ints: with t the self-convolution of rs[1..k-1],
+        # r[k] = (s[k]*dr^2 - t*ds) / (2*ds*dr^2).
+        s, ds = _cleared(self._coeffs)
+        rs = [1]
+        dr = 1
+        for k in range(1, self.order):
+            top = s[k] * dr * dr - sum(map(mul, rs[1:k], rs[k - 1:0:-1])) * ds
+            rs, dr = _append_ratio(rs, dr, top, 2 * ds * dr)
+        return Series._from_fractions([Fraction(c, dr) for c in rs])
 
 
 def _horner(coeffs, inner: Series) -> Series:
-    """Evaluate sum coeffs[k]*inner^k at inner's order."""
+    """Evaluate sum coeffs[k]*inner^k at inner's order; inner(0) must be 0.
+
+    inner^k has valuation k*v >= order once k > (order-1)//v, so only the
+    first (order-1)//v + 1 coefficients contribute.
+    """
     n = inner.order
+    v = inner.valuation()
+    if v == n:
+        return Series.constant(coeffs[0], n)
+    coeffs = coeffs[:(n - 1) // v + 1]
     acc = Series.constant(coeffs[-1], n)
     for k in range(len(coeffs) - 2, -1, -1):
         acc = acc * inner + coeffs[k]

@@ -179,6 +179,22 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    def test_trials_below_one_rejected(self, capsys):
+        for trials in ("-2", "0"):
+            code, out, err = run(capsys, "verify", "conjecture", "--trials", trials)
+            assert code == 1
+            assert "passed" not in out
+            assert "--trials: must be at least 1" in err
+
+    def test_negative_offset_rejected(self, capsys):
+        for argv in (("hankel", "family", "1", "1", "1", "--offset", "-3"),
+                     ("somos", "family", "1", "1", "1", "--offset", "-1"),
+                     ("somos", "--terms=1,2,3,4,5,6,7,8,9", "--offset", "-2")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "--offset: must be at least 0" in err
+
 
 class TestVerify:
     def test_paper_suite_passes(self, capsys):

@@ -122,6 +122,55 @@ class TestCompose:
         with pytest.raises(CompositionConstantTerm):
             catalan(5).compose(Series.one(5))
 
+    def test_inner_valuation_at_least_order_gives_constant(self):
+        outer = Series([3, 1, 4, 1, 5, 9], 6)
+        for inner in (Series([0] * 6 + [1], 8), Series([0] * 7 + [2], 9),
+                      Series([0, 0, 0, 1], 3)):
+            got = outer.compose(inner)
+            assert got.coeffs == (3,) + (0,) * (got.order - 1)
+            assert got.order == min(outer.order, inner.order)
+
+    def test_horner_stops_at_inner_valuation(self, monkeypatch):
+        # inner^k vanishes at order n once k*v >= n, so compose performs
+        # exactly (n-1)//v series-by-series products.
+        products = []
+        original = Series.__mul__
+
+        def counting(self, other):
+            if isinstance(other, Series):
+                products.append(other.order)
+            return original(self, other)
+
+        monkeypatch.setattr(Series, "__mul__", counting)
+        outer = catalan(40)
+        for n in (1, 2, 7, 24, 40):
+            for v in range(1, 6):
+                products.clear()
+                outer.compose(Series([0] * v + [1, 1], n))
+                assert len(products) == (n - 1) // v, (n, v)
+
+
+class TestKernelErrors:
+    def test_typed_errors_and_messages(self):
+        s = Series([1, 2, 3], 5)
+        with pytest.raises(DivisionByHigherValuation, match="^division by a zero series$"):
+            s / Series.zero(5)
+        with pytest.raises(DivisionByHigherValuation, match="^division by a zero series$"):
+            1 / Series.zero(5)
+        with pytest.raises(DivisionByHigherValuation,
+                           match="^divisor valuation 2 exceeds dividend valuation 1$"):
+            Series([0, 1], 5) / Series([0, 0, 1], 5)
+        with pytest.raises(ZeroDivisionError, match="^division by zero scalar$"):
+            s / 0
+        with pytest.raises(ZeroDivisionError, match="^division by zero scalar$"):
+            s / Fraction(0)
+        for head in (0, -1, 2, Fraction(1, 2)):
+            with pytest.raises(SqrtConstantTerm, match="^square root requires constant term 1$"):
+                Series([head, 1], 4).sqrt()
+        with pytest.raises(CompositionConstantTerm,
+                           match="^inner series must have zero constant term$"):
+            catalan(5).compose(Series([Fraction(-1, 3), 1], 5))
+
 
 class TestRevert:
     def test_standard_pair(self):
