@@ -21,6 +21,7 @@ from .riordan import (
     RiordanArray,
     TriangularMatrix,
     ProductionData,
+    ProductionMatrix,
     BSequence,
     OutOfOrder,
     NoBSequence,

@@ -64,7 +64,7 @@ def hankel_det(seq, n: int) -> Fraction:
             f"h_{n} needs {2 * n + 1} terms, got {len(terms)}")
     window = terms[: 2 * n + 1]
     # Clear denominators so Bareiss runs over plain ints; rescale after.
-    scale = math.lcm(*(t.denominator for t in window))
+    scale = math.lcm(*[t.denominator for t in window])
     ints = [int(t * scale) for t in window]
     matrix = [[ints[i + j] for j in range(n + 1)] for i in range(n + 1)]
     det = _bareiss(matrix)
@@ -77,5 +77,5 @@ def hankel_transform(seq) -> HankelTransform:
     if not terms:
         raise InsufficientTerms("need at least one term")
     top = (len(terms) - 1) // 2
-    values = tuple(hankel_det(terms, n) for n in range(top + 1))
+    values = tuple([hankel_det(terms, n) for n in range(top + 1)])
     return HankelTransform(values=values, source_length=len(terms))

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .series import Series, _horner
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class OutOfOrder(ValueError):
@@ -31,10 +30,18 @@ class SelfCheckError(RuntimeError):
     """Two supposedly equivalent computations disagreed (truncation bug guard)."""
 
 
+def _integer_rows(rows) -> list[list[int]]:
+    out = []
+    for row in rows:
+        if any(c.denominator != 1 for c in row):
+            raise ValueError("non-integer matrix entry")
+        out.append([c.numerator for c in row])
+    return out
+
+
 @dataclass(frozen=True)
 class TriangularMatrix:
-    """Rows of exact rationals; triangles are staircase, production
-    matrices are stored dense lower-Hessenberg."""
+    """Staircase rows of exact rationals, row n holding columns 0..n."""
 
     rows: tuple[tuple[Fraction, ...], ...]
 
@@ -46,18 +53,41 @@ class TriangularMatrix:
         return len(self.rows)
 
     def integers(self) -> list[list[int]]:
-        out = []
-        for row in self.rows:
-            if any(c.denominator != 1 for c in row):
-                raise ValueError("non-integer matrix entry")
-            out.append([c.numerator for c in row])
-        return out
+        return _integer_rows(self.rows)
 
 
 @dataclass(frozen=True)
 class ProductionData:
     z: tuple[Fraction, ...]
     a: tuple[Fraction, ...]
+
+
+@dataclass(frozen=True)
+class ProductionMatrix:
+    """The size x size lower-Hessenberg production matrix, stored as its
+    Z- and A-sequences (``size`` terms each): column 0 is Z and column
+    j >= 1 is A shifted down j - 1 rows.  Rows are built on demand."""
+
+    z: tuple[Fraction, ...]
+    a: tuple[Fraction, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.z)
+
+    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
+        z, a = self.z, self.a
+        size = len(z)
+        i = range(size)[i]  # negative rows and IndexError as for a tuple
+        band = min(i + 1, size - 1)  # columns 1..band hold a[i], ..., a[i-band+1]
+        return (z[i], *[a[i - j] for j in range(band)], *[_ZERO] * (size - 1 - band))
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple([self[i] for i in range(self.size)])
+
+    def integers(self) -> list[list[int]]:
+        return _integer_rows(self.rows)
 
 
 @dataclass(frozen=True)
@@ -153,31 +183,29 @@ class RiordanArray:
         z = w / fbar
         return ProductionData(z=z.coeffs, a=a.coeffs)
 
-    def production_matrix(self, size: int | None = None) -> TriangularMatrix:
-        """Dense lower-Hessenberg production matrix P with first column the
+    def production_matrix(self, size: int | None = None) -> ProductionMatrix:
+        """Lower-Hessenberg production matrix P with first column the
         Z-sequence and shifted copies of the A-sequence in the other columns.
 
         Defaults to size order-2 so no edge coefficient of fbar is consumed.
-        The Hessenberg build is cross-checked against P = M^-1 * Mbar on the
-        dense truncation; disagreement raises SelfCheckError.
+        Z and A are cross-checked against their defining identities
+        g = 1 + x*g*Z(f) and f = x*A(f) through x^size, which together say
+        M*P = Mbar on the truncation (M the array, Mbar M without its first
+        row); disagreement raises SelfCheckError.
         """
         if size is None:
             size = self.order - 2
         if size < 1 or size + 1 > self.order:
             raise OutOfOrder(f"production size {size} outside 1..{self.order - 1}")
         data = self.a_and_z()
-        z, a = data.z, data.a
-        rows = []
-        for i in range(size):
-            row = [z[i]]
-            for j in range(1, size):
-                row.append(a[i - j + 1] if 0 <= i - j + 1 else _ZERO)
-            rows.append(tuple(row))
-        built = TriangularMatrix(tuple(rows))
-        if built.rows != _production_dense(self, size).rows:
-            raise SelfCheckError("production matrix mismatch between (Z, A) "
-                                 "build and dense M^-1 * Mbar")
-        return built
+        z, a = data.z[:size], data.a[:size]
+        g, f = self.g.truncate(size + 1), self.f.truncate(size)
+        g_ok = (1 + (g.truncate(size) * _horner(z, f)).shift(1)).coeffs == g.coeffs
+        f_ok = _horner(a, f).shift(1).coeffs == self.f.truncate(size + 1).coeffs
+        if not (g_ok and f_ok):
+            raise SelfCheckError("production matrix (Z, A) fails g = 1 + x*g*Z(f) "
+                                 "or f = x*A(f)")
+        return ProductionMatrix(z, a)
 
     def is_bell(self) -> bool:
         """True iff f = x*g over the common order; then A = 1 + x*Z must hold."""
@@ -198,34 +226,16 @@ def bell(g: Series) -> RiordanArray:
     return RiordanArray(g, g.shift(1))
 
 
-def _production_dense(array: RiordanArray, size: int) -> TriangularMatrix:
-    # P = M^-1 * Mbar where Mbar is M with its first row dropped; solved by
-    # forward substitution since M is lower triangular.
-    tri = array.triangle(size + 1)
-    m0 = [list(tri[i]) + [_ZERO] * (size - 1 - i) for i in range(size)]
-    m1 = [list(tri[i + 1])[:size] + [_ZERO] * max(0, size - i - 2)
-          for i in range(size)]
-    p: list[list[Fraction]] = []
-    for r in range(size):
-        row = m1[r][:]
-        for k in range(r):
-            c = m0[r][k]
-            if c:
-                row = [row[j] - c * p[k][j] for j in range(size)]
-        inv = _ONE / m0[r][r]
-        p.append([v * inv for v in row])
-    return TriangularMatrix(tuple(tuple(r) for r in p))
-
-
 # -- pseudo-involutions ----------------------------------------------------
 
 
 def is_pseudo_involution(g: Series, size: int | None = None) -> bool:
     """Does (g, -x*g) square to the identity on the size x size truncation?
 
-    Ground truth is the matrix-square test on the signed Bell triangle;
-    the reversion fixed point Rev(-x*g) = -x*g is recomputed alongside as
-    a guard, and the two must agree.
+    The square is (g*g(f), f(f)) with f = -x*g, and f(f) = x*g*g(f), so it
+    is the identity exactly when g*g(-x*g) = 1 mod x^size.  The reversion
+    fixed point Rev(-x*g) = -x*g through x^size (the same condition on
+    f(f) = x) is recomputed alongside as a guard, and the two must agree.
     """
     if g[0] != 1:
         raise ValueError("g must have constant term 1")
@@ -233,24 +243,13 @@ def is_pseudo_involution(g: Series, size: int | None = None) -> bool:
         size = g.order
     if size < 1 or size > g.order:
         raise OutOfOrder(f"size {size} outside 1..{g.order}")
-    tri = bell(g.truncate(size)).triangle(size)
-    signed = [[(-_ONE) ** k * tri[n][k] for k in range(n + 1)] for n in range(size)]
-    matrix_ok = True
-    for n in range(size):
-        for k in range(n + 1):
-            acc = _ZERO
-            for j in range(k, n + 1):
-                acc += signed[n][j] * signed[j][k]
-            if acc != (1 if n == k else 0):
-                matrix_ok = False
-                break
-        if not matrix_ok:
-            break
-    mxg = -(g.truncate(size).shift(1))
-    reversion_ok = mxg.revert().truncate(size).coeffs == mxg.truncate(size).coeffs
-    if matrix_ok != reversion_ok:
-        raise SelfCheckError("matrix-square and reversion tests disagree")
-    return matrix_ok
+    g = g.truncate(size)
+    mxg = -(g.shift(1))
+    square_ok = (g * g.compose(mxg)).coeffs == Series.one(size).coeffs
+    reversion_ok = mxg.revert().coeffs == mxg.coeffs
+    if square_ok != reversion_ok:
+        raise SelfCheckError("square and reversion tests disagree")
+    return square_ok
 
 
 def b_extract(g: Series) -> BSequence:
@@ -258,38 +257,56 @@ def b_extract(g: Series) -> BSequence:
 
     Column 0 of the recurrence t[n+1][k] = t[n][k-1] + sum_j b_j*t[n-j][k+j]
     gives a triangular system whose pivots t[m][m] are all 1, so each b_m
-    is read off without division:
+    is read off without division.  In the Bell triangle
+    t[n][k] = [x^(n-k)] g^(k+1), so
 
-        b_m = t[2m+1][0] - sum_{j<m} b_j * t[2m-j][j]
+        b_m = g[2m+1] - sum_{j<m} b_j * [x^(2m-2j)] g^(j+1)
 
-    An order-N series certifies (N-1)//2 entries.  Afterwards the full
-    recurrence is verified at every cell the certified prefix can reach;
-    any failure (impossible for a genuine pseudo-involution) raises
-    NoBSequence.
+    An order-N series certifies c = (N-1)//2 entries.  Afterwards the
+    generating-function form of the recurrence, g = 1 + x*g*B(x^2*g), is
+    verified mod x^(2c+1); since f = x*g, the residual of column k is
+    (x*g)^k times that of column 0, so this covers every cell the certified
+    prefix can reach.  A failure (impossible for a genuine
+    pseudo-involution) raises NoBSequence.
     """
     if g[0] != 1:
         raise ValueError("g must have constant term 1")
     size = g.order
     if not is_pseudo_involution(g, size):
         raise NoBSequence("(g, x*g) is not a pseudo-involution")
-    tri = bell(g).triangle(size)
     certified = (size - 1) // 2
+    if not certified:
+        return BSequence(())
+    base = g.truncate(2 * certified - 1)
+    powers = [base]  # powers[j] = g^(j+1), read up to x^(2m-2j) <= x^(2c-2)
+    for _ in range(certified - 1):
+        powers.append(powers[-1] * base)
     b: list[Fraction] = []
     for m in range(certified):
-        acc = tri[2 * m + 1][0]
+        acc = g[2 * m + 1]
         for j in range(m):
-            acc -= b[j] * tri[2 * m - j][j]
+            acc -= b[j] * powers[j][2 * m - 2 * j]
         b.append(acc)
-    for n in range(size - 1):
-        for k in range(n + 2):
-            if (n - k) // 2 >= certified:
-                continue  # needs b entries beyond the certified prefix
-            rhs = tri[n][k - 1] if k else _ZERO
-            for j in range((n - k) // 2 + 1):
-                rhs += b[j] * tri[n - j][k + j]
-            if tri[n + 1][k] != rhs:
-                raise NoBSequence(f"recurrence fails at row {n + 1}, column {k}")
-    return BSequence(tuple(b))
+    values = tuple(b)
+    n = _b_identity_mismatch(g, values)
+    if n is not None:
+        raise NoBSequence(f"g = 1 + x*g*B(x^2*g) fails at x^{n}")
+    return BSequence(values)
+
+
+def _b_identity_mismatch(g: Series, b: tuple[Fraction, ...]) -> int | None:
+    """First n <= 2*len(b) with [x^n] g != [x^n] (1 + x*g*B(x^2*g)), or None.
+
+    b must be nonempty and g of order at least 2*len(b) + 1.  (x^2*g)^k has
+    valuation 2k, so the len(b) terms of B fix the right side mod
+    x^(2*len(b)+1).
+    """
+    head = g.truncate(2 * len(b))
+    rhs = 1 + (head * _horner(b, head.shift(2).truncate(head.order))).shift(1)
+    for n, (want, got) in enumerate(zip(g.coeffs, rhs.coeffs)):
+        if want != got:
+            return n
+    return None
 
 
 def a_from_b(b: Series, order: int) -> Series:

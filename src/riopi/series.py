@@ -140,6 +140,8 @@ class Series:
 
     def truncate(self, order: int) -> "Series":
         """Keep the first ``order`` coefficients (cannot extend knowledge)."""
+        if order < 1:
+            raise ValueError("order must be at least 1")
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:

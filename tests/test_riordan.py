@@ -1,14 +1,20 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+
+import riordan_oracle as oracle
 
 from riopi.elliptic import pipeline
 from riopi.family import FamilyParams, a_family, g_ad, g_family
 from riopi.riordan import (
     NoBSequence,
     OutOfOrder,
+    ProductionMatrix,
     RiordanArray,
+    SelfCheckError,
+    _b_identity_mismatch,
     a_from_b,
     a_from_g,
     b_extract,
@@ -43,6 +49,31 @@ def matmul(a, b):
 
 def random_member(rng, order=10):
     return bell(g_family(FamilyParams.of(*(rand_fraction(rng, 2) for _ in range(3))), order))
+
+
+def rand_nonzero(rng):
+    q = Fraction(0)
+    while not q:
+        q = rand_fraction(rng, 3)
+    return q
+
+
+def perturbed(g, i, delta):
+    coeffs = list(g.coeffs)
+    coeffs[i] += delta
+    return Series(coeffs)
+
+
+def family_cases(rng, cases, lo, hi):
+    """Random p/q family members of order lo..hi; about half are perturbed
+    at one coefficient past the first, half of those at the last."""
+    for _ in range(cases):
+        order = rng.randint(lo, hi)
+        g = g_family(FamilyParams.of(*(rand_fraction(rng, 3) for _ in range(3))), order)
+        if order > 1 and rng.random() < 0.5:
+            i = order - 1 if rng.random() < 0.5 else rng.randint(1, order - 1)
+            g = perturbed(g, i, rand_nonzero(rng))
+        yield g
 
 
 def b_expansion_oracle(a, b, c, terms):
@@ -195,10 +226,48 @@ class TestProduction:
             assert row[0] == g[1] and row[1] == 1
 
     def test_dense_cross_check_runs(self, rng):
-        # construction includes the M^-1 * Mbar comparison internally
         for _ in range(3):
             arr = random_member(rng)
-            arr.production_matrix(6)
+            assert arr.production_matrix(6).rows == oracle.production_dense(arr, 6)
+
+    def test_matches_dense_oracle_at_every_size(self, rng):
+        arrays = [pascal(), identity_array(), random_member(rng)]
+        arrays += [bell(g) for g in family_cases(rng, 8, 3, 14)]
+        for _ in range(3):  # not Bell: f is not x*g
+            order = rng.randint(3, 12)
+            arrays.append(RiordanArray(
+                Series([1] + [rand_fraction(rng) for _ in range(order - 1)]),
+                Series([0, rand_nonzero(rng)] + [rand_fraction(rng) for _ in range(order - 2)])))
+        for arr in arrays:
+            for size in range(1, arr.order):
+                assert arr.production_matrix(size).rows == oracle.production_dense(arr, size), \
+                    (arr, size)
+
+    def test_tampered_a_and_z_raises(self, rng, monkeypatch):
+        for arr in (pascal(8), random_member(rng, 8)):
+            data = arr.a_and_z()
+            size = arr.order - 2
+            for name in ("z", "a"):
+                for i in range(size):
+                    seq = list(getattr(data, name))
+                    seq[i] += rand_nonzero(rng)
+                    tampered = replace(data, **{name: tuple(seq)})
+                    monkeypatch.setattr(RiordanArray, "a_and_z", lambda self, t=tampered: t)
+                    with pytest.raises(SelfCheckError):
+                        arr.production_matrix(size)
+
+    def test_matrix_view_of_z_and_a(self):
+        p = ProductionMatrix(z=(Fraction(1, 2), Fraction(0), Fraction(3)),
+                             a=(Fraction(1), Fraction(2), Fraction(5)))
+        assert p.size == 3
+        assert p.rows == ((Fraction(1, 2), 1, 0), (0, 2, 1), (3, 5, 2))
+        assert p[-1] == p[2] == (3, 5, 2)
+        with pytest.raises(IndexError):
+            p[3]
+        with pytest.raises(ValueError, match="non-integer matrix entry"):
+            p.integers()
+        # a size-1 matrix shows only z[0]
+        assert ProductionMatrix(z=(Fraction(3),), a=(Fraction(1, 2),)).integers() == [[3]]
 
     def test_matrix_round_trips_to_z_and_a(self, rng):
         # column 0 is the Z-sequence and column 1 the A-sequence
@@ -232,16 +301,32 @@ class TestPseudoInvolution:
         assert is_pseudo_involution(g, 12)
 
     def test_catalan_decided_by_matrix_oracle(self):
-        # brute-force signed matrix square on the 12x12 truncation
         c = catalan(12)
-        tri = bell(c).triangle(12)
-        signed = [[(-1) ** k * tri[n][k] for k in range(n + 1)] for n in range(12)]
-        def cell(n, k):
-            return sum(signed[n][j] * signed[j][k] for j in range(k, n + 1))
-        oracle = all(cell(n, k) == (1 if n == k else 0)
-                     for n in range(12) for k in range(n + 1))
-        assert is_pseudo_involution(c, 12) == oracle
-        assert oracle is False
+        want = oracle.signed_square_is_identity(c, 12)
+        assert is_pseudo_involution(c, 12) == want
+        assert want is False
+
+    def test_verdicts_match_signed_square_oracle(self, rng):
+        verdicts = set()
+        for case, g in enumerate(family_cases(rng, 80, 1, 20)):
+            size = g.order if case % 2 else rng.randint(1, g.order)
+            want = oracle.signed_square_is_identity(g, size)
+            assert is_pseudo_involution(g, size) == want, (g, size)
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_last_coefficient_perturbation(self):
+        # only the last (even) coefficient is off: the reversion guard must
+        # look through x^size to agree with the square
+        g = perturbed(g_ad(1, 1, 7), 6, 1)
+        assert oracle.signed_square_is_identity(g, 7) is False
+        assert is_pseudo_involution(g, 7) is False
+        assert is_pseudo_involution(g, 6) is True
+
+    def test_guard_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(Series, "revert", lambda self: -self)
+        with pytest.raises(SelfCheckError, match="square and reversion tests disagree"):
+            is_pseudo_involution(g_ad(1, 1, 8), 8)
 
     def test_prop6_steps_hold_for_family(self, rng):
         # Rev(-xg) = -xg and g * g(-xg) = 1, each on its own
@@ -281,6 +366,31 @@ class TestBExtract:
     def test_non_involution_rejected(self):
         with pytest.raises(NoBSequence):
             b_extract(Series([1, 1, 1], 10))
+        with pytest.raises(NoBSequence):
+            b_extract(perturbed(g_ad(1, 1, 7), 6, 1))
+
+    def test_short_series_certify_nothing(self):
+        assert b_extract(Series.one(1)).values == ()
+        assert b_extract(g_ad(1, 1, 2)).values == ()
+        assert b_extract(g_ad(1, 1, 3)).values == (1,)
+
+    def test_identity_agrees_with_recurrence_oracle(self, rng):
+        verdicts = set()
+        for _ in range(60):
+            a, bb, c = (rand_fraction(rng, 3) for _ in range(3))
+            order = rng.randint(3, 18)
+            g = g_family(FamilyParams.of(a, bb, c), order)
+            terms = rng.randint(1, (order - 1) // 2)
+            b = b_expansion_oracle(a, bb, c, terms)
+            if rng.random() < 0.6:  # tamper b, often its last certified term
+                i = terms - 1 if rng.random() < 0.5 else rng.randrange(terms)
+                b[i] += rand_nonzero(rng)
+            if rng.random() < 0.3:
+                g = perturbed(g, rng.randint(1, order - 1), rand_nonzero(rng))
+            want = oracle.b_recurrence_holds(g, b)
+            assert (_b_identity_mismatch(g, tuple(b)) is None) == want, (g, b)
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_random_family_oracle(self, rng):
         for _ in range(8):

@@ -36,6 +36,15 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Series([0.5], 3)
 
+    def test_truncate_rejects_order_below_one(self):
+        s = Series([1, 2, 3])
+        for order in (0, -1, -3):
+            with pytest.raises(ValueError, match="^order must be at least 1$"):
+                s.truncate(order)
+        with pytest.raises(ValueError, match="^cannot extend order 3 to 4$"):
+            s.truncate(4)
+        assert s.truncate(1).coeffs == (1,)
+
     def test_valuation(self):
         assert Series([0, 0, 3], 5).valuation() == 2
         assert Series.zero(4).valuation() == 4
