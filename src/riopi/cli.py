@@ -122,6 +122,9 @@ def cmd_hankel(args) -> int:
     offset = args.offset or 0
     seq = _subject_sequence(args.subject, params, args.order)
     transform = hankel_transform(seq)
+    if offset >= len(transform.values):
+        raise UsageError(f"--offset {offset} leaves none of the "
+                         f"{len(transform.values)} transform values")
     values = [_q(v) for v in transform.values[offset:]]
     report = {"offset": str(offset), "source_length": str(transform.source_length)}
     _emit(args, _payload(args, values, report),
@@ -146,6 +149,9 @@ def cmd_somos(args) -> int:
         offset = args.offset if args.offset is not None else _SOMOS_OFFSET[args.subject]
         terms = list(hankel_transform(seq).values[offset:])
         label = f"hankel[{offset}:] of {args.subject}"
+    if len(terms) < 6:
+        raise UsageError(f"somos needs at least 6 terms after offset {offset}, "
+                         f"got {len(terms)}")
     fitted = somos4_fit(terms)
     report_data = somos4_check(terms, fitted, label=label)
     checked = list(range(report_data.start, report_data.end + 1))
@@ -232,26 +238,26 @@ def run_paper_suite() -> list[dict]:
     trace = pipeline("-3", 11)
     triangle = bell(trace.g).triangle(8).integers()
     checks.append(_check("triangle curve(-3) 8x8",
-                         tuple(tuple(r) for r in triangle) == knowndata.TRIANGLE_CURVE_A_MINUS3,
+                         tuple([tuple(r) for r in triangle]) == knowndata.TRIANGLE_CURVE_A_MINUS3,
                          knowndata.TRIANGLE_CURVE_A_MINUS3, triangle))
     prodmat = bell(trace.g).production_matrix(7).integers()
     checks.append(_check("production matrix curve(-3) 7x7",
-                         tuple(tuple(r) for r in prodmat) == knowndata.PRODMAT_CURVE_A_MINUS3,
+                         tuple([tuple(r) for r in prodmat]) == knowndata.PRODMAT_CURVE_A_MINUS3,
                          knowndata.PRODMAT_CURVE_A_MINUS3, prodmat))
-    got_narayana = tuple(tuple(int(narayana(n, k)) for k in range(n + 1))
-                         for n in range(len(knowndata.NARAYANA_ROWS)))
+    got_narayana = tuple([tuple([int(narayana(n, k)) for k in range(n + 1)])
+                          for n in range(len(knowndata.NARAYANA_ROWS))])
     checks.append(_check("narayana triangle rows", got_narayana == knowndata.NARAYANA_ROWS,
                          knowndata.NARAYANA_ROWS, got_narayana))
     from .family import binomial
     size = len(knowndata.BINOMIAL_NARAYANA_PRODUCT)
-    product = tuple(tuple(int(sum(binomial(n, j) * narayana(j, k) for j in range(k, n + 1)))
-                          for k in range(n + 1)) for n in range(size))
+    product = tuple([tuple([int(sum(binomial(n, j) * narayana(j, k) for j in range(k, n + 1)))
+                            for k in range(n + 1)]) for n in range(size)])
     checks.append(_check("binomial*narayana product rows",
                          product == knowndata.BINOMIAL_NARAYANA_PRODUCT,
                          knowndata.BINOMIAL_NARAYANA_PRODUCT, product))
     for a_text, row in knowndata.CURVE_B_TABLE:
         got = b_from_curve(a_text, terms=len(row)).prefix.values
-        expected = tuple(Fraction(v) for v in row)
+        expected = tuple([Fraction(v) for v in row])
         checks.append(_check(f"curve b-table a={a_text}", got == expected, row, got))
     return checks
 

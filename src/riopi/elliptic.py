@@ -44,36 +44,26 @@ class PipelineTrace:
     g: Series
 
 
-def _branch_radicand(a: Fraction, order: int) -> Series:
-    # 1 + 2(a-2)x + a^2 x^2 + 4x^3 under the square root of the y-branch
-    return Series([1, 2 * (a - 2), a * a, 4], order)
-
-
 def curve_branch(curve, order: int) -> Series:
     """Quadratic branch y with y(0) = 0, y'(0) = 1."""
     a = _param(curve)
-    root = _branch_radicand(a, order).sqrt()
+    # 1 + 2(a-2)x + a^2 x^2 + 4x^3 under the square root of the y-branch
+    root = Series([1, 2 * (a - 2), a * a, 4], order).sqrt()
     return (Series([1, a], order) - root) / 2
 
 
 def pipeline(curve, order: int) -> PipelineTrace:
-    """Run the whole curve-to-involution chain, keeping every stage."""
+    """Run the whole curve-to-involution chain, keeping every stage.
+
+    The result is certified once, by the pseudo-involution test of g at
+    ``order``; the stage relations are checked in the tests.
+    """
     a = _param(curve)
     work = order + _MARGIN
     y = curve_branch(a, work)
-    if y[1] != 1:
-        raise SelfCheckError("curve branch must start x + O(x^2)")
     stripped = (y - Series.x(work)).unshift(2)
     fraction = 1 / (Series([1, -1], work) - stripped.shift(2))
-    # The fraction stage collapses to 1/(1 - y), with closed form
-    # 2/(1 - a*x + sqrt(radicand)); recompute it that way as a guard.
-    closed = Series.constant(2, work) / (
-        Series([1, -a], work) + _branch_radicand(a, work).sqrt())
-    if fraction.coeffs != closed.truncate(fraction.order).coeffs:
-        raise SelfCheckError("fraction stage disagrees with its closed form")
     reverted = fraction.shift(1).revert()
-    if reverted.valuation() != 1:
-        raise SelfCheckError("reverted stage must have valuation 1")
     f = 1 / (1 - reverted.unshift(1).shift(2))
     numerator = f * Series([1, a - 1], f.order) - 1
     denominator = (f * Series([a - 1, a], f.order)).shift(1)

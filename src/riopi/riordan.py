@@ -27,7 +27,7 @@ class NoBSequence(ValueError):
 
 
 class SelfCheckError(RuntimeError):
-    """Two supposedly equivalent computations disagreed (truncation bug guard)."""
+    """A computed result failed its certifying identity."""
 
 
 def _integer_rows(rows) -> list[list[int]]:
@@ -153,7 +153,7 @@ class RiordanArray:
                 rows[n][k] = col[n]
             if k + 1 < size:
                 col = col * f
-        return TriangularMatrix(tuple(tuple(r) for r in rows))
+        return TriangularMatrix(tuple([tuple(r) for r in rows]))
 
     # -- group structure ---------------------------------------------------
 
@@ -208,17 +208,10 @@ class RiordanArray:
         return ProductionMatrix(z, a)
 
     def is_bell(self) -> bool:
-        """True iff f = x*g over the common order; then A = 1 + x*Z must hold."""
+        """True iff f = x*g over the common order."""
         g, f = self.g, self.f
         top = min(f.order, g.order + 1)
-        if any(f[k] != g[k - 1] for k in range(1, top)):
-            return False
-        if self.order >= 3:
-            data = self.a_and_z()
-            n = min(len(data.a), len(data.z) + 1)
-            if data.a[0] != 1 or any(data.a[k] != data.z[k - 1] for k in range(1, n)):
-                raise SelfCheckError("Bell array violating A = 1 + x*Z")
-        return True
+        return all(f[k] == g[k - 1] for k in range(1, top))
 
 
 def bell(g: Series) -> RiordanArray:
@@ -233,9 +226,7 @@ def is_pseudo_involution(g: Series, size: int | None = None) -> bool:
     """Does (g, -x*g) square to the identity on the size x size truncation?
 
     The square is (g*g(f), f(f)) with f = -x*g, and f(f) = x*g*g(f), so it
-    is the identity exactly when g*g(-x*g) = 1 mod x^size.  The reversion
-    fixed point Rev(-x*g) = -x*g through x^size (the same condition on
-    f(f) = x) is recomputed alongside as a guard, and the two must agree.
+    is the identity exactly when g*g(-x*g) = 1 mod x^size.
     """
     if g[0] != 1:
         raise ValueError("g must have constant term 1")
@@ -244,12 +235,7 @@ def is_pseudo_involution(g: Series, size: int | None = None) -> bool:
     if size < 1 or size > g.order:
         raise OutOfOrder(f"size {size} outside 1..{g.order}")
     g = g.truncate(size)
-    mxg = -(g.shift(1))
-    square_ok = (g * g.compose(mxg)).coeffs == Series.one(size).coeffs
-    reversion_ok = mxg.revert().coeffs == mxg.coeffs
-    if square_ok != reversion_ok:
-        raise SelfCheckError("square and reversion tests disagree")
-    return square_ok
+    return (g * g.compose(-(g.shift(1)))).coeffs == Series.one(size).coeffs
 
 
 def b_extract(g: Series) -> BSequence:
@@ -262,19 +248,18 @@ def b_extract(g: Series) -> BSequence:
 
         b_m = g[2m+1] - sum_{j<m} b_j * [x^(2m-2j)] g^(j+1)
 
-    An order-N series certifies c = (N-1)//2 entries.  Afterwards the
-    generating-function form of the recurrence, g = 1 + x*g*B(x^2*g), is
-    verified mod x^(2c+1); since f = x*g, the residual of column k is
-    (x*g)^k times that of column 0, so this covers every cell the certified
-    prefix can reach.  A failure (impossible for a genuine
-    pseudo-involution) raises NoBSequence.
+    An order-N series certifies c = (N-1)//2 entries.  The read-off fixes
+    the odd coefficients of the generating-function form of the recurrence,
+    g = 1 + x*g*B(x^2*g); the even ones are then verified mod x^(2c+1).
+    Since f = x*g, the residual of column k is (x*g)^k times that of
+    column 0, so this covers every cell the certified prefix can reach.
+    The identity is the paper's characterisation of pseudo-involutions, so
+    it holds exactly when is_pseudo_involution(g) does, and a failure
+    raises NoBSequence.
     """
     if g[0] != 1:
         raise ValueError("g must have constant term 1")
-    size = g.order
-    if not is_pseudo_involution(g, size):
-        raise NoBSequence("(g, x*g) is not a pseudo-involution")
-    certified = (size - 1) // 2
+    certified = (g.order - 1) // 2
     if not certified:
         return BSequence(())
     base = g.truncate(2 * certified - 1)
@@ -290,7 +275,8 @@ def b_extract(g: Series) -> BSequence:
     values = tuple(b)
     n = _b_identity_mismatch(g, values)
     if n is not None:
-        raise NoBSequence(f"g = 1 + x*g*B(x^2*g) fails at x^{n}")
+        raise NoBSequence("(g, x*g) is not a pseudo-involution: "
+                          f"g = 1 + x*g*B(x^2*g) fails at x^{n}")
     return BSequence(values)
 
 

@@ -177,14 +177,12 @@ class Series:
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        # Equality compares the common retained prefix; callers that care
-        # about matching orders must check .order themselves.
+        # One stored coefficient per order, so equal tuples mean equal orders too.
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        return self._coeffs[:n] == other._coeffs[:n]
+        return self._coeffs == other._coeffs
 
-    __hash__ = None  # prefix equality is not hash-compatible
+    __hash__ = None
 
     def __repr__(self) -> str:
         show = ", ".join(str(c) for c in self._coeffs[:8])

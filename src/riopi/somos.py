@@ -55,10 +55,10 @@ def somos4_check(terms, params: SomosParams, label: str = "") -> SomosReport:
     t = [rational(v) for v in terms]
     if len(t) < 5:
         raise ValueError("need at least 5 terms to check a Somos-4 relation")
-    failures = tuple(
+    failures = tuple([
         n for n in range(4, len(t))
         if t[n] * t[n - 4] != params.alpha * t[n - 1] * t[n - 3] + params.beta * t[n - 2] ** 2
-    )
+    ])
     return SomosReport(params=params, start=4, end=len(t) - 1,
                        failures=failures, degenerate=params.degenerate,
                        label=label)

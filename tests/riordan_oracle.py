@@ -5,6 +5,8 @@ identities ``riopi.riordan`` certifies with: the production matrix as
 M^-1 * Mbar, the signed Bell matrix square, and the B-sequence recurrence
 at every cell of the triangle.  They build their triangles with the plain
 convolution of ``series_oracle`` and share no code with ``riopi.riordan``.
+The reversion fixed point is a second series route to the
+pseudo-involution verdict.
 """
 
 from fractions import Fraction
@@ -55,6 +57,13 @@ def signed_square_is_identity(g, size) -> bool:
             if acc != (1 if n == k else 0):
                 return False
     return True
+
+
+def reversion_fixed_point(g, size) -> bool:
+    """Is Rev(-x*g) = -x*g mod x^(size+1)?  The same condition as the signed
+    square, f(f) = x for f = -x*g, decided through the reversion."""
+    mxg = -(g.truncate(size).shift(1))
+    return mxg.revert().coeffs == mxg.coeffs
 
 
 def b_recurrence_holds(g, b) -> bool:

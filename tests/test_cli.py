@@ -195,6 +195,31 @@ class TestUsage:
             assert out == ""
             assert "--offset: must be at least 0" in err
 
+    def test_offset_past_hankel_transform_rejected(self, capsys):
+        # order 9 gives 5 transform values: offset 4 leaves one, 5 leaves none
+        code, out, _ = run(capsys, "hankel", "family", "1", "1", "1", "--order", "9",
+                           "--offset", "4")
+        assert code == 0 and out.strip() == "64"
+        for offset in ("5", "99"):
+            code, out, err = run(capsys, "hankel", "family", "1", "1", "1", "--order", "9",
+                                 "--offset", offset)
+            assert code == 1, offset
+            assert out == ""
+            assert f"--offset {offset} leaves none of the 5 transform values" in err
+
+    def test_somos_needs_six_terms_after_offset(self, capsys):
+        for argv in (("somos", "--terms=1,2,3"),
+                     ("somos", "--terms=1,1,1,1,1,1,1", "--offset", "5"),
+                     ("somos", "family", "1", "1", "1", "--order", "9", "--offset", "0")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "somos needs at least 6 terms after offset" in err
+        # six terms left is enough to reach the fit
+        code, _, err = run(capsys, "somos", "--terms=1,1,1,1,1,1,1", "--offset", "1")
+        assert code == 2
+        assert "Underdetermined" in err
+
 
 class TestVerify:
     def test_paper_suite_passes(self, capsys):

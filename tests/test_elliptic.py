@@ -55,18 +55,26 @@ class TestPipeline:
         got = pipeline(-3, 11).g.integers()
         assert got == [1, 5, 25, 124, 610, 2979, 14457, 69784, 335330, 1605334, 7662014]
 
-    def test_trace_stage_relations(self):
-        trace = pipeline(3, 12)
-        # branch drops its first two terms to make the stripped stage
-        assert (trace.branch - Series.x(12)).unshift(2).coeffs == \
-            trace.stripped.coeffs[:10]
-        # stripped recombines into the fraction stage
-        rebuilt = 1 / (Series([1, -1], 12) - trace.stripped.shift(2).truncate(12))
-        assert rebuilt.coeffs == trace.fraction.coeffs
-        # the reverted stage really is the reversion of x * fraction
-        assert trace.fraction.shift(1).truncate(12).revert().coeffs == \
-            trace.reverted.coeffs[:12]
-        assert trace.f.coeffs == f_from_curve(3, 12).coeffs
+    def test_trace_stage_relations(self, rng):
+        params = [Fraction(3), Fraction(1), Fraction(-3), Fraction(5, 2), Fraction(-11, 2)]
+        params += [rand_fraction(rng) for _ in range(5)]
+        for a in params:
+            trace = pipeline(a, 12)
+            # branch y = x + O(x^2) drops its first two terms to make the stripped stage
+            assert trace.branch[1] == 1
+            assert (trace.branch - Series.x(12)).unshift(2).coeffs == \
+                trace.stripped.coeffs[:10]
+            # stripped recombines into the fraction stage, which collapses to
+            # 1/(1 - y) = 2/(1 - a*x + sqrt(1 + 2(a-2)x + a^2 x^2 + 4x^3))
+            rebuilt = 1 / (Series([1, -1], 12) - trace.stripped.shift(2).truncate(12))
+            assert rebuilt == trace.fraction
+            radicand = Series([1, 2 * (a - 2), a * a, 4], 12)
+            assert trace.fraction == 2 / (Series([1, -a], 12) + radicand.sqrt())
+            # the reverted stage really is the reversion of x * fraction
+            assert trace.reverted.valuation() == 1
+            assert trace.fraction.shift(1).truncate(12).revert().coeffs == \
+                trace.reverted.coeffs[:12]
+            assert trace.f == f_from_curve(a, 12)
 
     def test_pipeline_output_is_always_involutory(self, rng):
         for _ in range(5):

@@ -65,15 +65,17 @@ def perturbed(g, i, delta):
 
 
 def family_cases(rng, cases, lo, hi):
-    """Random p/q family members of order lo..hi; about half are perturbed
-    at one coefficient past the first, half of those at the last."""
+    """Pairs (params, g) of random p/q family members g of order lo..hi;
+    about half of the g are perturbed at one coefficient past the first,
+    half of those at the last."""
     for _ in range(cases):
         order = rng.randint(lo, hi)
-        g = g_family(FamilyParams.of(*(rand_fraction(rng, 3) for _ in range(3))), order)
+        p = FamilyParams.of(*(rand_fraction(rng, 3) for _ in range(3)))
+        g = g_family(p, order)
         if order > 1 and rng.random() < 0.5:
             i = order - 1 if rng.random() < 0.5 else rng.randint(1, order - 1)
             g = perturbed(g, i, rand_nonzero(rng))
-        yield g
+        yield p, g
 
 
 def b_expansion_oracle(a, b, c, terms):
@@ -232,7 +234,7 @@ class TestProduction:
 
     def test_matches_dense_oracle_at_every_size(self, rng):
         arrays = [pascal(), identity_array(), random_member(rng)]
-        arrays += [bell(g) for g in family_cases(rng, 8, 3, 14)]
+        arrays += [bell(g) for _, g in family_cases(rng, 8, 3, 14)]
         for _ in range(3):  # not Bell: f is not x*g
             order = rng.randint(3, 12)
             arrays.append(RiordanArray(
@@ -308,25 +310,23 @@ class TestPseudoInvolution:
 
     def test_verdicts_match_signed_square_oracle(self, rng):
         verdicts = set()
-        for case, g in enumerate(family_cases(rng, 80, 1, 20)):
+        for case, (_, g) in enumerate(family_cases(rng, 80, 1, 20)):
             size = g.order if case % 2 else rng.randint(1, g.order)
             want = oracle.signed_square_is_identity(g, size)
             assert is_pseudo_involution(g, size) == want, (g, size)
+            assert oracle.reversion_fixed_point(g, size) == want, (g, size)
             verdicts.add(want)
         assert verdicts == {True, False}
 
     def test_last_coefficient_perturbation(self):
-        # only the last (even) coefficient is off: the reversion guard must
-        # look through x^size to agree with the square
+        # only the last (even) coefficient is off: the square must look
+        # through x^size, and so must the reversion route
         g = perturbed(g_ad(1, 1, 7), 6, 1)
         assert oracle.signed_square_is_identity(g, 7) is False
+        assert oracle.reversion_fixed_point(g, 7) is False
         assert is_pseudo_involution(g, 7) is False
+        assert oracle.reversion_fixed_point(g, 6) is True
         assert is_pseudo_involution(g, 6) is True
-
-    def test_guard_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(Series, "revert", lambda self: -self)
-        with pytest.raises(SelfCheckError, match="square and reversion tests disagree"):
-            is_pseudo_involution(g_ad(1, 1, 8), 8)
 
     def test_prop6_steps_hold_for_family(self, rng):
         # Rev(-xg) = -xg and g * g(-xg) = 1, each on its own
@@ -373,6 +373,26 @@ class TestBExtract:
         assert b_extract(Series.one(1)).values == ()
         assert b_extract(g_ad(1, 1, 2)).values == ()
         assert b_extract(g_ad(1, 1, 3)).values == (1,)
+
+    def test_rejects_exactly_where_signed_square_oracle_does(self, rng):
+        # b_extract runs no separate involution test: its B identity must
+        # decide the same question at g.order
+        verdicts = set()
+        for p, g in family_cases(rng, 80, 1, 22):
+            want = oracle.signed_square_is_identity(g, g.order)
+            if not want:
+                with pytest.raises(NoBSequence, match="not a pseudo-involution"):
+                    b_extract(g)
+            else:
+                got = b_extract(g)
+                assert got.certified == (g.order - 1) // 2
+                if g == g_family(p, g.order):
+                    want_b = b_expansion_oracle(p.a, p.b, p.c, got.certified)
+                    assert list(got.values) == want_b[:got.certified]
+                elif got.certified:
+                    assert oracle.b_recurrence_holds(g, got.values), g
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_identity_agrees_with_recurrence_oracle(self, rng):
         verdicts = set()
@@ -429,8 +449,10 @@ class TestASequence:
         assert a_from_g(g_family(p, 20)).coeffs == a_family(p, 20).coeffs
 
     def test_family_a_equals_one_plus_x_z(self, rng):
-        for _ in range(4):
-            g = g_family(FamilyParams.of(*(rand_fraction(rng, 2) for _ in range(3))), 12)
-            data = bell(g).a_and_z()
+        arrays = [bell(catalan(10)), pascal()]
+        arrays += [bell(g_family(FamilyParams.of(*(rand_fraction(rng, 2) for _ in range(3))), 12))
+                   for _ in range(4)]
+        for arr in arrays:
+            data = arr.a_and_z()
             assert data.a[0] == 1
             assert data.a[1:] == data.z[:len(data.a) - 1]

@@ -272,8 +272,10 @@ class TestContinuedFraction:
 
 
 class TestEquality:
-    def test_common_prefix_semantics(self):
-        assert Series([1, 2], 2) == Series([1, 2, 3], 3)
+    def test_equality_includes_order(self):
+        assert Series([1, 2], 2) == Series([1, 2, 0], 2)
+        assert Series([1, 2], 2) != Series([1, 2, 3], 3)
+        assert Series([1, 2], 2) != Series([1, 2], 3)
         assert Series([1, 2], 2) != Series([1, 3], 2)
 
     def test_shift_unshift(self):
