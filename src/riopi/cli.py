@@ -37,6 +37,7 @@ _SUBJECT_KIND = {"family": "family", "ad": "ad", "companion": "companion",
 _SOMOS_OFFSET = {"family": 2, "ad": 2, "curve": 2, "companion": 0, "curvef": 0}
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_NEGATIVE_RE = re.compile(r"^-\d")
 
 
 class UsageError(ValueError):
@@ -48,6 +49,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    def _parse_optional(self, arg_string):
+        # argparse takes only -<digits> for a negative number and reads
+        # -11/2 as an unknown option.  No option here starts with a digit,
+        # so a dash-digit argument is a value: a negative p/q parameter.
+        if _NEGATIVE_RE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,10 +1,17 @@
 """Exact Hankel-determinant transforms of rational sequences.
 
 Each transform value h_n is the determinant of the (n+1)x(n+1) matrix
-with entry (i,j) = s[i+j].  Determinants are computed independently by
-fraction-free (Bareiss) elimination: every value is its own check, and
-interior zeros (h_1 = 0 is common here) cannot poison neighbours the way
-they would in a condensation scheme.
+with entry (i,j) = s[i+j].  These matrices are nested, so one
+fraction-free (Bareiss) elimination of the largest yields every h_n as a
+leading principal minor.
+
+Zero pivots are common (h_1 = 0 throughout the family).  At a zero pivot
+in step k the first row r > k with a nonzero entry in column k is swapped
+in.  While that swap is open (k <= n < r), h_n = 0: over the nonsingular
+leading block, the eliminated rows k..n have a zero first column.  Once n
+is at least every r swapped in so far, the first n+1 rows are rows 0..n
+again, so h_n is the pivot of step n times the sign of the swaps.  If
+column k has no such row, every h_n with n >= k is 0.
 """
 
 from __future__ import annotations
@@ -26,34 +33,51 @@ class HankelTransform:
     source_length: int
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Integer-preserving elimination with row pivoting.
+def _leading_minors(rows: list[list[int]]) -> list[int]:
+    """Every leading principal minor of a square int matrix (consumed).
 
-    After step k every entry is a (k+1)x(k+1) minor of the input (up to
-    the row-swap sign), so the division by the previous pivot is exact.
+    Bareiss elimination with row swaps at zero pivots: after step k every
+    working entry is a (k+2)x(k+2) minor over the pivot rows, so the
+    division by the previous pivot is exact.
     """
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
+    n = len(rows)
+    minors = [0] * n
+    sign, prev, reach = 1, 1, 0
+    for k in range(n):
+        # rows[i] is row k+i of the working matrix, restricted to columns k..
+        if rows[0][0] == 0:
+            r = next((i for i, row in enumerate(rows) if row[0]), None)
+            if r is None:
+                break
+            rows[0], rows[r] = rows[r], rows[0]
+            sign = -sign
+            reach = max(reach, k + r)
+        pivot = rows[0][0]
+        if k >= reach:
+            minors[k] = sign * pivot
+        tail = rows[0][1:]
+        step = []
+        for row in rows[1:]:
+            head = row[0]
+            step.append([(a * pivot - head * b) // prev for a, b in zip(row[1:], tail)])
+        rows = step
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return minors
+
+
+def _hankel_values(terms: list[Fraction], top: int) -> list[Fraction]:
+    """h_0 .. h_top of terms[0..2*top], from one elimination."""
+    window = terms[: 2 * top + 1]
+    # Clear denominators so Bareiss runs over plain ints; rescale after.
+    scale = math.lcm(*[t.denominator for t in window])
+    ints = [t.numerator * (scale // t.denominator) for t in window]
+    minors = _leading_minors([ints[i:i + top + 1] for i in range(top + 1)])
+    values = []
+    power = 1
+    for minor in minors:
+        power *= scale
+        values.append(Fraction(minor, power))
+    return values
 
 
 def hankel_det(seq, n: int) -> Fraction:
@@ -62,13 +86,7 @@ def hankel_det(seq, n: int) -> Fraction:
     if len(terms) < 2 * n + 1:
         raise InsufficientTerms(
             f"h_{n} needs {2 * n + 1} terms, got {len(terms)}")
-    window = terms[: 2 * n + 1]
-    # Clear denominators so Bareiss runs over plain ints; rescale after.
-    scale = math.lcm(*[t.denominator for t in window])
-    ints = [int(t * scale) for t in window]
-    matrix = [[ints[i + j] for j in range(n + 1)] for i in range(n + 1)]
-    det = _bareiss(matrix)
-    return Fraction(det, scale ** (n + 1))
+    return _hankel_values(terms, n)[n]
 
 
 def hankel_transform(seq) -> HankelTransform:
@@ -77,5 +95,5 @@ def hankel_transform(seq) -> HankelTransform:
     if not terms:
         raise InsufficientTerms("need at least one term")
     top = (len(terms) - 1) // 2
-    values = tuple([hankel_det(terms, n) for n in range(top + 1)])
-    return HankelTransform(values=values, source_length=len(terms))
+    return HankelTransform(values=tuple(_hankel_values(terms, top)),
+                           source_length=len(terms))

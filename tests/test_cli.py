@@ -1,6 +1,11 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import riopi
 from riopi import knowndata
 from riopi.cli import main
 
@@ -219,6 +224,80 @@ class TestUsage:
         code, _, err = run(capsys, "somos", "--terms=1,1,1,1,1,1,1", "--offset", "1")
         assert code == 2
         assert "Underdetermined" in err
+
+
+class TestNegativeRationalParams:
+    # argparse alone reads only -<digits> as a negative number, so -11/2
+    # used to exit 1 as an unrecognized option.
+    def both_placements(self, capsys, command, subject, params, *options):
+        before = run(capsys, command, subject, *params, *options)
+        after = run(capsys, command, *options, subject, *params)
+        assert before == after, (command, params)
+        code, out, err = before
+        assert code == 0, (command, params, err)
+        return out.strip().splitlines()
+
+    def test_expand(self, capsys):
+        lines = self.both_placements(capsys, "expand", "curve", ["-11/2"], "--order", "5")
+        # g = 1 + (2-a)x + (2-a)^2 x^2 + ...
+        assert lines == ["1 15/2 225/4 3367/8 50265/16"]
+        lines = self.both_placements(capsys, "expand", "family", ["1/2", "-1/3", "0"],
+                                     "--order", "4", "--format", "json")
+        assert json.loads("\n".join(lines))["params"] == ["1/2", "-1/3", "0"]
+
+    def test_hankel(self, capsys):
+        # h_2 = -(ab+c)^2 and h_3 = -(ab+c)^4 with ab+c = -5/3
+        lines = self.both_placements(capsys, "hankel", "family", ["-1/2", "2", "-2/3"],
+                                     "--order", "7")
+        assert lines == ["1 0 -25/9 -625/81"]
+
+    def test_somos(self, capsys):
+        # the curve's transform tail is Somos-4 with (alpha, beta) = (1, 1-a)
+        lines = self.both_placements(capsys, "somos", "curve", ["-11/2"], "--order", "18")
+        assert lines[0] == "alpha=1 beta=13/2"
+        assert lines[-1].endswith("0 fail")
+        lines = self.both_placements(capsys, "somos", "family", ["1/2", "-1/3", "-2"],
+                                     "--order", "21")
+        assert lines[0] == "alpha=169/36 beta=-169/108"
+        assert lines[-1].endswith("0 fail")
+
+    def test_bseq(self, capsys):
+        lines = self.both_placements(capsys, "bseq", "curve", ["-11/2"], "--order", "12")
+        assert lines[0].split()[0] == "15/2"
+        assert lines[-1] == "match: yes"
+
+    def test_prodmat(self, capsys):
+        lines = self.both_placements(capsys, "prodmat", "curve", ["-11/2"], "--order", "7")
+        assert lines[0] == "15/2 1 0 0 0"
+        assert len(lines) == 5
+
+    def test_negative_term_list(self, capsys):
+        code, out, _ = run(capsys, "somos", "--terms", "-1,-1,-2,-3,5,28,67,411,506")
+        assert code == 0
+        assert "alpha=1 beta=-2" in out
+
+    def test_bad_input_still_rejected(self, capsys):
+        code, _, err = run(capsys, "expand", "curve", "-11/2", "--ordr", "5")
+        assert code == 1
+        assert "unrecognized arguments: --ordr" in err
+        for bad in ("-1.5", "-1/0", "-3x"):
+            code, _, err = run(capsys, "expand", "curve", bad)
+            assert code == 1, bad
+            assert "malformed rational" in err
+
+
+class TestEntryPoint:
+    def test_python_m_riopi(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(riopi.__file__).resolve().parents[1]))
+
+        def riopi_m(*argv):
+            return subprocess.run([sys.executable, "-m", "riopi", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        done = riopi_m("expand", "curve", "-11/2", "--order", "5")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1 15/2 225/4 3367/8 50265/16"
+        assert riopi_m("expand", "curve", "-3", "--ordr", "5").returncode == 1
 
 
 class TestVerify:

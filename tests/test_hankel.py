@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from riopi.family import FamilyParams, companion, g_ad, g_family
-from riopi.hankel import InsufficientTerms, hankel_det, hankel_transform
+from riopi.hankel import InsufficientTerms, _leading_minors, hankel_det, hankel_transform
 
 from conftest import rand_fraction
+from hankel_oracle import gauss_det, hankel_matrix, per_n_det
 
 
 def cofactor_det(matrix):
@@ -20,8 +21,9 @@ def cofactor_det(matrix):
     return total
 
 
-def hankel_matrix(seq, n):
-    return [[seq[i + j] for j in range(n + 1)] for i in range(n + 1)]
+def leading_cofactor_minors(matrix):
+    return [cofactor_det([row[:k + 1] for row in matrix[:k + 1]])
+            for k in range(len(matrix))]
 
 
 class TestDeterminant:
@@ -55,12 +57,14 @@ class TestDeterminant:
 
     def test_elimination_transpose_invariance(self, rng):
         # the constructed Hankel matrix is symmetric, so transposing it is
-        # free; check the elimination itself on non-symmetric transposes
-        from riopi.hankel import _bareiss
-        for _ in range(5):
-            m = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(4)]
-            t = [[m[j][i] for j in range(4)] for i in range(4)]
-            assert _bareiss([row[:] for row in m]) == _bareiss([row[:] for row in t])
+        # free; check the elimination itself on non-symmetric transposes,
+        # zero-dense so that rows are swapped in
+        for _ in range(40):
+            m = [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(5)] for _ in range(5)]
+            t = [[m[j][i] for j in range(5)] for i in range(5)]
+            minors = _leading_minors([row[:] for row in m])
+            assert minors == _leading_minors([row[:] for row in t])
+            assert minors == leading_cofactor_minors(m)
         seq = [rand_fraction(rng) for _ in range(9)]
         matrix = hankel_matrix(seq, 3)
         assert matrix == [[matrix[j][i] for j in range(4)] for i in range(4)]
@@ -128,3 +132,100 @@ class TestTransform:
             h3 = (-a ** 3 * b ** 3 * c + a ** 2 * b ** 2 * (b ** 3 - 3 * c ** 2)
                   + a * b * c * (2 * b ** 3 - 3 * c ** 2) + c ** 2 * (b ** 3 - c ** 2))
             assert got[:4] == (1, -b, -a * b * c - c * c, h3)
+
+
+class TestZeroPivots:
+    """One elimination yields every h_n, across row swaps at zero pivots."""
+
+    def test_family_h1_zero_then_nonzero_minors(self):
+        seq = g_family(FamilyParams.of(2, -2, 3), 21).coeffs
+        values = hankel_transform(seq).values
+        assert values[1] == 0 and all(values[2:])
+        assert list(values) == [per_n_det(seq, n) for n in range(11)]
+
+    def test_long_swap_gives_a_run_of_zero_minors(self):
+        # column 0 is zero down to row 4: h_0..h_3 vanish while that swap
+        # is open, and h_4 is the anti-diagonal determinant 1
+        seq = [0, 0, 0, 0, 1, 5, -3, 2, 7, Fraction(1, 2), -4]
+        values = hankel_transform(seq).values
+        assert values[:5] == (0, 0, 0, 0, 1)
+        assert list(values) == [per_n_det(seq, n) for n in range(6)]
+
+    def test_nested_open_swaps(self):
+        # step 0 swaps in row 3; step 1 swaps in row 2 while that is open
+        assert hankel_transform([0, 0, 0, 2, 0, 0, 0]).values == (0, 0, 0, 16)
+        seq = [0, 0, 0, 2, 0, 0, 0, 3, -1, Fraction(2, 3), 5]
+        assert list(hankel_transform(seq).values) == [per_n_det(seq, n) for n in range(6)]
+
+    def test_nested_swap_reaching_further(self, rng):
+        # step 0 swaps in row 2, then column 1 is zero down to row 3, so a
+        # second swap reaches past the first (a random search of Hankel
+        # patterns found none, so the routine is checked on this matrix)
+        def nz():
+            return rng.choice((-3, -2, -1, 1, 2, 3))
+        for _ in range(10):
+            m = [[0, 0, nz(), nz()],
+                 [0, 0, nz(), nz()],
+                 [nz(), nz(), nz(), nz()],
+                 [0, nz(), nz(), nz()]]
+            minors = _leading_minors([row[:] for row in m])
+            assert minors[:3] == [0, 0, 0]
+            assert minors == leading_cofactor_minors(m)
+
+    def test_column_without_pivot_zeroes_the_rest(self):
+        # rank 1 and rank 2: column 1 (column 2) has no nonzero entry left
+        assert hankel_transform([3 * 2 ** k for k in range(11)]).values == (3, 0, 0, 0, 0, 0)
+        seq = [2 ** k + (-1) ** k for k in range(11)]
+        values = hankel_transform(seq).values
+        assert values[2:] == (0, 0, 0, 0) and values[1] != 0
+        # the same while a swap is still open
+        assert _leading_minors([[0, 0, 1], [0, 0, 2], [1, 5, 0]]) == [0, 0, 0]
+
+    def test_zero_and_short_sequences(self):
+        assert hankel_transform([0] * 9).values == (0,) * 5
+        assert hankel_transform([0]).values == (0,)
+        assert hankel_transform([Fraction(-2, 3)]).values == (Fraction(-2, 3),)
+        assert hankel_transform([5, 7]).values == (5,)
+        assert hankel_transform([0, Fraction(7, 2)]).values == (0,)
+        assert hankel_det([Fraction(1, 2)], 0) == Fraction(1, 2)
+
+    def test_det_is_last_value_of_the_transform(self, rng):
+        for _ in range(30):
+            seq = [rng.choice((0, rand_fraction(rng))) for _ in range(rng.randint(1, 15))]
+            for n in range((len(seq) - 1) // 2 + 1):
+                det = hankel_det(seq, n)
+                assert det == hankel_transform(seq[:2 * n + 1]).values[n]
+                assert det == per_n_det(seq, n)
+
+
+def random_sequence(rng, length):
+    """p/q terms; about half the sequences are shaped to force zero pivots."""
+    seq = [rand_fraction(rng, span=5, dens=(1, 1, 2, 3, 5)) for _ in range(length)]
+    shape = rng.randrange(8)
+    if shape == 0:  # leading zeros: column 0 is zero down to row z
+        z = rng.randint(1, length)
+        seq[:z] = [Fraction(0)] * z
+    elif shape == 1:  # a zero block inside
+        i = rng.randrange(length)
+        j = rng.randint(i + 1, length)
+        seq[i:j] = [Fraction(0)] * (j - i)
+    elif shape == 2:  # sparse
+        seq = [v if rng.randrange(3) == 0 else Fraction(0) for v in seq]
+    elif shape == 3 and length > 2 and seq[0]:  # h_1 = s0*s2 - s1^2 = 0
+        seq[2] = seq[1] ** 2 / seq[0]
+    return seq
+
+
+class TestTransformProperties:
+    def test_equals_per_n_and_fraction_gauss_oracles(self, rng):
+        forced = 0
+        cases = 600
+        for _ in range(cases):
+            seq = random_sequence(rng, rng.randint(1, 25))
+            values = list(hankel_transform(seq).values)
+            dets = range(len(values))
+            assert values == [per_n_det(seq, n) for n in dets], seq
+            assert values == [gauss_det(hankel_matrix(seq, n)) for n in dets], seq
+            # a zero minor before the last one is a zero pivot on the way
+            forced += 0 in values[:-1]
+        assert forced * 5 >= cases * 2
