@@ -58,6 +58,20 @@ class _Parser(argparse.ArgumentParser):
             return None
         return super()._parse_optional(arg_string)
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse fills the nargs="*" params (empty) before the first
+        # option, so parameters given after an option come back as
+        # leftovers; they belong at the end of params.  Anything shaped
+        # like an option, or any leftover of a command without params, is
+        # still an error.
+        args, extras = self.parse_known_args(args, namespace)
+        if extras and hasattr(args, "params") and not any(
+                e.startswith("-") and not _NEGATIVE_RE.match(e) for e in extras):
+            args.params = args.params + extras
+        elif extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return args
+
 
 def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):

@@ -2,11 +2,13 @@
 
 The pipeline follows the worked transformation chain stage by stage:
 solve the quadratic for the branch with y = x + O(x^2), strip two terms,
-form a reciprocal fraction, revert, build the intermediate f, and finish
-with a fundamental-theorem application.  Each curve lands on the family
-member with parameters (2-a, 1-a, -(a^2-3a+1)) and B-sequence generating
-function (2-a + (1-3a+a^2)x)/(1+(1-a)x), and the Hankel transform of f
-is a (1, 1-a) Somos-4 sequence; all of that is cross-checked in tests.
+form a reciprocal fraction, revert, build the intermediate f and from it
+h, and finish with the Moebius stage g = 1/(1+cx) * h(-x/(1+cx)), c = a-1,
+whose coefficients are read off h in closed form in O(n^2).  Each curve
+lands on the family member with parameters (2-a, 1-a, -(a^2-3a+1)) and
+B-sequence generating function (2-a + (1-3a+a^2)x)/(1+(1-a)x), and the
+Hankel transform of f is a (1, 1-a) Somos-4 sequence; all of that is
+cross-checked in tests.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from fractions import Fraction
 
 from .family import FamilyParams
 from .hankel import hankel_transform
-from .riordan import BSequence, RiordanArray, SelfCheckError, is_pseudo_involution
-from .series import Series, rational
+from .riordan import BSequence, SelfCheckError, is_pseudo_involution
+from .series import Series, _cleared, rational
 from .somos import SomosParams, SomosReport, somos4_check
 
 # Stage losses: the strip drops two orders and the final division one
@@ -55,8 +57,10 @@ def curve_branch(curve, order: int) -> Series:
 def pipeline(curve, order: int) -> PipelineTrace:
     """Run the whole curve-to-involution chain, keeping every stage.
 
-    The result is certified once, by the pseudo-involution test of g at
-    ``order``; the stage relations are checked in the tests.
+    The last stage applies the Riordan array (1/(1+cx), -x/(1+cx)),
+    c = a-1, to h by its closed form (``_mobius_stage``), not by a
+    composition.  The result is certified once, by the pseudo-involution
+    test of g at ``order``; the stage relations are checked in the tests.
     """
     a = _param(curve)
     work = order + _MARGIN
@@ -68,9 +72,7 @@ def pipeline(curve, order: int) -> PipelineTrace:
     numerator = f * Series([1, a - 1], f.order) - 1
     denominator = (f * Series([a - 1, a], f.order)).shift(1)
     h = numerator / denominator
-    outer_g = 1 / Series([1, a - 1], work)
-    outer = RiordanArray(outer_g, -(outer_g.shift(1)))
-    g = outer.ftra_apply(h).truncate(order)
+    g = _mobius_stage(a - 1, h, order)
     if not is_pseudo_involution(g, order):
         raise SelfCheckError("pipeline output failed the pseudo-involution test")
     return PipelineTrace(branch=y.truncate(order),
@@ -79,6 +81,25 @@ def pipeline(curve, order: int) -> PipelineTrace:
                          reverted=reverted.truncate(order),
                          f=f.truncate(order),
                          g=g)
+
+
+def _mobius_stage(c: Fraction, h: Series, order: int) -> Series:
+    """g = 1/(1+cx) * h(-x/(1+cx)) through x^(order-1), by
+    [x^m] g = (-1)^m * sum_k binom(m, k) * c^(m-k) * h_k.
+
+    With c = p/q and h = H/d over ints, the sum times d*q^m is
+    sum_k binom(m, k) * p^(m-k) * (H_k*q^k): entry 0 of the difference
+    table row_(j+1)[i] = p*row_j[i] + row_j[i+1] started from H_k*q^k.
+    """
+    nums, d = _cleared(h.truncate(order).coeffs)
+    p, q = c.numerator, c.denominator
+    row = [n * q ** k for k, n in enumerate(nums)]
+    out = []
+    for m in range(order):
+        out.append(Fraction(-row[0] if m & 1 else row[0], d))
+        d *= q
+        row = [p * u + v for u, v in zip(row, row[1:])]
+    return Series._from_fractions(out)
 
 
 def f_from_curve(curve, order: int) -> Series:

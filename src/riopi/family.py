@@ -5,10 +5,13 @@ The family member for parameters (a, b, c) is the generating function
     g(x) = 1/(1 - a*x - b*x^2) * c(-x^2*(b + c*x) / (1 - a*x - b*x^2)^2)
 
 whose Bell array is a pseudo-involution with B-sequence generating
-function (a - c*x)/(1 + b*x).  Everything printed about the family --
-continued fractions, quadratic recurrence, single/double/triple sums,
-the companion series -- is implemented as an independent route so the
-pieces can check each other.
+function (a - c*x)/(1 + b*x).  With c(u) = 2/(1 + sqrt(1 - 4u)) the
+Catalan series, every such member (and the companion, and the A-series)
+is a quadratic closed form (1/den)*c(num/den^2) = 2/(den + sqrt(den^2 -
+4*num)): one product, one square root and one division, O(n^2).
+Everything printed about the family -- continued fractions, quadratic
+recurrence, single/double/triple sums -- is implemented as an
+independent route so the pieces can check each other.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import Series, catalan, cf_eval, rational
+from .series import Series, cf_eval, rational
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,17 @@ def binomial(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
+def _catalan_quotient(den: Series, num: Series) -> Series:
+    """(1/den) * c(num/den^2) for the Catalan series c, as
+    2 / (den + sqrt(den^2 - 4*num)); needs den(0) = 1 and num(0) = 0."""
+    return 2 / (den + (den * den - 4 * num).sqrt())
+
+
 def g_family(p: FamilyParams, order: int) -> Series:
     """Involutory generating function of the family member."""
     den = Series([1, -p.a, -p.b], order)
     num = Series([0, 0, -p.b, -p.c], order)
-    return (1 / den) * catalan(order).compose(num / (den * den))
+    return _catalan_quotient(den, num)
 
 
 def a_family(p: FamilyParams, order: int) -> Series:
@@ -63,7 +72,7 @@ def a_family(p: FamilyParams, order: int) -> Series:
     den = Series([1, p.a, p.b], order)
     num = Series([0, 0, 0, k], order)
     head = Series([1, p.a], order)
-    return head - (num / den) * catalan(order).compose(num / (den * den))
+    return head - num * _catalan_quotient(den, num)
 
 
 def g_family_cf(p: FamilyParams, order: int) -> Series:
@@ -78,7 +87,7 @@ def g_ad(a, d, order: int) -> Series:
     a, d = rational(a), rational(d)
     den = Series([1, -a], order)
     num = Series([0, 0, 0, d], order)
-    return (1 / den) * catalan(order).compose(num / (den * den))
+    return _catalan_quotient(den, num)
 
 
 def g_recurrence_c0(a, b, order: int) -> Series:
@@ -165,7 +174,7 @@ def companion(p: FamilyParams, order: int) -> Series:
     k = p.somos_weight
     den = Series([1, p.a, p.b], order)
     num = Series([0, 0, 0, k], order)
-    return (1 / den) * catalan(order).compose(num / (den * den))
+    return _catalan_quotient(den, num)
 
 
 def companion_cf(p: FamilyParams, order: int) -> Series:

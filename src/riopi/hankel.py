@@ -82,6 +82,8 @@ def _hankel_values(terms: list[Fraction], top: int) -> list[Fraction]:
 
 def hankel_det(seq, n: int) -> Fraction:
     """Determinant of the (n+1)x(n+1) Hankel matrix built from seq[0..2n]."""
+    if n < 0:
+        raise ValueError(f"h_n needs n >= 0, got {n}")
     terms = [rational(v) for v in seq]
     if len(terms) < 2 * n + 1:
         raise InsufficientTerms(

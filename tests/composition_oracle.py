@@ -1,0 +1,60 @@
+"""Horner-composition routes replaced by the family and pipeline closed forms.
+
+``riopi.family`` builds every member as 2/(den + sqrt(den^2 - 4*num)); the
+functions here build the same series as (1/den) * c(num/den^2) with c the
+Catalan series, substituted by ``Series.compose``.  ``pipeline_stages``
+runs the curve chain with its last stage as the fundamental-theorem
+application of the Riordan array (1/(1+(a-1)x), -x/(1+(a-1)x)) instead of
+the closed form in ``riopi.elliptic``.
+"""
+
+from fractions import Fraction
+
+from riopi.elliptic import curve_branch
+from riopi.riordan import RiordanArray
+from riopi.series import Series, catalan
+
+
+def catalan_quotient(den: Series, num: Series, order: int) -> Series:
+    return (1 / den) * catalan(order).compose(num / (den * den))
+
+
+def g_family(p, order: int) -> Series:
+    den = Series([1, -p.a, -p.b], order)
+    num = Series([0, 0, -p.b, -p.c], order)
+    return catalan_quotient(den, num, order)
+
+
+def companion(p, order: int) -> Series:
+    den = Series([1, p.a, p.b], order)
+    num = Series([0, 0, 0, p.somos_weight], order)
+    return catalan_quotient(den, num, order)
+
+
+def a_family(p, order: int) -> Series:
+    den = Series([1, p.a, p.b], order)
+    num = Series([0, 0, 0, p.somos_weight], order)
+    return Series([1, p.a], order) - (num / den) * catalan(order).compose(num / (den * den))
+
+
+def g_ad(a, d, order: int) -> Series:
+    den = Series([1, -Fraction(a)], order)
+    num = Series([0, 0, 0, Fraction(d)], order)
+    return catalan_quotient(den, num, order)
+
+
+def pipeline_stages(a, order: int) -> tuple:
+    """Coefficient tuples of branch, stripped, fraction, reverted, f and g."""
+    a = Fraction(a)
+    work = order + 6
+    y = curve_branch(a, work)
+    stripped = (y - Series.x(work)).unshift(2)
+    fraction = 1 / (Series([1, -1], work) - stripped.shift(2))
+    reverted = fraction.shift(1).revert()
+    f = 1 / (1 - reverted.unshift(1).shift(2))
+    numerator = f * Series([1, a - 1], f.order) - 1
+    denominator = (f * Series([a - 1, a], f.order)).shift(1)
+    h = numerator / denominator
+    outer_g = 1 / Series([1, a - 1], work)
+    g = RiordanArray(outer_g, -(outer_g.shift(1))).ftra_apply(h)
+    return tuple(s.truncate(order).coeffs for s in (y, stripped, fraction, reverted, f, g))

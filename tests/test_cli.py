@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import riopi
 from riopi import knowndata
 from riopi.cli import main
@@ -284,6 +286,53 @@ class TestNegativeRationalParams:
             code, _, err = run(capsys, "expand", "curve", bad)
             assert code == 1, bad
             assert "malformed rational" in err
+
+
+class TestParamsAfterOptions:
+    # argparse fills the nargs="*" params (empty) before the first option,
+    # so parameters after an option reach the parser as leftovers.
+    @pytest.mark.parametrize("command,subject,params,options", [
+        ("expand", "family", ["1/2", "-1/3", "0"], ["--order", "6"]),
+        ("hankel", "curve", ["3"], ["--order", "9"]),
+        ("hankel", "family", ["-1/2", "2", "-2/3"], ["--order", "7", "--offset", "1"]),
+        ("somos", "curve", ["-11/2"], ["--order", "18"]),
+        ("bseq", "curve", ["-11/2"], ["--order", "12"]),
+        ("prodmat", "curve", ["-3"], ["--order", "7", "--format", "json"]),
+    ])
+    def test_params_after_options(self, capsys, command, subject, params, options):
+        expected = run(capsys, command, subject, *params, *options)
+        assert expected[0] == 0, expected[2]
+        placements = [[subject, *options, *params],
+                      [subject, *params[:1], *options, *params[1:]],
+                      [subject, *options[:2], *params, *options[2:]]]
+        for argv in placements:
+            assert run(capsys, command, *argv) == expected, argv
+
+    def test_printed_example(self, capsys):
+        code, out, _ = run(capsys, "hankel", "curve", "--order", "9", "3")
+        assert code == 0
+        assert out.strip() == "1 0 -1 -1 -2"
+
+    def test_misspelt_option_still_rejected(self, capsys):
+        for argv in (["hankel", "curve", "--order", "9", "--ordr", "3"],
+                     ["expand", "curve", "--ordr", "9", "3"],
+                     ["somos", "curve", "--order", "18", "-11/2", "--ofset", "2"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert "unrecognized arguments" in err
+
+    def test_stray_argument_after_verify_rejected(self, capsys):
+        for argv in (["verify", "paper", "3"],
+                     ["verify", "paper", "--seed", "2", "extra"],
+                     ["verify", "conjecture", "--trials", "1", "-1/2"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert "unrecognized arguments" in err
+
+    def test_too_many_params_after_options(self, capsys):
+        code, _, err = run(capsys, "expand", "curve", "3", "--order", "5", "4")
+        assert code == 1
+        assert "takes 1 parameter(s), got 2" in err
 
 
 class TestEntryPoint:

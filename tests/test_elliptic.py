@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from riopi import elliptic
 from riopi.elliptic import (
     CurveParam,
     b_from_curve,
@@ -16,6 +17,7 @@ from riopi.hankel import hankel_transform
 from riopi.riordan import b_extract, is_pseudo_involution
 from riopi.series import Series, cf_eval
 
+import composition_oracle
 from conftest import rand_fraction
 
 
@@ -200,3 +202,34 @@ class TestCurveHankel:
 
     def test_curve_param_wrapper(self):
         assert curve_branch(CurveParam.of("3"), 4).integers() == [0, 1, -2, 1]
+
+
+class TestMoebiusStage:
+    # pipeline's last stage is the closed form of the Riordan array
+    # (1/(1+cx), -x/(1+cx)), c = a-1, acting on h; the oracle applies the
+    # array by the fundamental theorem (a Horner composition).
+    def test_every_stage_equals_ftra_oracle(self, rng):
+        params = [Fraction(1), Fraction(2)]
+        params += [rand_fraction(rng, 12, (1, 2, 3, 5, 7)) for _ in range(98)]
+        for a in params:
+            order = rng.randint(1, 50)
+            trace = pipeline(a, order)
+            stages = (trace.branch, trace.stripped, trace.fraction, trace.reverted,
+                      trace.f, trace.g)
+            assert all(s.order == order for s in stages)
+            assert tuple(s.coeffs for s in stages) == \
+                composition_oracle.pipeline_stages(a, order), (a, order)
+
+    def test_stage_never_composes(self, rng, monkeypatch):
+        cases = [(Fraction(-11, 2), 40), (Fraction(1), 20), (Fraction(2), 9)]
+        cases += [(rand_fraction(rng), rng.randint(1, 30)) for _ in range(5)]
+        want = [pipeline(a, n).g for a, n in cases]
+
+        def no_compose(self, inner):
+            raise AssertionError("the Moebius stage must not compose")
+
+        # the final certificate composes g(-x*g); only the stage is pinned
+        monkeypatch.setattr(Series, "compose", no_compose)
+        monkeypatch.setattr(elliptic, "is_pseudo_involution", lambda g, order: True)
+        for (a, n), g in zip(cases, want):
+            assert pipeline(a, n).g == g

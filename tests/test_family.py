@@ -22,6 +22,7 @@ from riopi.family import (
 from riopi.riordan import is_pseudo_involution
 from riopi.series import Series
 
+import composition_oracle
 from conftest import rand_fraction
 
 
@@ -282,3 +283,40 @@ class TestFourWayAgreement:
         for _ in range(6):
             p = params_of(rng)
             assert is_pseudo_involution(g_family(p, 12), 12)
+
+
+class TestCatalanClosedForm:
+    # The builds use 2/(den + sqrt(den^2 - 4*num)); the oracle substitutes
+    # into the Catalan series by Horner composition.
+    def test_equals_horner_composition_oracle(self, rng):
+        dens = (1, 1, 2, 3, 5, 7)
+        for i in range(200):
+            # every fifth member has b = 0 or c = 0
+            a, b, c = (rand_fraction(rng, 9, dens) for _ in range(3))
+            if i % 5 == 0:
+                b, c = (b, Fraction(0)) if i % 10 else (Fraction(0), c)
+            p = FamilyParams(a, b, c)
+            order = rng.randint(1, 45)
+            for build, oracle in ((g_family, composition_oracle.g_family),
+                                  (companion, composition_oracle.companion),
+                                  (a_family, composition_oracle.a_family)):
+                got, want = build(p, order), oracle(p, order)
+                assert got.order == order
+                assert got == want, (build.__name__, p, order)
+                assert all(type(v) is Fraction for v in got)
+            assert g_ad(a, c, order) == composition_oracle.g_ad(a, c, order), (a, c, order)
+
+    def test_builds_never_compose(self, rng, monkeypatch):
+        cases = [(params_of(rng), rng.randint(1, 40)) for _ in range(12)]
+        want = [(g_family(p, n), companion(p, n), a_family(p, n), g_ad(p.a, p.c, n))
+                for p, n in cases]
+
+        def no_compose(self, inner):
+            raise AssertionError("the family builds must not compose")
+
+        monkeypatch.setattr(Series, "compose", no_compose)
+        with pytest.raises(AssertionError):
+            Series([1, 1]).compose(Series([0, 1]))
+        for (p, n), expected in zip(cases, want):
+            assert (g_family(p, n), companion(p, n), a_family(p, n),
+                    g_ad(p.a, p.c, n)) == expected

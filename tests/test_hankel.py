@@ -55,6 +55,11 @@ class TestDeterminant:
         with pytest.raises(InsufficientTerms):
             hankel_det([1, 2], 1)
 
+    def test_negative_index_rejected(self):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="needs n >= 0"):
+                hankel_det([1, 2, 3], n)
+
     def test_elimination_transpose_invariance(self, rng):
         # the constructed Hankel matrix is symmetric, so transposing it is
         # free; check the elimination itself on non-symmetric transposes,
