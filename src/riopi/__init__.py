@@ -20,7 +20,6 @@ from .series import (
 from .riordan import (
     RiordanArray,
     TriangularMatrix,
-    ProductionData,
     ProductionMatrix,
     BSequence,
     OutOfOrder,
@@ -36,16 +35,8 @@ from .family import (
     FamilyParams,
     binomial,
     g_family,
-    a_family,
-    g_family_cf,
     g_ad,
-    g_recurrence_c0,
-    sum_ad,
-    sum_ab,
-    sum_ab_alt,
-    sum_abc,
     companion,
-    companion_cf,
     binomial_transform,
     narayana,
 )

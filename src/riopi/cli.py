@@ -3,8 +3,10 @@ B-sequences, production matrices, and regression against embedded data.
 
 Exit codes: 0 success, 1 usage, 2 computation error, 3 verification
 failure.  All rational input/output is exact: parameters are integers or
-'p/q' literals (no decimals), and JSON serializes every numeric value as
-a decimal string.
+'p/q' literals (no decimals), and JSON writes every computed value as a
+decimal string.  The one JSON number is the payload's ``order``, the
+truncation order as an integer (null for ``verify``, which takes no
+``--order``).
 """
 
 from __future__ import annotations
@@ -61,14 +63,18 @@ class _Parser(argparse.ArgumentParser):
     def parse_args(self, args=None, namespace=None):
         # argparse fills the nargs="*" params (empty) before the first
         # option, so parameters given after an option come back as
-        # leftovers; they belong at the end of params.  Anything shaped
-        # like an option, or any leftover of a command without params, is
-        # still an error.
+        # leftovers; they belong at the end of params.  A "--" among the
+        # leftovers ends the options, as in POSIX: every argument after it
+        # is a parameter.  Anything before it shaped like an option, or any
+        # leftover of a command without params, is still an error.
         args, extras = self.parse_known_args(args, namespace)
-        if extras and hasattr(args, "params") and not any(
-                e.startswith("-") and not _NEGATIVE_RE.match(e) for e in extras):
-            args.params = args.params + extras
-        elif extras:
+        if extras and hasattr(args, "params"):
+            end = extras.index("--") if "--" in extras else len(extras)
+            if not any(e.startswith("-") and not _NEGATIVE_RE.match(e)
+                       for e in extras[:end]):
+                args.params = args.params + extras[:end] + extras[end + 1:]
+                return args
+        if extras:
             self.error("unrecognized arguments: " + " ".join(extras))
         return args
 
@@ -336,10 +342,14 @@ def cmd_verify(args) -> int:
 def _add_common(sub, offset=False):
     sub.add_argument("--order", type=int, default=32,
                      help="truncation order (default 32)")
-    sub.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    _add_format(sub)
     if offset:
         sub.add_argument("--offset", type=_int_at_least(0), default=None,
                          help="drop this many leading transform values")
+
+
+def _add_format(sub):
+    sub.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "runs seeded randomized Somos checks")
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--trials", type=_int_at_least(1), default=30)
-    _add_common(verify)
-    verify.set_defaults(func=cmd_verify)
+    _add_format(verify)
+    # the suites run at their own fixed orders
+    verify.set_defaults(func=cmd_verify, order=None)
     return parser
 
 
@@ -396,7 +407,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if args.order < 4:
+    if args.order is not None and args.order < 4:
         print("error: --order must be at least 4", file=sys.stderr)
         return EXIT_USAGE
     try:

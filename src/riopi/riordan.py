@@ -1,4 +1,4 @@
-"""Riordan arrays as values: matrices, group operations, production data,
+"""Riordan arrays as values: matrices, group operations, production matrices,
 A/Z/B-sequences and the pseudo-involution tests.
 
 A Riordan array is a pair (g, f) with g(0) = 1 and f(0) = 0 acting as the
@@ -57,16 +57,11 @@ class TriangularMatrix:
 
 
 @dataclass(frozen=True)
-class ProductionData:
-    z: tuple[Fraction, ...]
-    a: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class ProductionMatrix:
     """The size x size lower-Hessenberg production matrix, stored as its
-    Z- and A-sequences (``size`` terms each): column 0 is Z and column
-    j >= 1 is A shifted down j - 1 rows.  Rows are built on demand."""
+    Z- and A-sequences: column 0 is Z and column j >= 1 is A shifted down
+    j - 1 rows.  ``size`` is len(z); A needs at least ``size`` terms, and
+    any beyond them are never read.  Rows are built on demand."""
 
     z: tuple[Fraction, ...]
     a: tuple[Fraction, ...]
@@ -175,13 +170,15 @@ class RiordanArray:
 
     # -- production structure ----------------------------------------------
 
-    def a_and_z(self) -> ProductionData:
-        """A(x) = x/fbar and Z(x) = (1 - 1/g(fbar))/fbar as coefficient lists."""
+    def a_and_z(self) -> ProductionMatrix:
+        """A(x) = x/fbar and Z(x) = (1 - 1/g(fbar))/fbar as an uncertified
+        production matrix; A has at least as many terms as Z (one more for a
+        Bell array)."""
         fbar = self.f.revert()
         a = 1 / fbar.unshift(1)
         w = 1 - 1 / self.g.compose(fbar)
         z = w / fbar
-        return ProductionData(z=z.coeffs, a=a.coeffs)
+        return ProductionMatrix(z=z.coeffs, a=a.coeffs)
 
     def production_matrix(self, size: int | None = None) -> ProductionMatrix:
         """Lower-Hessenberg production matrix P with first column the

@@ -13,14 +13,8 @@ from riopi.family import (
     FamilyParams,
     binomial,
     companion,
-    companion_cf,
     g_family,
-    g_family_cf,
     narayana,
-    sum_ab,
-    sum_ab_alt,
-    sum_abc,
-    sum_ad,
     g_ad,
 )
 from riopi.hankel import hankel_transform
@@ -29,6 +23,7 @@ from riopi.series import Series
 from riopi.somos import somos4_check, somos4_fit
 
 from conftest import rand_fraction
+from family_oracle import companion_cf, g_family_cf, sum_ab, sum_ab_alt, sum_abc, sum_ad
 
 SEED = 20240815
 

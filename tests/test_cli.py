@@ -316,7 +316,9 @@ class TestParamsAfterOptions:
     def test_misspelt_option_still_rejected(self, capsys):
         for argv in (["hankel", "curve", "--order", "9", "--ordr", "3"],
                      ["expand", "curve", "--ordr", "9", "3"],
-                     ["somos", "curve", "--order", "18", "-11/2", "--ofset", "2"]):
+                     ["somos", "curve", "--order", "18", "-11/2", "--ofset", "2"],
+                     ["expand", "curve", "--ordr", "5", "--", "-11/2"],
+                     ["hankel", "curve", "--order", "9", "--ofset", "1", "--", "3"]):
             code, _, err = run(capsys, *argv)
             assert code == 1, argv
             assert "unrecognized arguments" in err
@@ -324,7 +326,10 @@ class TestParamsAfterOptions:
     def test_stray_argument_after_verify_rejected(self, capsys):
         for argv in (["verify", "paper", "3"],
                      ["verify", "paper", "--seed", "2", "extra"],
-                     ["verify", "conjecture", "--trials", "1", "-1/2"]):
+                     ["verify", "conjecture", "--trials", "1", "-1/2"],
+                     # the suites run at fixed orders: no --order to ignore
+                     ["verify", "paper", "--order", "40"],
+                     ["verify", "conjecture", "--trials", "1", "--order", "999"]):
             code, _, err = run(capsys, *argv)
             assert code == 1, argv
             assert "unrecognized arguments" in err
@@ -333,6 +338,25 @@ class TestParamsAfterOptions:
         code, _, err = run(capsys, "expand", "curve", "3", "--order", "5", "4")
         assert code == 1
         assert "takes 1 parameter(s), got 2" in err
+
+    def test_double_dash_ends_options(self, capsys):
+        # argparse hands a "--" after an option back among the leftovers
+        code, out, err = run(capsys, "expand", "curve", "--order", "5", "--", "-11/2")
+        assert code == 0, err
+        assert out.strip() == "1 15/2 225/4 3367/8 50265/16"
+        code, out, err = run(capsys, "hankel", "curve", "--order", "9", "--", "3")
+        assert code == 0, err
+        assert out.strip() == "1 0 -1 -1 -2"
+        code, out, err = run(capsys, "expand", "family", "1/2", "--order", "4",
+                             "-1/3", "--", "0")
+        assert code == 0, err
+        assert out == run(capsys, "expand", "family", "1/2", "-1/3", "0", "--order", "4")[1]
+
+    def test_everything_after_double_dash_is_a_parameter(self, capsys):
+        code, out, err = run(capsys, "expand", "curve", "--", "-11/2", "--order", "5")
+        assert code == 1
+        assert out == ""
+        assert "usage error: subject 'curve' takes 1 parameter(s), got 3" in err
 
 
 class TestEntryPoint:
@@ -360,6 +384,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "conjecture", "--seed", "1", "--trials", "3")
         assert code == 0
         assert "0 failed" in out
+
+    def test_json_order_is_null(self, capsys):
+        code, out, _ = run(capsys, "verify", "paper", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["order"] is None
 
     def test_conjecture_seed_determinism(self, capsys):
         _, first, _ = run(capsys, "verify", "conjecture", "--seed", "7", "--trials", "2")

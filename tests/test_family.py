@@ -4,26 +4,28 @@ import pytest
 
 from riopi.family import (
     FamilyParams,
-    a_family,
     binomial,
     binomial_transform,
     companion,
-    companion_cf,
     g_ad,
     g_family,
-    g_family_cf,
-    g_recurrence_c0,
     narayana,
-    sum_ab,
-    sum_ab_alt,
-    sum_abc,
-    sum_ad,
 )
 from riopi.riordan import is_pseudo_involution
 from riopi.series import Series
 
 import composition_oracle
 from conftest import rand_fraction
+from family_oracle import (
+    a_family,
+    companion_cf,
+    g_family_cf,
+    g_recurrence_c0,
+    sum_ab,
+    sum_ab_alt,
+    sum_abc,
+    sum_ad,
+)
 
 
 def params_of(rng, span=3):

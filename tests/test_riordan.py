@@ -7,7 +7,7 @@ import pytest
 import riordan_oracle as oracle
 
 from riopi.elliptic import pipeline
-from riopi.family import FamilyParams, a_family, g_ad, g_family
+from riopi.family import FamilyParams, g_ad, g_family
 from riopi.riordan import (
     NoBSequence,
     OutOfOrder,
@@ -24,6 +24,7 @@ from riopi.riordan import (
 from riopi.series import Series, catalan
 
 from conftest import rand_fraction
+from family_oracle import a_family
 
 
 def pascal(order=12):
