@@ -12,7 +12,9 @@ truncation order as an integer (null for ``verify``, which takes no
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import os
 import random
 import re
 import sys
@@ -114,13 +116,23 @@ def _q(value: Fraction) -> str:
     return str(value)
 
 
-def _emit(args, payload: dict, plain_lines: list[str], csv_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        print("\n".join(csv_lines))
-    else:
-        print("\n".join(plain_lines))
+def _emit(args, payload: dict, plain_lines: list[str], csv_rows: list[tuple]) -> None:
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        elif args.format == "csv":
+            # quotes a field only where it needs it (a verify label has commas)
+            csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
+        else:
+            print("\n".join(plain_lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``riopi verify paper | head -1``):
+        # drop the rest quietly and let the command return its exit code.
+        # stdout now points at devnull, so the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _payload(args, values: list[str], report: dict) -> dict:
@@ -142,7 +154,7 @@ def cmd_expand(args) -> int:
     values = [_q(v) for v in seq]
     _emit(args, _payload(args, values, {}),
           [" ".join(values)],
-          ["n,value"] + [f"{n},{v}" for n, v in enumerate(values)])
+          [("n", "value"), *enumerate(values)])
     return EXIT_OK
 
 
@@ -158,7 +170,7 @@ def cmd_hankel(args) -> int:
     report = {"offset": str(offset), "source_length": str(transform.source_length)}
     _emit(args, _payload(args, values, report),
           [" ".join(values)],
-          ["n,value"] + [f"{n + offset},{v}" for n, v in enumerate(values)])
+          [("n", "value"), *enumerate(values, offset)])
     return EXIT_OK
 
 
@@ -200,9 +212,9 @@ def cmd_somos(args) -> int:
     plain.append(f"checked n={report_data.start}..{report_data.end}: "
                  f"{len(checked) - len(report_data.failures)} pass, "
                  f"{len(report_data.failures)} fail")
-    csv_lines = ["key,value", f"alpha,{report['alpha']}", f"beta,{report['beta']}"]
-    csv_lines += [f"n={n},{'fail' if n in report_data.failures else 'pass'}" for n in checked]
-    _emit(args, _payload(args, values, report), plain, csv_lines)
+    csv_rows = [("key", "value"), ("alpha", report["alpha"]), ("beta", report["beta"])]
+    csv_rows += [(f"n={n}", "fail" if n in report_data.failures else "pass") for n in checked]
+    _emit(args, _payload(args, values, report), plain, csv_rows)
     return EXIT_OK
 
 
@@ -222,7 +234,7 @@ def cmd_bseq(args) -> int:
         plain.append(f"closed form: {closed.closed_form()}")
         plain.append(f"match: {'yes' if match else 'NO'}")
     _emit(args, _payload(args, values, report), plain,
-          ["n,value"] + [f"{n},{v}" for n, v in enumerate(values)])
+          [("n", "value"), *enumerate(values)])
     return EXIT_OK
 
 
@@ -234,8 +246,8 @@ def cmd_prodmat(args) -> int:
     report = {"rows": rows, "size": str(matrix.size)}
     _emit(args, _payload(args, [], report),
           [" ".join(row) for row in rows],
-          ["row,col,value"] + [f"{i},{j},{v}" for i, row in enumerate(rows)
-                               for j, v in enumerate(row)])
+          [("row", "col", "value")] + [(i, j, v) for i, row in enumerate(rows)
+                                       for j, v in enumerate(row)])
     return EXIT_OK
 
 
@@ -331,8 +343,8 @@ def cmd_verify(args) -> int:
             plain.append(f"  expected: {c['expected']}")
             plain.append(f"  got:      {c['got']}")
     plain.append(f"{len(checks) - len(failed)} passed, {len(failed)} failed")
-    csv_lines = ["label,ok"] + [f"{c['label']},{str(c['ok']).lower()}" for c in checks]
-    _emit(args, _payload(args, [], report), plain, csv_lines)
+    csv_rows = [("label", "ok")] + [(c["label"], str(c["ok"]).lower()) for c in checks]
+    _emit(args, _payload(args, [], report), plain, csv_rows)
     return EXIT_VERIFY if failed else EXIT_OK
 
 

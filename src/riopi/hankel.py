@@ -12,6 +12,21 @@ leading block, the eliminated rows k..n have a zero first column.  Once n
 is at least every r swapped in so far, the first n+1 rows are rows 0..n
 again, so h_n is the pivot of step n times the sign of the swaps.  If
 column k has no such row, every h_n with n >= k is 0.
+
+Bareiss runs over integers: s'_k = s_k * lam**k * scale.  The matrix of
+the s_k * lam**k is D H D with D = diag(lam**i), so
+det H'_n = scale**(n+1) * lam**(n(n+1)) * det H_n, exact for any lam.
+Integer input takes lam = scale = 1.  Otherwise lam grows term by term:
+for k >= 1 it is multiplied by den(s_k) / gcd(den(s_k), lam**k), so every
+s_k * lam**k with k >= 1 is an integer and scale is left to clear s_0's
+denominator.  The denominators of a p/q family member grow geometrically,
+and lam stays small: 6 for (1/2, -2/3, 5/3), 42 for (-11/2, 1/3, 2/7).
+lam pays only if the bits it takes off scale outweigh what
+lam**(n(n+1)) adds to the minors: Bareiss work is weighted toward step
+k ~ 0.4 * top, where the saving is about (k+1) * (bits(lcm) - bits(scale)
+- k * bits(lam)).  So lam is kept when
+5 * (bits(lcm) - bits(scale)) > 2 * top * bits(lam), and otherwise
+lam = 1 and scale is the lcm of every denominator.
 """
 
 from __future__ import annotations
@@ -65,18 +80,42 @@ def _leading_minors(rows: list[list[int]]) -> list[int]:
     return minors
 
 
+def _rescaling(window: list[Fraction], top: int) -> tuple[int, int]:
+    """(lam, scale) with every window[k] * lam**k * scale an int.
+
+    The choice of lam and its cost rule are in the module docstring.
+    """
+    lcm = math.lcm(*[t.denominator for t in window])
+    if lcm == 1:
+        return 1, 1
+    lam = 1
+    for k, t in enumerate(window[1:], 1):
+        d = t.denominator
+        lam *= d // math.gcd(d, pow(lam, k, d))
+    left = window[0].denominator
+    if 5 * (lcm.bit_length() - left.bit_length()) > 2 * top * lam.bit_length():
+        return lam, left
+    return 1, lcm
+
+
 def _hankel_values(terms: list[Fraction], top: int) -> list[Fraction]:
     """h_0 .. h_top of terms[0..2*top], from one elimination."""
     window = terms[: 2 * top + 1]
-    # Clear denominators so Bareiss runs over plain ints; rescale after.
-    scale = math.lcm(*[t.denominator for t in window])
-    ints = [t.numerator * (scale // t.denominator) for t in window]
+    # Bareiss runs over the ints s_k * lam**k * scale; rescale after by
+    # det H'_n = scale**(n+1) * lam**(n(n+1)) * det H_n.
+    lam, scale = _rescaling(window, top)
+    ints = []
+    factor = scale
+    for t in window:
+        ints.append(t.numerator * (factor // t.denominator))
+        factor *= lam
     minors = _leading_minors([ints[i:i + top + 1] for i in range(top + 1)])
     values = []
-    power = 1
+    power, step, lam2 = 1, scale, lam * lam
     for minor in minors:
-        power *= scale
+        power *= step
         values.append(Fraction(minor, power))
+        step *= lam2
     return values
 
 

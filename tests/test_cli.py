@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -154,6 +155,20 @@ class TestFormats:
                            "--format", "csv")
         assert code == 0
         assert out.strip().splitlines() == ["n,value", "0,1", "1,1", "2,1", "3,2", "4,4"]
+
+    def test_csv_rows_parse_back(self, capsys):
+        # verify labels hold commas and spaces; each row must still parse
+        # to as many fields as the header has
+        for argv in (("verify", "all", "--trials", "3"),
+                     ("somos", "family", "2", "-2", "3", "--order", "21"),
+                     ("prodmat", "curve", "-3", "--order", "6")):
+            code, out, _ = run(capsys, *argv, "--format", "csv")
+            assert code == 0
+            rows = list(csv.reader(out.splitlines()))
+            assert len(rows) > 3 and {len(r) for r in rows} == {len(rows[0])}, argv
+            if argv[0] == "verify":
+                labels = [r[0] for r in rows]
+                assert "conjecture family(-2,1,3)" in labels and "g(2,-2,3)" in labels
 
     def test_reproducible(self, capsys):
         _, first, _ = run(capsys, "verify", "paper", "--format", "json")
@@ -360,17 +375,31 @@ class TestParamsAfterOptions:
 
 
 class TestEntryPoint:
-    def test_python_m_riopi(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(riopi.__file__).resolve().parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(riopi.__file__).resolve().parents[1]))
 
+    def test_python_m_riopi(self):
         def riopi_m(*argv):
-            return subprocess.run([sys.executable, "-m", "riopi", *argv], env=env,
+            return subprocess.run([sys.executable, "-m", "riopi", *argv], env=self.env,
                                   capture_output=True, text=True, timeout=120)
 
         done = riopi_m("expand", "curve", "-11/2", "--order", "5")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1 15/2 225/4 3367/8 50265/16"
         assert riopi_m("expand", "curve", "-3", "--ordr", "5").returncode == 1
+
+    def test_closed_stdout_stops_quietly(self):
+        # about 110 kB of CSV, more than a pipe holds, so the writer is still
+        # writing when its reader goes away after the first line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "riopi", "expand", "family", "1/2", "-2/3", "5/3",
+             "--order", "400", "--format", "csv"],
+            env=self.env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "n,value\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in err and "Exception ignored" not in err and err == ""
 
 
 class TestVerify:

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from riopi.family import FamilyParams, companion, g_ad, g_family
-from riopi.hankel import InsufficientTerms, _leading_minors, hankel_det, hankel_transform
+from riopi.hankel import (InsufficientTerms, _leading_minors, _rescaling, hankel_det,
+                          hankel_transform)
 
 from conftest import rand_fraction
 from hankel_oracle import gauss_det, hankel_matrix, per_n_det
@@ -234,3 +236,111 @@ class TestTransformProperties:
             # a zero minor before the last one is a zero pivot on the way
             forced += 0 in values[:-1]
         assert forced * 5 >= cases * 2
+
+
+def rescaled_member(rng, make, dens=(2, 3, 5, 7)):
+    """A p/q family or companion member, parameters over ``dens``."""
+    while True:
+        params = FamilyParams.of(*(Fraction(rng.randint(-9, 9), rng.choice(dens))
+                                   for _ in range(3)))
+        if params.somos_weight:
+            return list(make(params, rng.randint(1, 45)).coeffs)
+
+
+def rescaling(seq):
+    """(lam, scale) as hankel_transform picks them for seq."""
+    top = (len(seq) - 1) // 2
+    return _rescaling(seq[:2 * top + 1], top)
+
+
+def assert_matches_oracles(seq):
+    """Check the transform against both oracles; return the lam it used."""
+    values = list(hankel_transform(seq).values)
+    dets = range(len(values))
+    assert values == [per_n_det(seq, n) for n in dets], seq
+    assert values == [gauss_det(hankel_matrix(seq, n)) for n in dets], seq
+    return rescaling(seq)[0]
+
+
+# hankel_scan's p/q pool: every p/q with q in {2, 3}, |p/q| <= 3, q not dividing p
+SCAN_POOL = sorted({Fraction(p, q) for q in (2, 3) for p in range(-3 * q, 3 * q + 1) if p % q})
+
+
+class TestRescaledRoute:
+    """Bareiss over s_k * lam**k * scale, with lam > 1 only where it pays."""
+
+    def test_pq_members_match_oracles(self, rng):
+        rescaled = 0
+        for make in (g_family, companion):
+            for _ in range(12):
+                rescaled += assert_matches_oracles(rescaled_member(rng, make)) > 1
+        assert rescaled >= 12
+
+    def test_constant_denominator(self, rng):
+        for den in (2, 6, 1024):
+            seq = [Fraction(rng.randint(-9, 9), den) for _ in range(rng.randint(1, 25))]
+            assert assert_matches_oracles(seq) == 1
+
+    def test_single_large_denominator(self, rng):
+        for _ in range(4):
+            seq = [Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(3, 25))]
+            seq[rng.randrange(len(seq))] = Fraction(rng.randint(1, 9), 3 ** 40)
+            assert_matches_oracles(seq)
+
+    def test_denominator_on_s0(self, rng):
+        rescaled = 0
+        for make in (g_family, companion):
+            for _ in range(3):
+                seq = rescaled_member(rng, make)
+                seq[0] = Fraction(rng.randint(1, 9), rng.choice((3, 4, 35)))
+                lam = assert_matches_oracles(seq)
+                if lam > 1:
+                    # lam clears every term but s_0, so scale is s_0's denominator
+                    assert rescaling(seq)[1] == seq[0].denominator
+                    rescaled += 1
+        assert rescaled >= 3
+
+    def test_geometric_denominators_with_zero_pivots(self, rng):
+        # random_sequence's zero shapes over s_k / mu**k: the shapes survive
+        # the scaling (h_1 = 0 is homogeneous), and lam recovers mu
+        forced = rescaled = 0
+        for _ in range(60):
+            mu = rng.choice((2, 3, 6, 10))
+            seq = [v / mu ** k for k, v in enumerate(random_sequence(rng, rng.randint(1, 25)))]
+            rescaled += assert_matches_oracles(seq) > 1
+            forced += 0 in hankel_transform(seq).values[:-1]
+        assert forced >= 20 and rescaled >= 20
+
+    def test_scan_pool_members_take_lam(self):
+        # hankel_scan's p/q members at its order 40: after the rescaling no
+        # denominator is left
+        rng = random.Random(7)
+        for make in (g_family, companion):
+            for _ in range(15):
+                params = FamilyParams.of(*(rng.choice(SCAN_POOL) for _ in range(3)))
+                seq = make(params, 40).coeffs
+                lam, scale = rescaling(seq)
+                assert lam > 1 and scale == 1, params
+                assert all((t * lam ** k).denominator == 1 for k, t in enumerate(seq))
+
+    def test_printed_lams(self):
+        for params, lam in (((Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)), 6),
+                            ((Fraction(-11, 2), Fraction(1, 3), Fraction(2, 7)), 42)):
+            seq = g_family(FamilyParams.of(*params), 81).coeffs
+            assert rescaling(seq) == (lam, 1)
+
+    def test_integer_input_skips_lam(self, rng):
+        for _ in range(10):
+            seq = [Fraction(rng.randint(-20, 20)) for _ in range(rng.randint(1, 41))]
+            assert rescaling(seq) == (1, 1)
+        seq = g_family(FamilyParams.of(2, -2, 3), 41).coeffs
+        assert rescaling(seq) == (1, 1)
+
+    def test_lam_declined_where_it_does_not_pay(self):
+        # all denominators 1024, or one 3**40 at index 1: lam would be
+        # 1024 or 3**40 and add more bits than it takes off
+        seq = [Fraction(k % 7 - 3, 1024) for k in range(81)]
+        assert rescaling(seq) == (1, 1024)
+        seq = [Fraction(k % 7 - 3) for k in range(81)]
+        seq[1] = Fraction(1, 3 ** 40)
+        assert rescaling(seq) == (1, 3 ** 40)
