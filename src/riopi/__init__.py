@@ -52,7 +52,6 @@ from .somos import (
     conjecture_family,
 )
 from .elliptic import (
-    CurveParam,
     PipelineTrace,
     CurveBSequence,
     curve_branch,

@@ -22,10 +22,10 @@ from fractions import Fraction
 
 from . import knowndata
 from .elliptic import b_from_curve, curve_somos_check, pipeline
-from .family import FamilyParams, narayana
+from .family import FamilyParams, binomial, narayana
 from .hankel import InsufficientTerms, hankel_transform
 from .riordan import NoBSequence, OutOfOrder, b_extract, bell
-from .series import Series, SeriesError
+from .series import Series, SeriesError, rational
 from .somos import (NoSomosFit, SomosParams, Underdetermined, conjecture_family,
                     somos4_check, somos4_fit)
 
@@ -34,13 +34,16 @@ EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
+# The largest --order accepted.  Exact work grows about 8x per doubling of
+# the order (pipeline(-3, 128) takes about a second), so larger orders are
+# out of reach anyway; one past the index range would overflow in Series.
+MAX_ORDER = 1024
+
+# Subjects are knowndata generator kinds, each with its parameter count.
 _SUBJECT_ARITY = {"family": 3, "ad": 2, "companion": 3, "curve": 1, "curvef": 1}
-_SUBJECT_KIND = {"family": "family", "ad": "ad", "companion": "companion",
-                 "curve": "curve_g", "curvef": "curve_f"}
 # Where the printed Somos tails start in each subject's Hankel transform.
 _SOMOS_OFFSET = {"family": 2, "ad": 2, "curve": 2, "companion": 0, "curvef": 0}
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _NEGATIVE_RE = re.compile(r"^-\d")
 
 
@@ -82,13 +85,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text):
-        raise UsageError(f"malformed rational {text!r}: use an integer or p/q")
-    return Fraction(text)
+    try:
+        return rational(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than ``low``."""
+def _int_at_least(low: int, most: int | None = None):
+    """argparse type: an int no smaller than ``low`` (nor larger than ``most``)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -96,6 +100,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     return parse
 
@@ -106,14 +112,6 @@ def _subject_params(args) -> list[Fraction]:
         raise UsageError(
             f"subject {args.subject!r} takes {want} parameter(s), got {len(args.params)}")
     return [parse_rational(p) for p in args.params]
-
-
-def _subject_sequence(subject: str, params, order: int):
-    return knowndata.base_sequence(_SUBJECT_KIND[subject], tuple(params), order)
-
-
-def _q(value: Fraction) -> str:
-    return str(value)
 
 
 def _emit(args, payload: dict, plain_lines: list[str], csv_rows: list[tuple]) -> None:
@@ -150,8 +148,8 @@ def _payload(args, values: list[str], report: dict) -> dict:
 
 def cmd_expand(args) -> int:
     params = _subject_params(args)
-    seq = _subject_sequence(args.subject, params, args.order)
-    values = [_q(v) for v in seq]
+    seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
+    values = [str(v) for v in seq]
     _emit(args, _payload(args, values, {}),
           [" ".join(values)],
           [("n", "value"), *enumerate(values)])
@@ -161,12 +159,12 @@ def cmd_expand(args) -> int:
 def cmd_hankel(args) -> int:
     params = _subject_params(args)
     offset = args.offset or 0
-    seq = _subject_sequence(args.subject, params, args.order)
+    seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
     transform = hankel_transform(seq)
     if offset >= len(transform.values):
         raise UsageError(f"--offset {offset} leaves none of the "
                          f"{len(transform.values)} transform values")
-    values = [_q(v) for v in transform.values[offset:]]
+    values = [str(v) for v in transform.values[offset:]]
     report = {"offset": str(offset), "source_length": str(transform.source_length)}
     _emit(args, _payload(args, values, report),
           [" ".join(values)],
@@ -186,7 +184,7 @@ def cmd_somos(args) -> int:
         if not args.subject:
             raise UsageError("somos needs a subject or --terms")
         params = _subject_params(args)
-        seq = _subject_sequence(args.subject, params, args.order)
+        seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
         offset = args.offset if args.offset is not None else _SOMOS_OFFSET[args.subject]
         terms = list(hankel_transform(seq).values[offset:])
         label = f"hankel[{offset}:] of {args.subject}"
@@ -197,15 +195,15 @@ def cmd_somos(args) -> int:
     report_data = somos4_check(terms, fitted, label=label)
     checked = list(range(report_data.start, report_data.end + 1))
     report = {
-        "alpha": _q(fitted.alpha),
-        "beta": _q(fitted.beta),
+        "alpha": str(fitted.alpha),
+        "beta": str(fitted.beta),
         "checked_from": str(report_data.start),
         "checked_to": str(report_data.end),
         "failures": [str(n) for n in report_data.failures],
         "degenerate": report_data.degenerate,
         "ok": report_data.ok,
     }
-    values = [_q(v) for v in terms]
+    values = [str(v) for v in terms]
     plain = [f"alpha={report['alpha']} beta={report['beta']}"]
     for n in checked:
         plain.append(f"n={n} {'fail' if n in report_data.failures else 'pass'}")
@@ -220,10 +218,10 @@ def cmd_somos(args) -> int:
 
 def cmd_bseq(args) -> int:
     params = _subject_params(args)
-    seq = _subject_sequence(args.subject, params, args.order)
+    seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
     g = Series(seq)
     b = b_extract(g)
-    values = [_q(v) for v in b.values]
+    values = [str(v) for v in b.values]
     report: dict = {"certified": str(b.certified)}
     plain = [" ".join(values)]
     if args.subject == "curve":
@@ -240,9 +238,9 @@ def cmd_bseq(args) -> int:
 
 def cmd_prodmat(args) -> int:
     params = _subject_params(args)
-    seq = _subject_sequence(args.subject, params, args.order)
+    seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
     matrix = bell(Series(seq)).production_matrix(args.order - 2)
-    rows = [[_q(v) for v in row] for row in matrix.rows]
+    rows = [[str(v) for v in row] for row in matrix.rows]
     report = {"rows": rows, "size": str(matrix.size)}
     _emit(args, _payload(args, [], report),
           [" ".join(row) for row in rows],
@@ -289,7 +287,6 @@ def run_paper_suite() -> list[dict]:
                           for n in range(len(knowndata.NARAYANA_ROWS))])
     checks.append(_check("narayana triangle rows", got_narayana == knowndata.NARAYANA_ROWS,
                          knowndata.NARAYANA_ROWS, got_narayana))
-    from .family import binomial
     size = len(knowndata.BINOMIAL_NARAYANA_PRODUCT)
     product = tuple([tuple([int(sum(binomial(n, j) * narayana(j, k) for j in range(k, n + 1)))
                             for k in range(n + 1)]) for n in range(size)])
@@ -352,8 +349,8 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(sub, offset=False):
-    sub.add_argument("--order", type=int, default=32,
-                     help="truncation order (default 32)")
+    sub.add_argument("--order", type=_int_at_least(4, MAX_ORDER), default=32,
+                     help=f"truncation order, 4 to {MAX_ORDER} (default 32)")
     _add_format(sub)
     if offset:
         sub.add_argument("--offset", type=_int_at_least(0), default=None,
@@ -419,9 +416,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if args.order is not None and args.order < 4:
-        print("error: --order must be at least 4", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except UsageError as exc:

@@ -16,24 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import FamilyParams
+from .family import FamilyParams, binomial_transform
 from .hankel import hankel_transform
 from .riordan import BSequence, SelfCheckError, is_pseudo_involution
-from .series import Series, _cleared, rational
+from .series import Series, rational
 from .somos import SomosParams, SomosReport, somos4_check
 
 # Stage losses: the strip drops two orders and the final division one
 # more, so working at order+6 certifies the requested order with room.
 _MARGIN = 6
-
-
-@dataclass(frozen=True)
-class CurveParam:
-    a: Fraction
-
-    @classmethod
-    def of(cls, a) -> "CurveParam":
-        return cls(rational(a))
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,7 @@ class PipelineTrace:
 
 def curve_branch(curve, order: int) -> Series:
     """Quadratic branch y with y(0) = 0, y'(0) = 1."""
-    a = _param(curve)
+    a = rational(curve)
     # 1 + 2(a-2)x + a^2 x^2 + 4x^3 under the square root of the y-branch
     root = Series([1, 2 * (a - 2), a * a, 4], order).sqrt()
     return (Series([1, a], order) - root) / 2
@@ -58,11 +49,12 @@ def pipeline(curve, order: int) -> PipelineTrace:
     """Run the whole curve-to-involution chain, keeping every stage.
 
     The last stage applies the Riordan array (1/(1+cx), -x/(1+cx)),
-    c = a-1, to h by its closed form (``_mobius_stage``), not by a
-    composition.  The result is certified once, by the pseudo-involution
-    test of g at ``order``; the stage relations are checked in the tests.
+    c = a-1, to h by its closed form, not by a composition: g is
+    ``binomial_transform`` of (-1)^k h_k with c = 1-a.  The result is
+    certified once, by the pseudo-involution test of g at ``order``; the
+    stage relations are checked in the tests.
     """
-    a = _param(curve)
+    a = rational(curve)
     work = order + _MARGIN
     y = curve_branch(a, work)
     stripped = (y - Series.x(work)).unshift(2)
@@ -72,7 +64,8 @@ def pipeline(curve, order: int) -> PipelineTrace:
     numerator = f * Series([1, a - 1], f.order) - 1
     denominator = (f * Series([a - 1, a], f.order)).shift(1)
     h = numerator / denominator
-    g = _mobius_stage(a - 1, h, order)
+    h_alt = [-v if k & 1 else v for k, v in enumerate(h.truncate(order).coeffs)]
+    g = Series(binomial_transform(h_alt, 1 - a))
     if not is_pseudo_involution(g, order):
         raise SelfCheckError("pipeline output failed the pseudo-involution test")
     return PipelineTrace(branch=y.truncate(order),
@@ -83,29 +76,10 @@ def pipeline(curve, order: int) -> PipelineTrace:
                          g=g)
 
 
-def _mobius_stage(c: Fraction, h: Series, order: int) -> Series:
-    """g = 1/(1+cx) * h(-x/(1+cx)) through x^(order-1), by
-    [x^m] g = (-1)^m * sum_k binom(m, k) * c^(m-k) * h_k.
-
-    With c = p/q and h = H/d over ints, the sum times d*q^m is
-    sum_k binom(m, k) * p^(m-k) * (H_k*q^k): entry 0 of the difference
-    table row_(j+1)[i] = p*row_j[i] + row_j[i+1] started from H_k*q^k.
-    """
-    nums, d = _cleared(h.truncate(order).coeffs)
-    p, q = c.numerator, c.denominator
-    row = [n * q ** k for k, n in enumerate(nums)]
-    out = []
-    for m in range(order):
-        out.append(Fraction(-row[0] if m & 1 else row[0], d))
-        d *= q
-        row = [p * u + v for u, v in zip(row, row[1:])]
-    return Series._from_fractions(out)
-
-
 def f_from_curve(curve, order: int) -> Series:
     """Intermediate f straight from its closed form
     2x / (sqrt(1 + 2ax + a^2 x^2 - 4x^3 + 4(1-a)x^4) + (2-a)x - 1)."""
-    a = _param(curve)
+    a = rational(curve)
     work = order + 2
     radicand = Series([1, 2 * a, a * a, -4, 4 * (1 - a)], work)
     denominator = radicand.sqrt() + Series([-1, 2 - a], work)
@@ -128,7 +102,7 @@ class CurveBSequence:
 
 def b_from_curve(curve, terms: int = 12) -> CurveBSequence:
     """Closed-form B-sequence of the curve's pseudo-involution."""
-    a = _param(curve)
+    a = rational(curve)
     numerator = (2 - a, 1 - 3 * a + a * a)
     denominator = (Fraction(1), 1 - a)
     expansion = Series(numerator, terms) / Series(denominator, terms)
@@ -138,19 +112,14 @@ def b_from_curve(curve, terms: int = 12) -> CurveBSequence:
 
 def family_params_from_curve(curve) -> FamilyParams:
     """Family coordinates (2-a, 1-a, -(a^2-3a+1)) of the curve's member."""
-    a = _param(curve)
+    a = rational(curve)
     return FamilyParams(2 - a, 1 - a, -(a * a - 3 * a + 1))
 
 
 def curve_somos_check(curve, order: int = 24) -> SomosReport:
     """Check the Hankel transform of f against the (1, 1-a) Somos-4 form."""
-    a = _param(curve)
+    a = rational(curve)
     values = hankel_transform(f_from_curve(a, order).coeffs).values
     params = SomosParams(Fraction(1), 1 - a)
     return somos4_check(values, params, label="curve f hankel")
 
-
-def _param(curve) -> Fraction:
-    if isinstance(curve, CurveParam):
-        return curve.a
-    return rational(curve)

@@ -79,18 +79,24 @@ def companion(p: FamilyParams, order: int) -> Series:
     return _catalan_quotient(den, num)
 
 
-def binomial_transform(seq, inverse: bool = False) -> list[Fraction]:
-    """t_n = sum_k binom(n,k) s_k, or the (-1)^(n-k) weighted inverse."""
+def binomial_transform(seq, c=1) -> list[Fraction]:
+    """t_m = sum_k binom(m, k) * c^(m-k) * s_k, the array (1/(1-cx), x/(1-cx))
+    acting on s; c = 1 is the binomial transform and c = -1 its inverse.
+
+    With c = p/q and s = S/d over ints, t_m times d*q^m is
+    sum_k binom(m, k) * p^(m-k) * (S_k*q^k): entry 0 of the difference
+    table row_(j+1)[i] = p*row_j[i] + row_j[i+1] started from S_k*q^k.
+    """
     terms = [rational(v) for v in seq]
+    c = rational(c)
+    p, q = c.numerator, c.denominator
+    d = math.lcm(*[s.denominator for s in terms])
+    row = [s.numerator * (d // s.denominator) * q ** k for k, s in enumerate(terms)]
     out = []
-    for n in range(len(terms)):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            w = Fraction(math.comb(n, k))
-            if inverse:
-                w *= (-1) ** (n - k)
-            acc += w * terms[k]
-        out.append(acc)
+    for _ in terms:
+        out.append(Fraction(row[0], d))
+        d *= q
+        row = [p * u + v for u, v in zip(row, row[1:])]
     return out
 
 

@@ -21,7 +21,7 @@ from .series import catalan, rational
 @dataclass(frozen=True)
 class KnownSequence:
     label: str            # OEIS tag or a descriptive name
-    kind: str             # generator: catalan|family|ad|companion|curve_g|curve_f|curve_branch
+    kind: str             # generator: catalan|family|ad|companion|curve|curvef|curve_branch
     params: tuple[str, ...]
     transform: str        # ""|hankel|hankel_tail_neg|binomial_inverse|diff|prepend:v,v
     prefix: tuple[int, ...]
@@ -64,23 +64,23 @@ KNOWN_SEQUENCES: tuple[KnownSequence, ...] = (
                   (1, -1, 1, -2, 4, -9, 21, -50, 122, -302, 758)),
     KnownSequence("hankel(g(-1,-2,-1))", "family", ("-1", "-2", "-1"), "hankel",
                   (1, 0, -1, -1, -2, -1, 7, 16, 57, 113, -670)),
-    KnownSequence("curve-f(3)", "curve_f", ("3",), "",
+    KnownSequence("curve-f(3)", "curvef", ("3",), "",
                   (1, 0, 1, -1, 4, -10, 30, -84, 237, -653, 1771, -4699, 12173, -30625)),
-    KnownSequence("hankel(curve-f(3))", "curve_f", ("3",), "hankel",
+    KnownSequence("hankel(curve-f(3))", "curvef", ("3",), "hankel",
                   (1, 1, 2, 1, -7, -16, -57)),
     KnownSequence("curve-branch(3)", "curve_branch", ("3",), "",
                   (0, 1, -2, 1, 3, -7)),
     KnownSequence("curve-branch(2)", "curve_branch", ("2",), "",
                   (0, 1, -1, -1, 1)),
-    KnownSequence("curve-g(2)", "curve_g", ("2",), "",
+    KnownSequence("curve-g(2)", "curve", ("2",), "",
                   (1, 0, 0, -1, 0, -1, 2, -1, 5, -6, 9, -22, 28, -57, 104, -163)),
-    KnownSequence("hankel(curve-g(2))", "curve_g", ("2",), "hankel",
+    KnownSequence("hankel(curve-g(2))", "curve", ("2",), "hankel",
                   (1, 0, -1, -1, -1, 1, 2, 3, 1, -7, -11)),
-    KnownSequence("A050512", "curve_g", ("2",), "hankel_tail_neg",
+    KnownSequence("A050512", "curve", ("2",), "hankel_tail_neg",
                   (1, 1, 1, -1, -2, -3, -1, 7, 11)),
-    KnownSequence("A025273-related", "curve_g", ("2",), "binomial_inverse",
+    KnownSequence("A025273-related", "curve", ("2",), "binomial_inverse",
                   (1, -1, 1, -2, 5, -12, 29, -72, 182, -466, 1207)),
-    KnownSequence("A025250-signed", "curve_g", ("2",), "diff",
+    KnownSequence("A025250-signed", "curve", ("2",), "diff",
                   (1, -1, 0, -1, 1, -1, 3, -3, 6, -11, 15, -31)),
     KnownSequence("A025258-related", "companion", ("-1", "1", "2"), "",
                   (1, 1, 0, 0, 2, 3, 1, 2, 11, 17, 12)),
@@ -100,19 +100,19 @@ KNOWN_SEQUENCES: tuple[KnownSequence, ...] = (
                   (1, 2, 1, -7, -16, -57, -113, 670, 3983, 23647)),
     KnownSequence("A025243-related", "companion", ("-1", "-2", "-1"), "prepend:1,2",
                   (1, 2, 1, 1, 3, 6, 14, 33, 79, 194, 482, 1214, 3090, 7936, 20544)),
-    KnownSequence("curve-g(-3)", "curve_g", ("-3",), "",
+    KnownSequence("curve-g(-3)", "curve", ("-3",), "",
                   (1, 5, 25, 124, 610, 2979, 14457, 69784, 335330, 1605334, 7662014)),
-    KnownSequence("hankel(curve-g(-3))", "curve_g", ("-3",), "hankel",
+    KnownSequence("hankel(curve-g(-3))", "curve", ("-3",), "hankel",
                   (1, 0, -1, -1, 4, -19, -83, -1112, 12171)),
-    KnownSequence("somos(1,4)-curve(-3)", "curve_f", ("-3",), "hankel",
+    KnownSequence("somos(1,4)-curve(-3)", "curvef", ("-3",), "hankel",
                   (1, 1, -4, 19, 83, 1112, -12171)),
-    KnownSequence("curve-g(0)", "curve_g", ("0",), "",
+    KnownSequence("curve-g(0)", "curve", ("0",), "",
                   (1, 2, 4, 7, 10, 9, -6, -53, -151, -284, -301, 278, 2482, 7717)),
-    KnownSequence("hankel(curve-g(0))", "curve_g", ("0",), "hankel",
+    KnownSequence("hankel(curve-g(0))", "curve", ("0",), "hankel",
                   (1, 0, -1, -1, 1, -1, -2, 1, 3, 5)),
-    KnownSequence("A006769", "curve_f", ("0",), "hankel",
+    KnownSequence("A006769", "curvef", ("0",), "hankel",
                   (1, 1, -1, 1, 2, -1, -3, -5)),
-    KnownSequence("curve-f(0)", "curve_f", ("0",), "",
+    KnownSequence("curve-f(0)", "curvef", ("0",), "",
                   (1, 0, 1, -1, 1, -1, 0, 0, 0, -2, 4, -4, -1, 11, -16)),
 )
 
@@ -205,9 +205,9 @@ def base_sequence(kind: str, params: tuple[str, ...], length: int) -> list[Fract
     if kind == "companion":
         p = FamilyParams.of(*params)
         return list(family.companion(p, length).coeffs)
-    if kind == "curve_g":
+    if kind == "curve":
         return list(elliptic.pipeline(params[0], length).g.coeffs)
-    if kind == "curve_f":
+    if kind == "curvef":
         return list(elliptic.f_from_curve(params[0], length).coeffs)
     if kind == "curve_branch":
         return list(elliptic.curve_branch(params[0], length).coeffs)
@@ -229,7 +229,7 @@ def computed_values(entry: KnownSequence) -> list[Fraction]:
         return [-v for v in values[2:want + 2]]
     if transform == "binomial_inverse":
         source = base_sequence(entry.kind, entry.params, want)
-        return binomial_transform(source, inverse=True)
+        return binomial_transform(source, -1)
     if transform == "diff":
         source = base_sequence(entry.kind, entry.params, want)
         return [source[0]] + [source[n] - source[n - 1] for n in range(1, want)]

@@ -9,6 +9,7 @@ values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -39,6 +40,8 @@ class NonConvergent(SeriesError):
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# The one literal syntax for a rational: an integer or p/q, q > 0.
+_LITERAL = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
 
 
 def _cleared(coeffs) -> tuple[list[int], int]:
@@ -63,12 +66,18 @@ def _append_ratio(nums: list[int], d: int, top: int, den: int) -> tuple[list[int
 
 
 def rational(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction; floats are rejected."""
+    """Coerce ints, Fractions and integer or 'p/q' strings to Fraction.
+
+    Floats are rejected with TypeError, and decimal, exponent or padded
+    strings with ValueError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _LITERAL.fullmatch(value):
+            raise ValueError(f"malformed rational {value!r}: use an integer or p/q")
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

@@ -6,6 +6,8 @@ continued fraction, as a quadratic recurrence when c = 0, and as single,
 double and triple sums; those routes live here so the tests can check the
 closed form against every printed formula.  ``a_family`` is the A-series of
 the family's Bell array, compared with ``a_from_b`` and ``a_from_g``.
+``binomial_transform_sum`` is the term-by-term double sum that
+``binomial_transform``'s integer difference table replaces.
 """
 
 import math
@@ -36,6 +38,19 @@ def companion_cf(p, order: int) -> Series:
     alpha = Series([1, p.a, p.b], order)
     beta = Series([0, 0, 0, p.somos_weight], order)
     return cf_eval([(alpha, beta)], order)
+
+
+def binomial_transform_sum(seq, c=1) -> list[Fraction]:
+    """t_n = sum_k binom(n, k) * c^(n-k) * s_k, term by term over Fraction."""
+    terms = [rational(v) for v in seq]
+    c = rational(c)
+    out = []
+    for n in range(len(terms)):
+        acc = Fraction(0)
+        for k in range(n + 1):
+            acc += Fraction(math.comb(n, k)) * c ** (n - k) * terms[k]
+        out.append(acc)
+    return out
 
 
 def g_recurrence_c0(a, b, order: int) -> Series:

@@ -10,7 +10,7 @@ import pytest
 
 import riopi
 from riopi import knowndata
-from riopi.cli import main
+from riopi.cli import MAX_ORDER, main
 
 
 def run(capsys, *argv):
@@ -197,6 +197,22 @@ class TestUsage:
     def test_order_minimum(self, capsys):
         code, _, err = run(capsys, "expand", "family", "1", "0", "0", "--order", "3")
         assert code == 1
+        assert "--order: must be at least 4" in err
+
+    def test_order_maximum(self, capsys):
+        code, out, _ = run(capsys, "expand", "family", "1", "0", "0",
+                           "--order", str(MAX_ORDER), "--format", "json")
+        assert code == 0 and json.loads(out)["order"] == MAX_ORDER
+        for order in (str(MAX_ORDER + 1), "99999999999999999999999"):
+            code, out, err = run(capsys, "expand", "family", "1", "2", "3", "--order", order)
+            assert code == 1, order
+            assert out == ""
+            assert f"--order: must be at most {MAX_ORDER}, got {order}" in err
+            assert "Traceback" not in err
+
+    def test_help_shows_order_bound(self, capsys):
+        code, out, _ = run(capsys, "expand", "--help")
+        assert code == 0 and f"4 to {MAX_ORDER}" in out
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

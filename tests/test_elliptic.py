@@ -4,7 +4,6 @@ import pytest
 
 from riopi import elliptic
 from riopi.elliptic import (
-    CurveParam,
     b_from_curve,
     curve_branch,
     curve_somos_check,
@@ -199,9 +198,6 @@ class TestCurveHankel:
     def test_a0_transform_is_printed_divisibility_sequence(self):
         values = hankel_transform(f_from_curve(0, 16).coeffs).values
         assert list(values)[:8] == [1, 1, -1, 1, 2, -1, -3, -5]
-
-    def test_curve_param_wrapper(self):
-        assert curve_branch(CurveParam.of("3"), 4).integers() == [0, 1, -2, 1]
 
 
 class TestMoebiusStage:

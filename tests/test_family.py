@@ -18,6 +18,7 @@ import composition_oracle
 from conftest import rand_fraction
 from family_oracle import (
     a_family,
+    binomial_transform_sum,
     companion_cf,
     g_family_cf,
     g_recurrence_c0,
@@ -207,7 +208,7 @@ class TestCompanion:
 class TestBinomialTransform:
     def test_inverse_of_family_member(self):
         g = g_family(FamilyParams.of(2, -1, 1), 12)
-        got = binomial_transform(g.coeffs, inverse=True)
+        got = binomial_transform(g.coeffs, c=-1)
         assert got == [1, 1, 1, 2, 3, 6, 11, 22, 44, 90, 187, 392]
 
     def test_zero_fixed_point(self):
@@ -215,8 +216,18 @@ class TestBinomialTransform:
 
     def test_involution_pair(self, rng):
         seq = [rand_fraction(rng) for _ in range(10)]
-        assert binomial_transform(binomial_transform(seq), inverse=True) == seq
-        assert binomial_transform(binomial_transform(seq, inverse=True)) == seq
+        assert binomial_transform(binomial_transform(seq), c=-1) == seq
+        assert binomial_transform(binomial_transform(seq, c=-1)) == seq
+
+    def test_matches_sum_oracle(self, rng):
+        # the difference table against the term-by-term double sum, on p/q
+        # sequences of every length 0-40 and c = 1, -1 or a random p/q
+        for length in range(41):
+            seq = [rand_fraction(rng, 9, (1, 2, 3, 5, 7)) for _ in range(length)]
+            c = rng.choice([1, -1, rand_fraction(rng, 9, (2, 3, 5, 7))])
+            got = binomial_transform(seq, c)
+            assert got == binomial_transform_sum(seq, c), (seq, c)
+            assert all(type(t) is Fraction for t in got)
 
 
 class TestNarayana:

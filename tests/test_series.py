@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from riopi.elliptic import pipeline
 from riopi.series import (
     CompositionConstantTerm,
     DivisionByHigherValuation,
@@ -12,6 +13,7 @@ from riopi.series import (
     SqrtConstantTerm,
     catalan,
     cf_eval,
+    rational,
 )
 
 from conftest import rand_series_coeffs
@@ -49,6 +51,25 @@ class TestConstruction:
         assert Series([0, 0, 3], 5).valuation() == 2
         assert Series.zero(4).valuation() == 4
         assert Series([7], 3).valuation() == 0
+
+
+class TestRational:
+    # one literal rule, shared with the CLI: an integer or p/q, nothing else
+    def test_rejects_decimal_and_padded_strings(self):
+        for text in ("1.5", "1e3", " 3", "-0.25", "3/-2"):
+            with pytest.raises(ValueError) as exc:
+                rational(text)
+            assert str(exc.value) == f"malformed rational {text!r}: use an integer or p/q"
+
+    def test_pipeline_rejects_decimal_parameter(self):
+        with pytest.raises(ValueError, match="malformed rational"):
+            pipeline("1.5", 6)
+
+    def test_accepts_exact_values(self):
+        assert rational(7) == 7 and type(rational(7)) is Fraction
+        assert rational(Fraction(-3, 4)) == Fraction(-3, 4)
+        assert rational("007") == 7
+        assert rational("-11/2") == Fraction(-11, 2)
 
 
 class TestRingOps:
