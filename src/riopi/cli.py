@@ -179,7 +179,6 @@ def cmd_somos(args) -> int:
         terms = [parse_rational(t) for t in args.terms.split(",")]
         offset = args.offset or 0
         terms = terms[offset:]
-        label = "terms"
     else:
         if not args.subject:
             raise UsageError("somos needs a subject or --terms")
@@ -187,12 +186,11 @@ def cmd_somos(args) -> int:
         seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
         offset = args.offset if args.offset is not None else _SOMOS_OFFSET[args.subject]
         terms = list(hankel_transform(seq).values[offset:])
-        label = f"hankel[{offset}:] of {args.subject}"
     if len(terms) < 6:
         raise UsageError(f"somos needs at least 6 terms after offset {offset}, "
                          f"got {len(terms)}")
-    fitted = somos4_fit(terms)
-    report_data = somos4_check(terms, fitted, label=label)
+    report_data = somos4_fit(terms)
+    fitted = report_data.params
     checked = list(range(report_data.start, report_data.end + 1))
     report = {
         "alpha": str(fitted.alpha),

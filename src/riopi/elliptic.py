@@ -22,9 +22,10 @@ from .riordan import BSequence, SelfCheckError, is_pseudo_involution
 from .series import Series, rational
 from .somos import SomosParams, SomosReport, somos4_check
 
-# Stage losses: the strip drops two orders and the final division one
-# more, so working at order+6 certifies the requested order with room.
-_MARGIN = 6
+# At work order W the stages come out as branch W, stripped W-2, fraction
+# W, reverted W+1, f W+2 and h W+1: only the strip loses order, so W =
+# order+2 gives every stage at the requested order.
+_MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -121,5 +122,5 @@ def curve_somos_check(curve, order: int = 24) -> SomosReport:
     a = rational(curve)
     values = hankel_transform(f_from_curve(a, order).coeffs).values
     params = SomosParams(Fraction(1), 1 - a)
-    return somos4_check(values, params, label="curve f hankel")
+    return somos4_check(values, params)
 

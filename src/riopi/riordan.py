@@ -1,11 +1,12 @@
 """Riordan arrays as values: matrices, group operations, production matrices,
-A/Z/B-sequences and the pseudo-involution tests.
+A/Z/B-sequences and the pseudo-involution test.
 
 A Riordan array is a pair (g, f) with g(0) = 1 and f(0) = 0 acting as the
 lower-triangular matrix t[n][k] = [x^n] g*f^k.  The Bell subgroup is the
 f = x*g slice; a Bell array whose signed version (g, -x*g) squares to the
 identity is a pseudo-involution, and those are exactly the arrays that
-admit a B-sequence recurrence along their rows.
+admit a B-sequence recurrence along their rows.  One read-off of the
+B-sequence decides both: is_pseudo_involution and b_extract share it.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def is_pseudo_involution(g: Series, size: int | None = None) -> bool:
     """Does (g, -x*g) square to the identity on the size x size truncation?
 
     The square is (g*g(f), f(f)) with f = -x*g, and f(f) = x*g*g(f), so it
-    is the identity exactly when g*g(-x*g) = 1 mod x^size.
+    is the identity exactly when g*g(-x*g) = 1 mod x^size, which the
+    B-sequence read-off of g mod x^size decides (see _b_read_off).
     """
     if g[0] != 1:
         raise ValueError("g must have constant term 1")
@@ -231,65 +233,54 @@ def is_pseudo_involution(g: Series, size: int | None = None) -> bool:
         size = g.order
     if size < 1 or size > g.order:
         raise OutOfOrder(f"size {size} outside 1..{g.order}")
-    g = g.truncate(size)
-    return (g * g.compose(-(g.shift(1)))).coeffs == Series.one(size).coeffs
+    return _b_read_off(g.truncate(size))[1] is None
 
 
 def b_extract(g: Series) -> BSequence:
-    """B-sequence of the pseudo-involution (g, x*g).
-
-    Column 0 of the recurrence t[n+1][k] = t[n][k-1] + sum_j b_j*t[n-j][k+j]
-    gives a triangular system whose pivots t[m][m] are all 1, so each b_m
-    is read off without division.  In the Bell triangle
-    t[n][k] = [x^(n-k)] g^(k+1), so
-
-        b_m = g[2m+1] - sum_{j<m} b_j * [x^(2m-2j)] g^(j+1)
-
-    An order-N series certifies c = (N-1)//2 entries.  The read-off fixes
-    the odd coefficients of the generating-function form of the recurrence,
-    g = 1 + x*g*B(x^2*g); the even ones are then verified mod x^(2c+1).
-    Since f = x*g, the residual of column k is (x*g)^k times that of
-    column 0, so this covers every cell the certified prefix can reach.
-    The identity is the paper's characterisation of pseudo-involutions, so
-    it holds exactly when is_pseudo_involution(g) does, and a failure
-    raises NoBSequence.
-    """
+    """B-sequence of the pseudo-involution (g, x*g): the c = (order-1)//2
+    terms ``_b_read_off`` certifies.  A g that is no pseudo-involution at
+    its order raises NoBSequence naming the first failing power of x."""
     if g[0] != 1:
         raise ValueError("g must have constant term 1")
-    certified = (g.order - 1) // 2
-    if not certified:
-        return BSequence(())
-    base = g.truncate(2 * certified - 1)
-    powers = [base]  # powers[j] = g^(j+1), read up to x^(2m-2j) <= x^(2c-2)
-    for _ in range(certified - 1):
-        powers.append(powers[-1] * base)
-    b: list[Fraction] = []
-    for m in range(certified):
-        acc = g[2 * m + 1]
-        for j in range(m):
-            acc -= b[j] * powers[j][2 * m - 2 * j]
-        b.append(acc)
-    values = tuple(b)
-    n = _b_identity_mismatch(g, values)
+    b, n = _b_read_off(g)
     if n is not None:
         raise NoBSequence("(g, x*g) is not a pseudo-involution: "
                           f"g = 1 + x*g*B(x^2*g) fails at x^{n}")
-    return BSequence(values)
+    return BSequence(b)
 
 
-def _b_identity_mismatch(g: Series, b: tuple[Fraction, ...]) -> int | None:
-    """First n <= 2*len(b) with [x^n] g != [x^n] (1 + x*g*B(x^2*g)), or None.
+def _b_read_off(g: Series) -> tuple[tuple[Fraction, ...], int | None]:
+    """B terms read off g, and the first n at which g = 1 + x*g*B(x^2*g)
+    fails mod x^(2c+1), c = (order-1)//2, or None if it holds.
 
-    b must be nonempty and g of order at least 2*len(b) + 1.  (x^2*g)^k has
-    valuation 2k, so the len(b) terms of B fix the right side mod
-    x^(2*len(b)+1).
+    The identity is column 0 of the recurrence
+    t[n+1][k] = t[n][k-1] + sum_j b_j*t[n-j][k+j], with
+    t[n][k] = [x^(n-k)] g^(k+1); column k's residual is (x*g)^k times
+    column 0's.  With s_n = sum_{2k+1<n} b_k * [x^(n-2k-1)] g^(k+1), odd n
+    give b_{(n-1)/2} = g_n - s_n (the pivot is 1) and even n are checked,
+    g_n = s_n.  On a failure the terms read so far are returned.
+
+    By the paper's theorem the identity holds exactly when
+    g*g(-x*g) = 1 mod x^(2c+1).  That settles even orders too: if
+    f(f) = x + e*x^m + ... for f = -x*g, then f(f(f)) is
+    f + (-1)^m*e*x^m + ... one way round and f - e*x^m + ... the other, so
+    g*g(f) - 1 = (f(f) - x)/x first fails at an even power.
     """
-    head = g.truncate(2 * len(b))
-    rhs = 1 + (head * _horner(b, head.shift(2).truncate(head.order))).shift(1)
-    for n, (want, got) in enumerate(zip(g.coeffs, rhs.coeffs)):
-        if want != got:
-            return n
-    return None
+    c = (g.order - 1) // 2
+    if not c:
+        return (), None
+    base = g.truncate(2 * c)
+    powers = [base]  # powers[k] = g^(k+1), read up to x^(2c-2k-1)
+    for k in range(1, c):
+        powers.append(powers[-1].truncate(2 * c - 2 * k) * base)
+    b: list[Fraction] = []
+    for n in range(1, 2 * c + 1):
+        s = sum([b[k] * powers[k][n - 2 * k - 1] for k in range(n // 2)], _ZERO)
+        if n & 1:
+            b.append(g[n] - s)
+        elif s != g[n]:
+            return tuple(b), n
+    return tuple(b), None
 
 
 def a_from_b(b: Series, order: int) -> Series:

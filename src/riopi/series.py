@@ -295,19 +295,6 @@ class Series:
         d = da * dq
         return Series._from_fractions([Fraction(db * c, d) for c in q])
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = Series.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- analytic operations ---------------------------------------------
 
     def compose(self, inner: "Series") -> "Series":

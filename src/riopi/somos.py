@@ -43,14 +43,13 @@ class SomosReport:
     end: int
     failures: tuple[int, ...]
     degenerate: bool = False
-    label: str = ""
 
     @property
     def ok(self) -> bool:
         return self.params is not None and not self.failures
 
 
-def somos4_check(terms, params: SomosParams, label: str = "") -> SomosReport:
+def somos4_check(terms, params: SomosParams) -> SomosReport:
     """Verify the product form at every index n in 4..len(terms)-1."""
     t = [rational(v) for v in terms]
     if len(t) < 5:
@@ -60,13 +59,13 @@ def somos4_check(terms, params: SomosParams, label: str = "") -> SomosReport:
         if t[n] * t[n - 4] != params.alpha * t[n - 1] * t[n - 3] + params.beta * t[n - 2] ** 2
     ])
     return SomosReport(params=params, start=4, end=len(t) - 1,
-                       failures=failures, degenerate=params.degenerate,
-                       label=label)
+                       failures=failures, degenerate=params.degenerate)
 
 
-def somos4_fit(terms) -> SomosParams:
+def somos4_fit(terms) -> SomosReport:
     """Fit (alpha, beta) from the first nonsingular pair of relation rows,
-    then insist the whole sequence satisfies the fit."""
+    then insist the whole sequence satisfies the fit.  Returns the passing
+    check, whose ``params`` is the fit."""
     t = [rational(v) for v in terms]
     if len(t) < 6:
         raise ValueError("need at least 6 terms to fit Somos-4 parameters")
@@ -79,19 +78,18 @@ def somos4_fit(terms) -> SomosParams:
                 continue
             alpha = (rows[i][2] * rows[j][1] - rows[j][2] * rows[i][1]) / det
             beta = (rows[i][0] * rows[j][2] - rows[j][0] * rows[i][2]) / det
-            params = SomosParams(alpha, beta)
-            report = somos4_check(t, params)
+            report = somos4_check(t, SomosParams(alpha, beta))
             if report.failures:
                 raise NoSomosFit(
                     f"({alpha}, {beta}) fits rows {i}, {j} but fails at "
                     f"indices {list(report.failures)}")
-            return params
+            return report
     raise Underdetermined("all candidate 2x2 systems are singular")
 
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Labelled sub-checks of the family/companion Somos-4 conjecture."""
+    """The family and companion sub-checks of the Somos-4 conjecture."""
 
     params: SomosParams
     family: SomosReport
@@ -111,8 +109,8 @@ def conjecture_family(p: FamilyParams, order: int = 28) -> ConjectureReport:
     k = p.somos_weight
     params = SomosParams(k * k, p.b * k * k)
     family_tail = hankel_transform(g_family(p, order).coeffs).values[2:]
-    fam = somos4_check(family_tail, params, label="family hankel tail (offset 2)")
+    fam = somos4_check(family_tail, params)
     comp_values = hankel_transform(companion(p, order).coeffs).values
-    comp = somos4_check(comp_values, params, label="companion hankel")
+    comp = somos4_check(comp_values, params)
     return ConjectureReport(params=params, family=fam, companion=comp,
                             degenerate=(k == 0))

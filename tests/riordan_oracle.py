@@ -1,16 +1,18 @@
 """Reference matrix routes for the Riordan self-checks.
 
-These are the dense ``Fraction`` forms of the three generating-function
+These are the dense ``Fraction`` forms of the generating-function
 identities ``riopi.riordan`` certifies with: the production matrix as
 M^-1 * Mbar, the signed Bell matrix square, and the B-sequence recurrence
 at every cell of the triangle.  They build their triangles with the plain
 convolution of ``series_oracle`` and share no code with ``riopi.riordan``.
-The reversion fixed point is a second series route to the
-pseudo-involution verdict.
+The reversion fixed point, the composition g*g(-x*g) and the Horner
+evaluation of g = 1 + x*g*B(x^2*g) are series routes to the same
+verdicts, the last two the ones ``riopi.riordan`` once ran itself.
 """
 
 from fractions import Fraction
 
+from riopi.series import Series, _horner
 from series_oracle import _convolve
 
 _ZERO = Fraction(0)
@@ -64,6 +66,27 @@ def reversion_fixed_point(g, size) -> bool:
     square, f(f) = x for f = -x*g, decided through the reversion."""
     mxg = -(g.truncate(size).shift(1))
     return mxg.revert().coeffs == mxg.coeffs
+
+
+def composition_square_is_identity(g, size) -> bool:
+    """Is g*g(-x*g) = 1 mod x^size?  The signed square, by composition."""
+    g = g.truncate(size)
+    return (g * g.compose(-(g.shift(1)))).coeffs == Series.one(size).coeffs
+
+
+def b_identity_mismatch(g, b) -> int | None:
+    """First n <= 2*len(b) with [x^n] g != [x^n] (1 + x*g*B(x^2*g)), or None.
+
+    b must be nonempty and g of order at least 2*len(b) + 1.  (x^2*g)^k has
+    valuation 2k, so the len(b) terms of B fix the right side mod
+    x^(2*len(b)+1).
+    """
+    head = g.truncate(2 * len(b))
+    rhs = 1 + (head * _horner(b, head.shift(2).truncate(head.order))).shift(1)
+    for n, (want, got) in enumerate(zip(g.coeffs, rhs.coeffs)):
+        if want != got:
+            return n
+    return None
 
 
 def b_recurrence_holds(g, b) -> bool:

@@ -135,7 +135,7 @@ def test_criterion_3_somos_fits():
         printed_length = len(GENERAL_HANKELS[(kind, params)])
         terms = _hankel_prefix(kind, params, printed_length)[offset:]
         try:
-            fitted = somos4_fit(terms)
+            fitted = somos4_fit(terms).params
         except ValueError as exc:
             failures.append((kind, params, str(exc)))
             continue

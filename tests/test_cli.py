@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import riopi
-from riopi import knowndata
+from riopi import cli, knowndata, somos
 from riopi.cli import MAX_ORDER, main
 
 
@@ -86,6 +86,23 @@ class TestSomos:
         code, _, err = run(capsys, "somos", "--terms=1,1,1,1,1,1")
         assert code == 2
         assert "Underdetermined" in err
+
+    @pytest.mark.parametrize("argv", [("--terms=-1,-1,-2,-3,5,28,67,411,506",),
+                                      ("curvef", "-3", "--order", "16")])
+    def test_fit_checked_once(self, capsys, monkeypatch, argv):
+        # somos4_fit returns its passing check; the command does not rerun it
+        calls = []
+        check = somos.somos4_check
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(somos, "somos4_check", counted)
+        monkeypatch.setattr(cli, "somos4_check", counted)
+        code, _, _ = run(capsys, "somos", *argv)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_subject_and_terms_conflict(self, capsys):
         code, _, err = run(capsys, "somos", "family", "1", "0", "-1", "--terms=1,2,3")

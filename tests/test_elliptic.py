@@ -224,7 +224,7 @@ class TestMoebiusStage:
         def no_compose(self, inner):
             raise AssertionError("the Moebius stage must not compose")
 
-        # the final certificate composes g(-x*g); only the stage is pinned
+        # only the stage is pinned here; test_riordan.py pins the certificate
         monkeypatch.setattr(Series, "compose", no_compose)
         monkeypatch.setattr(elliptic, "is_pseudo_involution", lambda g, order: True)
         for (a, n), g in zip(cases, want):

@@ -14,7 +14,7 @@ from riopi.riordan import (
     ProductionMatrix,
     RiordanArray,
     SelfCheckError,
-    _b_identity_mismatch,
+    _b_read_off,
     a_from_b,
     a_from_g,
     b_extract,
@@ -77,6 +77,22 @@ def family_cases(rng, cases, lo, hi):
             i = order - 1 if rng.random() < 0.5 else rng.randint(1, order - 1)
             g = perturbed(g, i, rand_nonzero(rng))
         yield p, g
+
+
+def sweep_cases(rng, cases):
+    """Pairs (g, size), size random in 1..order: p/q family members of
+    order 1..26 perturbed at up to two coefficients past the first (half
+    the time at the last), and one case in four a random g with g0 = 1."""
+    for case in range(cases):
+        order = rng.randint(1, 26)
+        if case % 4 == 3:
+            g = Series([1] + [rand_fraction(rng, 3) for _ in range(order - 1)])
+        else:
+            g = g_family(FamilyParams.of(*(rand_fraction(rng, 3) for _ in range(3))), order)
+            for _ in range(rng.randint(0, 2) if order > 1 else 0):
+                i = order - 1 if rng.random() < 0.5 else rng.randint(1, order - 1)
+                g = perturbed(g, i, rand_nonzero(rng))
+        yield g, rng.randint(1, order)
 
 
 def b_expansion_oracle(a, b, c, terms):
@@ -409,7 +425,7 @@ class TestBExtract:
             if rng.random() < 0.3:
                 g = perturbed(g, rng.randint(1, order - 1), rand_nonzero(rng))
             want = oracle.b_recurrence_holds(g, b)
-            assert (_b_identity_mismatch(g, tuple(b)) is None) == want, (g, b)
+            assert (oracle.b_identity_mismatch(g, tuple(b)) is None) == want, (g, b)
             verdicts.add(want)
         assert verdicts == {True, False}
 
@@ -418,6 +434,48 @@ class TestBExtract:
             a, bb, c = (rand_fraction(rng, 2) for _ in range(3))
             got = b_extract(g_family(FamilyParams.of(a, bb, c), 17))
             assert list(got.values) == b_expansion_oracle(a, bb, c, got.certified)
+
+
+class TestReadOff:
+    # one read-off decides the involution verdict and gives B; the
+    # composition g*g(-x*g) and the Horner evaluation of the B identity
+    # are the oracles it replaced
+    def test_sweep_matches_composition_and_horner_oracles(self, rng):
+        verdicts = set()
+        for g, size in sweep_cases(rng, 1000):
+            want = oracle.composition_square_is_identity(g, size)
+            assert oracle.signed_square_is_identity(g, size) == want, (g, size)
+            assert is_pseudo_involution(g, size) == want, (g, size)
+            head = g.truncate(size)
+            b, n = _b_read_off(head)
+            if want:
+                got = b_extract(head).values
+                assert got == b and len(got) == (size - 1) // 2
+                if got:
+                    assert oracle.b_identity_mismatch(head, got) is None, (g, size)
+            else:
+                with pytest.raises(NoBSequence, match=rf"fails at x\^{n}$"):
+                    b_extract(head)
+                assert n % 2 == 0 and oracle.b_identity_mismatch(head, b) == n, (g, size)
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_decided_without_composing(self, monkeypatch):
+        g = pipeline(Fraction(-11, 2), 24).g
+        bad = perturbed(g, 20, 1)
+        want = b_extract(g)
+
+        def no_compose(self, inner):
+            raise AssertionError("the read-off must not compose")
+
+        monkeypatch.setattr(Series, "compose", no_compose)
+        with pytest.raises(AssertionError):
+            Series([1, 1]).compose(Series([0, 1]))
+        assert is_pseudo_involution(g) and not is_pseudo_involution(bad)
+        assert b_extract(g) == want
+        with pytest.raises(NoBSequence, match=r"fails at x\^20$"):
+            b_extract(bad)
+        assert pipeline(Fraction(-11, 2), 24).g == g
 
 
 class TestASequence:

@@ -60,11 +60,11 @@ class TestCheck:
 class TestFit:
     def test_family_tail(self):
         h = hankel_transform(g_family(FamilyParams.of(2, -2, 3), 21).coeffs)
-        assert somos4_fit(h.values[2:]) == SomosParams(Fraction(1), Fraction(-2))
+        assert somos4_fit(h.values[2:]).params == SomosParams(Fraction(1), Fraction(-2))
 
     def test_second_family_tail(self):
         h = hankel_transform(g_family(FamilyParams.of(-1, 2, 1), 21).coeffs)
-        assert somos4_fit(h.values[2:]) == SomosParams(Fraction(1), Fraction(2))
+        assert somos4_fit(h.values[2:]).params == SomosParams(Fraction(1), Fraction(2))
 
     def test_underdetermined(self):
         with pytest.raises(Underdetermined):
@@ -78,7 +78,7 @@ class TestFit:
 
     def test_round_trip(self):
         terms = [-1, -1, -2, -3, 5, 28, 67, 411, 506]
-        params = somos4_fit(terms)
+        params = somos4_fit(terms).params
         assert somos4_check(terms, params).ok
 
     def test_needs_six_terms(self):
@@ -92,7 +92,6 @@ class TestConjecture:
         assert report.ok
         assert report.params == SomosParams(Fraction(1), Fraction(-2))
         assert not report.degenerate
-        assert report.family.label and report.companion.label
 
     def test_companion_case(self):
         report = conjecture_family(FamilyParams.of(-1, 1, 2), 24)
