@@ -2,9 +2,12 @@
 
 The pipeline follows the worked transformation chain stage by stage:
 solve the quadratic for the branch with y = x + O(x^2), strip two terms,
-form a reciprocal fraction, revert, build the intermediate f and from it
-h, and finish with the Moebius stage g = 1/(1+cx) * h(-x/(1+cx)), c = a-1,
-whose coefficients are read off h in closed form in O(n^2).  Each curve
+form a reciprocal fraction, take its reversion and the intermediate f,
+build h from f, and finish with the Moebius stage
+g = 1/(1+cx) * h(-x/(1+cx)), c = a-1.  f is taken in the paper's closed
+form and the reverted stage is read back from it, and g is read off h in
+closed form in O(n^2), so no stage reverts or composes; the chain as
+walked is a test oracle in tests/composition_oracle.py.  Each curve
 lands on the family member with parameters (2-a, 1-a, -(a^2-3a+1)) and
 B-sequence generating function (2-a + (1-3a+a^2)x)/(1+(1-a)x), and the
 Hankel transform of f is a (1, 1-a) Somos-4 sequence; all of that is
@@ -22,9 +25,9 @@ from .riordan import BSequence, SelfCheckError, is_pseudo_involution
 from .series import Series, rational
 from .somos import SomosParams, SomosReport, somos4_check
 
-# At work order W the stages come out as branch W, stripped W-2, fraction
-# W, reverted W+1, f W+2 and h W+1: only the strip loses order, so W =
-# order+2 gives every stage at the requested order.
+# The strip loses two orders, and h = num/den loses up to two (den has
+# valuation 2 at a = 1), so branch and fraction at work order order+2 and f
+# at order+2 give every stage at the requested order.
 _MARGIN = 2
 
 
@@ -49,9 +52,11 @@ def curve_branch(curve, order: int) -> Series:
 def pipeline(curve, order: int) -> PipelineTrace:
     """Run the whole curve-to-involution chain, keeping every stage.
 
-    The last stage applies the Riordan array (1/(1+cx), -x/(1+cx)),
-    c = a-1, to h by its closed form, not by a composition: g is
-    ``binomial_transform`` of (-1)^k h_k with c = 1-a.  The result is
+    f is the closed form ``f_from_curve``, and the reverted stage follows
+    from f = 1/(1 - x*reverted): reverted = (1 - 1/f)/x.  The last stage
+    applies the Riordan array (1/(1+cx), -x/(1+cx)), c = a-1, to h by its
+    closed form, not by a composition: g is ``binomial_transform`` of
+    (-1)^k h_k with c = 1-a.  The result is
     certified once, by the pseudo-involution test of g at ``order``; the
     stage relations are checked in the tests.
     """
@@ -60,8 +65,8 @@ def pipeline(curve, order: int) -> PipelineTrace:
     y = curve_branch(a, work)
     stripped = (y - Series.x(work)).unshift(2)
     fraction = 1 / (Series([1, -1], work) - stripped.shift(2))
-    reverted = fraction.shift(1).revert()
-    f = 1 / (1 - reverted.unshift(1).shift(2))
+    f = f_from_curve(a, work)
+    reverted = (1 - 1 / f).unshift(1)
     numerator = f * Series([1, a - 1], f.order) - 1
     denominator = (f * Series([a - 1, a], f.order)).shift(1)
     h = numerator / denominator

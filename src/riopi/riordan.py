@@ -11,10 +11,12 @@ B-sequence decides both: is_pseudo_involution and b_extract share it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import Series, _horner
+from .series import (Series, _append_ratio, _fractions, _horner, _lowest, _packed,
+                     rational)
 
 _ZERO = Fraction(0)
 
@@ -57,42 +59,119 @@ class TriangularMatrix:
         return _integer_rows(self.rows)
 
 
-@dataclass(frozen=True)
 class ProductionMatrix:
     """The size x size lower-Hessenberg production matrix, stored as its
     Z- and A-sequences: column 0 is Z and column j >= 1 is A shifted down
-    j - 1 rows.  ``size`` is len(z); A needs at least ``size`` terms, and
-    any beyond them are never read.  Rows are built on demand."""
+    j - 1 rows.  ``size`` is len(z), and A is kept to its first ``size``
+    terms.  Each sequence is kept as ints over one denominator: ``z``,
+    ``a`` and the rows build Fractions on each read.  A matrix read off a
+    pseudo-involution keeps only A, with one term more, and reads Z as A's
+    tail, z_i = a_(i+1)."""
 
-    z: tuple[Fraction, ...]
-    a: tuple[Fraction, ...]
+    __slots__ = ("_z", "_z_den", "_a", "_a_den")
+
+    def __init__(self, z, a):
+        self._z, self._z_den = _packed([rational(v) for v in z])
+        self._a, self._a_den = _packed([rational(v) for v in a[:len(self._z)]])
+
+    @classmethod
+    def _from_a(cls, a: Series) -> "ProductionMatrix":
+        """The matrix with A = ``a`` and Z = (A - 1)/x, of size a.order - 1."""
+        p = object.__new__(cls)
+        p._z, p._z_den = None, None
+        p._a, p._a_den = a._nums, a._den
+        return p
 
     @property
     def size(self) -> int:
-        return len(self.z)
+        return len(self._a) - 1 if self._z is None else len(self._z)
+
+    @property
+    def z(self) -> tuple[Fraction, ...]:
+        if self._z is None:
+            return _fractions(self._a[1:], self._a_den)
+        return _fractions(self._z, self._z_den)
+
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        return _fractions(self._a[:self.size], self._a_den)
 
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        z, a = self.z, self.a
-        size = len(z)
+        # builds only the Fractions row i shows
+        size = self.size
         i = range(size)[i]  # negative rows and IndexError as for a tuple
-        band = min(i + 1, size - 1)  # columns 1..band hold a[i], ..., a[i-band+1]
-        return (z[i], *[a[i - j] for j in range(band)], *[_ZERO] * (size - 1 - band))
+        if self._z is None:
+            z_i = Fraction(self._a[i + 1], self._a_den)
+        else:
+            z_i = Fraction(self._z[i], self._z_den)
+        lo = _band_start(i, size)
+        return _row(z_i, _fractions(self._a[lo:i + 1], self._a_den)[::-1], size)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple([self[i] for i in range(self.size)])
+        z, a, size = self.z, self.a, self.size
+        return tuple([_row(z[i], a[_band_start(i, size):i + 1][::-1], size)
+                      for i in range(size)])
 
     def integers(self) -> list[list[int]]:
         return _integer_rows(self.rows)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProductionMatrix):
+            return NotImplemented
+        return (self.z, self.a) == (other.z, other.a)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash((self.z, self.a))
+
+    def __repr__(self) -> str:
+        return f"ProductionMatrix(z={self.z!r}, a={self.a!r})"
+
+
+def _band_start(i: int, size: int) -> int:
+    """The lowest A index lo in row i: columns 1.. hold a[i], ..., a[lo]."""
+    return max(0, i + 2 - size)
+
+
+def _row(z_i: Fraction, band: tuple[Fraction, ...], size: int) -> tuple[Fraction, ...]:
+    """A row: z_i, then the A band a[i], ..., a[lo], then zeros."""
+    return (z_i, *band, *[_ZERO] * (size - 1 - len(band)))
+
+
 class BSequence:
-    values: tuple[Fraction, ...]
+    """The certified B-sequence terms, kept as ints over one denominator;
+    ``values`` builds Fractions on each read."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, values):
+        self._nums, self._den = _packed([rational(v) for v in values])
+
+    @classmethod
+    def _from_ints(cls, nums, den: int) -> "BSequence":
+        """The terms nums[i]/den."""
+        b = object.__new__(cls)
+        b._nums, b._den = _lowest(nums, den)
+        return b
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return _fractions(self._nums, self._den)
 
     @property
     def certified(self) -> int:
-        return len(self.values)
+        return len(self._nums)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BSequence):
+            return NotImplemented
+        return self._den == other._den and self._nums == other._nums
+
+    def __hash__(self) -> int:
+        return hash((self._nums, self._den))
+
+    def __repr__(self) -> str:
+        return f"BSequence(values={self.values!r})"
 
 
 class RiordanArray:
@@ -145,8 +224,9 @@ class RiordanArray:
         rows = [[_ZERO] * (n + 1) for n in range(size)]
         col = g
         for k in range(size):
+            cs = col.coeffs
             for n in range(k, size):
-                rows[n][k] = col[n]
+                rows[n][k] = cs[n]
             if k + 1 < size:
                 col = col * f
         return TriangularMatrix(tuple([tuple(r) for r in rows]))
@@ -173,8 +253,7 @@ class RiordanArray:
 
     def a_and_z(self) -> ProductionMatrix:
         """A(x) = x/fbar and Z(x) = (1 - 1/g(fbar))/fbar as an uncertified
-        production matrix; A has at least as many terms as Z (one more for a
-        Bell array)."""
+        production matrix of size order - 1."""
         fbar = self.f.revert()
         a = 1 / fbar.unshift(1)
         w = 1 - 1 / self.g.compose(fbar)
@@ -186,15 +265,27 @@ class RiordanArray:
         Z-sequence and shifted copies of the A-sequence in the other columns.
 
         Defaults to size order-2 so no edge coefficient of fbar is consumed.
-        Z and A are cross-checked against their defining identities
+        Each route certifies Z and A against their defining identities
         g = 1 + x*g*Z(f) and f = x*A(f) through x^size, which together say
         M*P = Mbar on the truncation (M the array, Mbar M without its first
-        row); disagreement raises SelfCheckError.
+        row).
+
+        A Bell array (g, x*g) whose g passes the B-sequence read-off at
+        order size+1 is a pseudo-involution there: g*g(-x*g) = 1 mod
+        x^(size+1).  Its A is 1/g(-x) (``a_from_g``) and Z = (A - 1)/x, and
+        the read-off is their only certificate: A(x*g) = 1/g(-x*g) = g is
+        f = x*A(f), and as x*g*Z(x*g) = A(x*g) - 1 it is g = 1 + x*g*Z(f)
+        too.  Every other array takes Z and A from ``a_and_z`` and checks
+        both identities; disagreement raises SelfCheckError.
         """
         if size is None:
             size = self.order - 2
         if size < 1 or size + 1 > self.order:
             raise OutOfOrder(f"production size {size} outside 1..{self.order - 1}")
+        if self.is_bell():
+            g = self.g.truncate(size + 1)
+            if _b_read_off(g)[1] is None:
+                return ProductionMatrix._from_a(a_from_g(g))
         data = self.a_and_z()
         z, a = data.z[:size], data.a[:size]
         g, f = self.g.truncate(size + 1), self.f.truncate(size)
@@ -209,7 +300,7 @@ class RiordanArray:
         """True iff f = x*g over the common order."""
         g, f = self.g, self.f
         top = min(f.order, g.order + 1)
-        return all(f[k] == g[k - 1] for k in range(1, top))
+        return top < 2 or f.truncate(top) == g.truncate(top - 1).shift(1)
 
 
 def bell(g: Series) -> RiordanArray:
@@ -246,10 +337,10 @@ def b_extract(g: Series) -> BSequence:
     if n is not None:
         raise NoBSequence("(g, x*g) is not a pseudo-involution: "
                           f"g = 1 + x*g*B(x^2*g) fails at x^{n}")
-    return BSequence(b)
+    return b
 
 
-def _b_read_off(g: Series) -> tuple[tuple[Fraction, ...], int | None]:
+def _b_read_off(g: Series) -> tuple[BSequence, int | None]:
     """B terms read off g, and the first n at which g = 1 + x*g*B(x^2*g)
     fails mod x^(2c+1), c = (order-1)//2, or None if it holds.
 
@@ -268,19 +359,27 @@ def _b_read_off(g: Series) -> tuple[tuple[Fraction, ...], int | None]:
     """
     c = (g.order - 1) // 2
     if not c:
-        return (), None
+        return BSequence(()), None
     base = g.truncate(2 * c)
     powers = [base]  # powers[k] = g^(k+1), read up to x^(2c-2k-1)
     for k in range(1, c):
         powers.append(powers[-1].truncate(2 * c - 2 * k) * base)
-    b: list[Fraction] = []
+    # Over ints: g = G/d, the powers over one denominator as q[k]/m, and the
+    # terms read so far b_k = bs[k]/e, so s_n = t/(e*m) with
+    # t = sum bs[k]*q[k][n-2k-1].
+    gs, d = g._nums, g._den
+    m = math.lcm(*[p._den for p in powers])
+    q = [[v * (m // p._den) for v in p._nums] for p in powers]
+    bs: list[int] = []
+    e = 1
     for n in range(1, 2 * c + 1):
-        s = sum([b[k] * powers[k][n - 2 * k - 1] for k in range(n // 2)], _ZERO)
+        t = sum([bs[k] * q[k][n - 2 * k - 1] for k in range(n // 2)])
         if n & 1:
-            b.append(g[n] - s)
-        elif s != g[n]:
-            return tuple(b), n
-    return tuple(b), None
+            # b = g_n - s_n = (gs[n]*e*m - t*d) / (d*m*e)
+            bs, e = _append_ratio(bs, e, gs[n] * e * m - t * d, d * m)
+        elif t * d != gs[n] * e * m:
+            return BSequence._from_ints(bs, e), n
+    return BSequence._from_ints(bs, e), None
 
 
 def a_from_b(b: Series, order: int) -> Series:

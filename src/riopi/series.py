@@ -44,10 +44,35 @@ _ONE = Fraction(1)
 _LITERAL = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
 
 
-def _cleared(coeffs) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator d of ``coeffs``."""
-    d = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+def _packed(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as int numerators over their least common denominator.
+
+    The pair is in lowest terms: a prime power that divides the lcm exactly
+    divides some denominator exactly, and that numerator is prime to it.
+    """
+    den = math.lcm(*[c.denominator for c in values])
+    return tuple([c.numerator * (den // c.denominator) for c in values]), den
+
+
+def _lowest(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """nums/den (den != 0) with den > 0 and gcd(den, *nums) = 1."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return tuple([c // g for c in nums]), den // g
+    return tuple(nums), den
+
+
+def _fractions(nums, den: int) -> tuple[Fraction, ...]:
+    """Fresh Fractions nums[i]/den.
+
+    Built from a list: a tuple grown from an iterator is resized, and on
+    release it lands on the free list of another size, where it stays.
+    """
+    if den == 1:
+        return tuple([Fraction(c) for c in nums])
+    return tuple([Fraction(c, den) for c in nums])
 
 
 def _append_ratio(nums: list[int], d: int, top: int, den: int) -> tuple[list[int], int]:
@@ -83,14 +108,19 @@ def rational(value) -> Fraction:
 
 
 class Series:
-    """Coefficients c[0..order-1] of sum c[n]*x^n, exact over Fraction.
+    """Coefficients c[0..order-1] of sum c[n]*x^n, exact over the rationals.
 
     The constructor treats ``coeffs`` as a polynomial: when ``order`` is
     given, missing high coefficients are genuinely zero and are padded,
     while surplus ones are dropped.
+
+    Storage is one tuple of int numerators over one positive common
+    denominator, in lowest terms, so equal series have equal fields and the
+    kernels run on ints.  ``coeffs``, ``[n]`` and iteration build Fractions
+    on each read and keep none of them.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs, order: int | None = None):
         cs = [rational(c) for c in coeffs]
@@ -101,14 +131,20 @@ class Series:
             cs.extend([_ZERO] * (order - len(cs)))
         if not cs:
             raise ValueError("a series needs at least its constant term")
-        self._coeffs = tuple(cs)
+        self._nums, self._den = _packed(cs)
 
     @classmethod
-    def _from_fractions(cls, coeffs) -> "Series":
-        """Wrap a nonempty sequence that already holds only Fractions."""
+    def _raw(cls, nums, den: int) -> "Series":
+        """Wrap a nonempty int tuple over den that is already in lowest terms."""
         s = object.__new__(cls)
-        s._coeffs = tuple(coeffs)
+        s._nums = nums
+        s._den = den
         return s
+
+    @classmethod
+    def _reduced(cls, nums, den: int) -> "Series":
+        """Series of the ints nums over den != 0, brought to lowest terms."""
+        return cls._raw(*_lowest(nums, den))
 
     @classmethod
     def constant(cls, value, order: int) -> "Series":
@@ -128,21 +164,23 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs)
+        return len(self._nums)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return _fractions(self._nums, self._den)
 
-    def __getitem__(self, n: int) -> Fraction:
-        return self._coeffs[n]
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return _fractions(self._nums[n], self._den)
+        return Fraction(self._nums[n], self._den)
 
     def __iter__(self):
-        return iter(self._coeffs)
+        return iter(self.coeffs)
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient, or order if all retained are zero."""
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self._nums):
             if c:
                 return i
         return self.order
@@ -155,13 +193,13 @@ class Series:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:
             return self
-        return Series(self._coeffs[:order])
+        return Series._reduced(self._nums[:order], self._den)
 
     def shift(self, k: int = 1) -> "Series":
         """Multiply by x^k; the k new low coefficients are exactly zero."""
         if k < 0:
             return self.unshift(-k)
-        return Series._from_fractions((_ZERO,) * k + self._coeffs)
+        return Series._raw((0,) * k + self._nums, self._den)
 
     def unshift(self, k: int = 1) -> "Series":
         """Divide by x^k; requires valuation >= k."""
@@ -172,29 +210,29 @@ class Series:
                 f"valuation {self.valuation()} < {k}, cannot divide by x^{k}")
         if self.order - k < 1:
             raise DivisionByHigherValuation("no coefficients left after shift")
-        return Series._from_fractions(self._coeffs[k:])
+        return Series._raw(self._nums[k:], self._den)
 
     def integers(self) -> list[int]:
         """Coefficients as ints; raises if any coefficient is not integral."""
-        out = []
-        for c in self._coeffs:
-            if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient {c}")
-            out.append(c.numerator)
-        return out
+        d = self._den
+        if d != 1:
+            # in lowest terms, some numerator is not a multiple of d
+            c = next(Fraction(c, d) for c in self._nums if c % d)
+            raise ValueError(f"non-integer coefficient {c}")
+        return list(self._nums)
 
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        # One stored coefficient per order, so equal tuples mean equal orders too.
+        # Both in lowest terms, so equal values mean equal fields (and orders).
         if not isinstance(other, Series):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        show = ", ".join(str(c) for c in self._coeffs[:8])
+        show = ", ".join(str(c) for c in self[:8])
         tail = ", ..." if self.order > 8 else ""
         return f"Series([{show}{tail}], order={self.order})"
 
@@ -206,48 +244,52 @@ class Series:
             return rational(value)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign*other for a Series or scalar other, or NotImplemented."""
+        da = self._den
         if isinstance(other, Series):
             n = min(self.order, other.order)
-            return Series._from_fractions(
-                [self._coeffs[i] + other._coeffs[i] for i in range(n)])
+            db = other._den
+            d = math.lcm(da, db)
+            sa, sb = d // da, sign * (d // db)
+            return Series._reduced(
+                [u * sa + v * sb for u, v in zip(self._nums[:n], other._nums)], d)
         q = self._scalar(other)
         if q is None:
             return NotImplemented
-        return Series._from_fractions((self._coeffs[0] + q,) + self._coeffs[1:])
+        d = math.lcm(da, q.denominator)
+        nums = [c * (d // da) for c in self._nums]
+        nums[0] += sign * q.numerator * (d // q.denominator)
+        return Series._reduced(nums, d)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Series):
-            n = min(self.order, other.order)
-            return Series._from_fractions(
-                [self._coeffs[i] - other._coeffs[i] for i in range(n)])
-        q = self._scalar(other)
-        if q is None:
-            return NotImplemented
-        return Series._from_fractions((self._coeffs[0] - q,) + self._coeffs[1:])
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Series._from_fractions([-c for c in self._coeffs])
+        return Series._raw(tuple([-c for c in self._nums]), self._den)
 
     def __mul__(self, other):
         if isinstance(other, Series):
-            # Schoolbook convolution over the cleared numerators.
+            # Schoolbook convolution of the numerators.
             n = min(self.order, other.order)
-            a, da = _cleared(self._coeffs[:n])
-            b, db = _cleared(other._coeffs[:n])
-            rb = b[::-1]
-            d = da * db
-            return Series._from_fractions(
-                [Fraction(sum(map(mul, a[:k + 1], rb[n - 1 - k:])), d) for k in range(n)])
+            a = self._nums[:n]
+            rb = other._nums[n - 1::-1]
+            return Series._reduced(
+                [sum(map(mul, a[:k + 1], rb[n - 1 - k:])) for k in range(n)],
+                self._den * other._den)
         q = self._scalar(other)
         if q is None:
             return NotImplemented
-        return Series._from_fractions([c * q for c in self._coeffs])
+        p = q.numerator
+        return Series._reduced([c * p for c in self._nums], self._den * q.denominator)
 
     __rmul__ = __mul__
 
@@ -259,7 +301,8 @@ class Series:
             return NotImplemented
         if q == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return Series._from_fractions([c / q for c in self._coeffs])
+        p = q.denominator
+        return Series._reduced([c * p for c in self._nums], self._den * q.numerator)
 
     def __rtruediv__(self, other):
         q = self._scalar(other)
@@ -277,11 +320,11 @@ class Series:
         num = self.unshift(vt) if vt else self
         den = other.unshift(vt) if vt else other
         n = min(num.order, den.order)
-        # num/den = (db/da) * (a/b) with a, b the cleared numerators; a/b
-        # is kept as ints q over one denominator dq, and
+        # num/den = (db/da) * (a/b) with a, b the numerators; a/b is kept
+        # as ints q over one denominator dq, and
         # (a/b)[k] = (a[k]*dq - sum q[i]*b[k-i]) / (b[0]*dq).
-        a, da = _cleared(num._coeffs[:n])
-        b, db = _cleared(den._coeffs[:n])
+        a, da = num._nums, num._den
+        b, db = den._nums[:n], den._den
         if b[0] < 0:
             b = [-c for c in b]
             db = -db
@@ -292,17 +335,16 @@ class Series:
         for k in range(n):
             top = a[k] * dq - sum(map(mul, q, rb[n - 1 - k:n - 1]))
             q, dq = _append_ratio(q, dq, top, b0)
-        d = da * dq
-        return Series._from_fractions([Fraction(db * c, d) for c in q])
+        return Series._reduced([db * c for c in q], da * dq)
 
     # -- analytic operations ---------------------------------------------
 
     def compose(self, inner: "Series") -> "Series":
         """Substitute ``inner`` (constant term 0) into self; Horner over series."""
-        if inner[0] != 0:
+        if inner._nums[0]:
             raise CompositionConstantTerm("inner series must have zero constant term")
         n = min(self.order, inner.order)
-        return _horner(self._coeffs[:n], inner.truncate(n))
+        return _horner(self[:n], inner.truncate(n))
 
     def revert(self) -> "Series":
         """Compositional inverse fbar with self(fbar) = x, via Lagrange inversion.
@@ -310,7 +352,7 @@ class Series:
         [x^n] fbar = (1/n) [x^(n-1)] (x/f)^n, so one reciprocal and a
         running product of (x/f) give all coefficients exactly.
         """
-        if self.order < 2 or self._coeffs[0] != 0 or self._coeffs[1] == 0:
+        if self.order < 2 or self._nums[0] or not self._nums[1]:
             raise NotRevertible("need f(0)=0 and f'(0)!=0 with order >= 2")
         n = self.order
         u = Series.one(n - 1) / self.unshift(1)
@@ -320,21 +362,21 @@ class Series:
         for m in range(2, n):
             p = p * u
             out[m] = p[m - 1] / m
-        return Series._from_fractions(out)
+        return Series(out)
 
     def sqrt(self) -> "Series":
         """Principal square root (constant term +1) of a series with s(0)=1."""
-        if self._coeffs[0] != 1:
+        s, ds = self._nums, self._den
+        if s[0] != ds:
             raise SqrtConstantTerm("square root requires constant term 1")
         # r = rs/dr over ints: with t the self-convolution of rs[1..k-1],
         # r[k] = (s[k]*dr^2 - t*ds) / (2*ds*dr^2).
-        s, ds = _cleared(self._coeffs)
         rs = [1]
         dr = 1
         for k in range(1, self.order):
             top = s[k] * dr * dr - sum(map(mul, rs[1:k], rs[k - 1:0:-1])) * ds
             rs, dr = _append_ratio(rs, dr, top, 2 * ds * dr)
-        return Series._from_fractions([Fraction(c, dr) for c in rs])
+        return Series._reduced(rs, dr)
 
 
 def _horner(coeffs, inner: Series) -> Series:
@@ -389,7 +431,7 @@ def cf_eval(levels, order: int) -> Series:
         t = g
         for alpha, beta in reversed(prepared):
             t = one / (alpha - beta * t)
-        if t.coeffs == g.coeffs:
+        if t == g:
             return g
         g = t
     raise NonConvergent("continued fraction failed to stabilise")

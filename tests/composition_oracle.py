@@ -3,9 +3,11 @@
 ``riopi.family`` builds every member as 2/(den + sqrt(den^2 - 4*num)); the
 functions here build the same series as (1/den) * c(num/den^2) with c the
 Catalan series, substituted by ``Series.compose``.  ``pipeline_stages``
-runs the curve chain with its last stage as the fundamental-theorem
-application of the Riordan array (1/(1+(a-1)x), -x/(1+(a-1)x)) instead of
-the closed form in ``riopi.elliptic``.
+runs the curve chain as the paper walks it: the reverted stage is the
+Lagrange reversion of x*fraction, f = 1/(1 - x*reverted), and the last
+stage is the fundamental-theorem application of the Riordan array
+(1/(1+(a-1)x), -x/(1+(a-1)x)), where ``riopi.elliptic`` takes f and g in
+closed form.
 """
 
 from fractions import Fraction

@@ -64,8 +64,8 @@ class TestSomos:
     def test_explicit_terms(self, capsys):
         code, out, _ = run(capsys, "somos", "--terms=-1,-1,-2,-3,5,28,67,411,506")
         assert code == 0
-        assert "alpha=1 beta=-2" in out
-        assert "fail" not in out.replace("0 fail", "")
+        # somos4_fit raises on any failure, so a report is all passes
+        assert out.splitlines() == ["alpha=1 beta=-2", "checked n=4..8: 5 pass"]
 
     def test_companion_subject(self, capsys):
         code, out, _ = run(capsys, "somos", "companion", "-1", "1", "2", "--order", "21")
@@ -172,6 +172,13 @@ class TestFormats:
                            "--format", "csv")
         assert code == 0
         assert out.strip().splitlines() == ["n,value", "0,1", "1,1", "2,1", "3,2", "4,4"]
+
+    def test_csv_somos_report(self, capsys):
+        code, out, _ = run(capsys, "somos", "--terms=-1,-1,-2,-3,5,28,67,411,506",
+                           "--format", "csv")
+        assert code == 0
+        assert out.strip().splitlines() == [
+            "key,value", "alpha,1", "beta,-2", "checked_from,4", "checked_to,8"]
 
     def test_csv_rows_parse_back(self, capsys):
         # verify labels hold commas and spaces; each row must still parse
@@ -304,12 +311,10 @@ class TestNegativeRationalParams:
     def test_somos(self, capsys):
         # the curve's transform tail is Somos-4 with (alpha, beta) = (1, 1-a)
         lines = self.both_placements(capsys, "somos", "curve", ["-11/2"], "--order", "18")
-        assert lines[0] == "alpha=1 beta=13/2"
-        assert lines[-1].endswith("0 fail")
+        assert lines == ["alpha=1 beta=13/2", "checked n=4..6: 3 pass"]
         lines = self.both_placements(capsys, "somos", "family", ["1/2", "-1/3", "-2"],
                                      "--order", "21")
-        assert lines[0] == "alpha=169/36 beta=-169/108"
-        assert lines[-1].endswith("0 fail")
+        assert lines == ["alpha=169/36 beta=-169/108", "checked n=4..8: 5 pass"]
 
     def test_bseq(self, capsys):
         lines = self.both_placements(capsys, "bseq", "curve", ["-11/2"], "--order", "12")

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from riopi import elliptic
 from riopi.elliptic import (
     b_from_curve,
     curve_branch,
@@ -201,11 +200,13 @@ class TestCurveHankel:
 
 
 class TestMoebiusStage:
-    # pipeline's last stage is the closed form of the Riordan array
-    # (1/(1+cx), -x/(1+cx)), c = a-1, acting on h; the oracle applies the
-    # array by the fundamental theorem (a Horner composition).
+    # pipeline takes f in closed form and reads the reverted stage back from
+    # it, and its last stage is the closed form of the Riordan array
+    # (1/(1+cx), -x/(1+cx)), c = a-1, acting on h; the oracle reverts the
+    # fraction stage and applies the array by the fundamental theorem (a
+    # Horner composition).
     def test_every_stage_equals_ftra_oracle(self, rng):
-        params = [Fraction(1), Fraction(2)]
+        params = [Fraction(1), Fraction(2), Fraction(-3), Fraction(-11, 2)]
         params += [rand_fraction(rng, 12, (1, 2, 3, 5, 7)) for _ in range(98)]
         for a in params:
             order = rng.randint(1, 50)
@@ -219,13 +220,13 @@ class TestMoebiusStage:
     def test_stage_never_composes(self, rng, monkeypatch):
         cases = [(Fraction(-11, 2), 40), (Fraction(1), 20), (Fraction(2), 9)]
         cases += [(rand_fraction(rng), rng.randint(1, 30)) for _ in range(5)]
-        want = [pipeline(a, n).g for a, n in cases]
+        want = [pipeline(a, n) for a, n in cases]
 
-        def no_compose(self, inner):
-            raise AssertionError("the Moebius stage must not compose")
+        def refuse(*args):
+            raise AssertionError("the pipeline must not revert or compose")
 
-        # only the stage is pinned here; test_riordan.py pins the certificate
-        monkeypatch.setattr(Series, "compose", no_compose)
-        monkeypatch.setattr(elliptic, "is_pseudo_involution", lambda g, order: True)
-        for (a, n), g in zip(cases, want):
-            assert pipeline(a, n).g == g
+        # the certificate runs as well: it reads B off g and composes nothing
+        monkeypatch.setattr(Series, "revert", refuse)
+        monkeypatch.setattr(Series, "compose", refuse)
+        for (a, n), trace in zip(cases, want):
+            assert pipeline(a, n) == trace

@@ -1,12 +1,11 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import riordan_oracle as oracle
 
-from riopi.elliptic import pipeline
+from riopi.elliptic import f_from_curve, pipeline
 from riopi.family import FamilyParams, g_ad, g_family
 from riopi.riordan import (
     NoBSequence,
@@ -250,8 +249,21 @@ class TestProduction:
             assert arr.production_matrix(6).rows == oracle.production_dense(arr, 6)
 
     def test_matches_dense_oracle_at_every_size(self, rng):
+        # pseudo-involutions take the read-off route; Bell arrays that are
+        # none (curvef, a family g perturbed at its last term) and arrays
+        # that are not Bell take a_and_z, and a perturbed g hands over
+        # between the routes as the size reaches its perturbed term
         arrays = [pascal(), identity_array(), random_member(rng)]
         arrays += [bell(g) for _, g in family_cases(rng, 8, 3, 14)]
+        arrays += [bell(pipeline(rand_fraction(rng, 12, (2, 3, 5, 7)), rng.randint(3, 14)).g)
+                   for _ in range(4)]
+        arrays += [bell(f_from_curve(3, n)) for n in (3, 8, 13)]
+        for order in (5, 8, 11, 14):
+            bad = perturbed(random_member(rng, order).g, order - 1, rand_nonzero(rng))
+            # the read-off never reads an odd last term; an even one fails it
+            assert is_pseudo_involution(bad, order - 1)
+            assert is_pseudo_involution(bad) == (order % 2 == 0)
+            arrays.append(bell(bad))
         for _ in range(3):  # not Bell: f is not x*g
             order = rng.randint(3, 12)
             arrays.append(RiordanArray(
@@ -263,17 +275,38 @@ class TestProduction:
                     (arr, size)
 
     def test_tampered_a_and_z_raises(self, rng, monkeypatch):
-        for arr in (pascal(8), random_member(rng, 8)):
+        # arrays that reach a_and_z: one not Bell, one Bell but no
+        # pseudo-involution (pseudo-involutions take the read-off route)
+        not_bell = RiordanArray(1 / Series([1, -1], 8), Series.x(8) / Series([1, -2], 8))
+        for arr in (not_bell, bell(f_from_curve(3, 8))):
             data = arr.a_and_z()
             size = arr.order - 2
             for name in ("z", "a"):
                 for i in range(size):
-                    seq = list(getattr(data, name))
-                    seq[i] += rand_nonzero(rng)
-                    tampered = replace(data, **{name: tuple(seq)})
+                    seqs = {"z": list(data.z[:size]), "a": list(data.a[:size])}
+                    seqs[name][i] += rand_nonzero(rng)
+                    tampered = ProductionMatrix(**seqs)
                     monkeypatch.setattr(RiordanArray, "a_and_z", lambda self, t=tampered: t)
                     with pytest.raises(SelfCheckError):
                         arr.production_matrix(size)
+
+    def test_involution_route_neither_reverts_nor_composes(self, rng, monkeypatch):
+        arrays = [pascal(), identity_array(), bell(pipeline(Fraction(-11, 2), 40).g)]
+        arrays += [random_member(rng, 14) for _ in range(3)]
+        want = [[arr.production_matrix(size) for size in range(1, arr.order)]
+                for arr in arrays]
+
+        def refuse(*args):
+            raise AssertionError("the read-off route must not revert or compose")
+
+        monkeypatch.setattr(Series, "revert", refuse)
+        monkeypatch.setattr(Series, "compose", refuse)
+        monkeypatch.setattr(RiordanArray, "a_and_z", refuse)
+        for arr, matrices in zip(arrays, want):
+            assert [arr.production_matrix(size) for size in range(1, arr.order)] == matrices
+            assert arr.production_matrix() == matrices[-2]
+        with pytest.raises(AssertionError):
+            bell(f_from_curve(3, 8)).production_matrix()
 
     def test_matrix_view_of_z_and_a(self):
         p = ProductionMatrix(z=(Fraction(1, 2), Fraction(0), Fraction(3)),
@@ -287,6 +320,9 @@ class TestProduction:
             p.integers()
         # a size-1 matrix shows only z[0]
         assert ProductionMatrix(z=(Fraction(3),), a=(Fraction(1, 2),)).integers() == [[3]]
+        # a matrix read off a pseudo-involution shows the same rows by index
+        q = bell(pipeline(Fraction(-11, 2), 9).g).production_matrix(6)
+        assert tuple(q[i] for i in range(-6, 6)) == q.rows * 2
 
     def test_matrix_round_trips_to_z_and_a(self, rng):
         # column 0 is the Z-sequence and column 1 the A-sequence
@@ -449,14 +485,15 @@ class TestReadOff:
             head = g.truncate(size)
             b, n = _b_read_off(head)
             if want:
-                got = b_extract(head).values
-                assert got == b and len(got) == (size - 1) // 2
-                if got:
-                    assert oracle.b_identity_mismatch(head, got) is None, (g, size)
+                got = b_extract(head)
+                assert got == b and got.certified == (size - 1) // 2
+                if got.certified:
+                    assert oracle.b_identity_mismatch(head, got.values) is None, (g, size)
             else:
                 with pytest.raises(NoBSequence, match=rf"fails at x\^{n}$"):
                     b_extract(head)
-                assert n % 2 == 0 and oracle.b_identity_mismatch(head, b) == n, (g, size)
+                assert n % 2 == 0 and oracle.b_identity_mismatch(head, b.values) == n, \
+                    (g, size)
             verdicts.add(want)
         assert verdicts == {True, False}
 
