@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 usage, 2 computation error, 3 verification
 failure.  All rational input/output is exact: parameters are integers or
 'p/q' literals (no decimals), and JSON writes every computed value as a
 decimal string.  The one JSON number is the payload's ``order``, the
-truncation order as an integer (null for ``verify``, which takes no
-``--order``).
+truncation order as an integer (null for ``verify`` and ``somos --terms``,
+which take no ``--order``).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ EXIT_VERIFY = 3
 # the order (pipeline(-3, 128) takes about a second), so larger orders are
 # out of reach anyway; one past the index range would overflow in Series.
 MAX_ORDER = 1024
+DEFAULT_ORDER = 32
 
 # Subjects are knowndata generator kinds, each with its parameter count.
 _SUBJECT_ARITY = {"family": 3, "ad": 2, "companion": 3, "curve": 1, "curvef": 1}
@@ -176,12 +177,16 @@ def cmd_somos(args) -> int:
     if args.terms:
         if args.subject:
             raise UsageError("give either a subject or --terms, not both")
+        if args.order is not None:
+            raise UsageError("--terms takes no --order: the terms are given")
         terms = [parse_rational(t) for t in args.terms.split(",")]
         offset = args.offset or 0
         terms = terms[offset:]
     else:
         if not args.subject:
             raise UsageError("somos needs a subject or --terms")
+        if args.order is None:
+            args.order = DEFAULT_ORDER
         params = _subject_params(args)
         seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
         offset = args.offset if args.offset is not None else _SOMOS_OFFSET[args.subject]
@@ -345,8 +350,8 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(sub, offset=False):
-    sub.add_argument("--order", type=_int_at_least(4, MAX_ORDER), default=32,
-                     help=f"truncation order, 4 to {MAX_ORDER} (default 32)")
+    sub.add_argument("--order", type=_int_at_least(4, MAX_ORDER), default=DEFAULT_ORDER,
+                     help=f"truncation order, 4 to {MAX_ORDER} (default {DEFAULT_ORDER})")
     _add_format(sub)
     if offset:
         sub.add_argument("--offset", type=_int_at_least(0), default=None,
@@ -380,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     somos.add_argument("params", nargs="*")
     somos.add_argument("--terms", help="comma-separated explicit term list")
     _add_common(somos, offset=True)
-    somos.set_defaults(func=cmd_somos)
+    # an explicit term list is not truncated, so --order is left unset to
+    # tell it apart; subject runs take the default
+    somos.set_defaults(func=cmd_somos, order=None)
 
     bseq = commands.add_parser("bseq", help="certified B-sequence of a subject")
     bseq.add_argument("subject", choices=subjects)

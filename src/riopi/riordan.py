@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .series import (Series, _append_ratio, _fractions, _horner, _lowest, _packed,
+from .series import (NotRevertible, Series, _append_ratio, _fractions, _lowest, _packed,
                      rational)
 
 _ZERO = Fraction(0)
@@ -62,15 +63,18 @@ class TriangularMatrix:
 class ProductionMatrix:
     """The size x size lower-Hessenberg production matrix, stored as its
     Z- and A-sequences: column 0 is Z and column j >= 1 is A shifted down
-    j - 1 rows.  ``size`` is len(z), and A is kept to its first ``size``
-    terms.  Each sequence is kept as ints over one denominator: ``z``,
-    ``a`` and the rows build Fractions on each read.  A matrix read off a
+    j - 1 rows.  ``size`` is len(z), and A needs at least ``size`` terms
+    (ValueError otherwise) and is kept to its first ``size``.  Each
+    sequence is kept as ints over one denominator: ``z``, ``a`` and the
+    rows build Fractions on each read.  A matrix read off a
     pseudo-involution keeps only A, with one term more, and reads Z as A's
     tail, z_i = a_(i+1)."""
 
     __slots__ = ("_z", "_z_den", "_a", "_a_den")
 
     def __init__(self, z, a):
+        if len(a) < len(z):
+            raise ValueError(f"A has {len(a)} terms, fewer than the {len(z)} of Z")
         self._z, self._z_den = _packed([rational(v) for v in z])
         self._a, self._a_den = _packed([rational(v) for v in a[:len(self._z)]])
 
@@ -252,31 +256,44 @@ class RiordanArray:
     # -- production structure ----------------------------------------------
 
     def a_and_z(self) -> ProductionMatrix:
-        """A(x) = x/fbar and Z(x) = (1 - 1/g(fbar))/fbar as an uncertified
-        production matrix of size order - 1."""
-        fbar = self.f.revert()
-        a = 1 / fbar.unshift(1)
-        w = 1 - 1 / self.g.compose(fbar)
-        z = w / fbar
-        return ProductionMatrix(z=z.coeffs, a=a.coeffs)
+        """Z and A read off the triangle, as a production matrix of size
+        order - 1.
+
+        Columns 0 and 1 of M*P = Mbar (M the array, Mbar M without its
+        first row) are t[n+1][0] = sum_(j<=n) t[n][j]*z_j and
+        t[n+1][1] = sum_(j<=n) t[n][j]*a_j, which are g = 1 + x*g*Z(f)
+        and f = x*A(f) at x^(n+1).  The pivot t[n][n] = f'(0)^n gives z_n
+        and a_n from the terms before them, so both identities hold by
+        construction.  f'(0) = 0 or order < 2 raises NotRevertible.
+        """
+        order = self.order
+        if order < 2 or not self.f[1]:
+            raise NotRevertible("need f'(0) != 0 and order >= 2")
+        t = self.triangle(order)
+        z: list[Fraction] = []
+        a: list[Fraction] = []
+        for n in range(order - 1):
+            row, below = t[n], t[n + 1]
+            z.append((below[0] - sum(map(mul, z, row))) / row[n])
+            a.append((below[1] - sum(map(mul, a, row))) / row[n])
+        return ProductionMatrix(z, a)
 
     def production_matrix(self, size: int | None = None) -> ProductionMatrix:
         """Lower-Hessenberg production matrix P with first column the
         Z-sequence and shifted copies of the A-sequence in the other columns.
 
-        Defaults to size order-2 so no edge coefficient of fbar is consumed.
-        Each route certifies Z and A against their defining identities
-        g = 1 + x*g*Z(f) and f = x*A(f) through x^size, which together say
-        M*P = Mbar on the truncation (M the array, Mbar M without its first
-        row).
+        Defaults to size order-2.  Each route certifies Z and A against
+        their defining identities g = 1 + x*g*Z(f) and f = x*A(f) through
+        x^size, which together say M*P = Mbar on the truncation (M the
+        array, Mbar M without its first row).
 
         A Bell array (g, x*g) whose g passes the B-sequence read-off at
         order size+1 is a pseudo-involution there: g*g(-x*g) = 1 mod
         x^(size+1).  Its A is 1/g(-x) (``a_from_g``) and Z = (A - 1)/x, and
         the read-off is their only certificate: A(x*g) = 1/g(-x*g) = g is
         f = x*A(f), and as x*g*Z(x*g) = A(x*g) - 1 it is g = 1 + x*g*Z(f)
-        too.  Every other array takes Z and A from ``a_and_z`` and checks
-        both identities; disagreement raises SelfCheckError.
+        too.  Every other array takes Z and A from ``a_and_z`` of its
+        truncation to order size+1, which solves both identities row by row.
         """
         if size is None:
             size = self.order - 2
@@ -286,15 +303,7 @@ class RiordanArray:
             g = self.g.truncate(size + 1)
             if _b_read_off(g)[1] is None:
                 return ProductionMatrix._from_a(a_from_g(g))
-        data = self.a_and_z()
-        z, a = data.z[:size], data.a[:size]
-        g, f = self.g.truncate(size + 1), self.f.truncate(size)
-        g_ok = (1 + (g.truncate(size) * _horner(z, f)).shift(1)).coeffs == g.coeffs
-        f_ok = _horner(a, f).shift(1).coeffs == self.f.truncate(size + 1).coeffs
-        if not (g_ok and f_ok):
-            raise SelfCheckError("production matrix (Z, A) fails g = 1 + x*g*Z(f) "
-                                 "or f = x*A(f)")
-        return ProductionMatrix(z, a)
+        return RiordanArray(self.g.truncate(size + 1), self.f.truncate(size + 1)).a_and_z()
 
     def is_bell(self) -> bool:
         """True iff f = x*g over the common order."""
@@ -385,24 +394,20 @@ def _b_read_off(g: Series) -> tuple[BSequence, int | None]:
 def a_from_b(b: Series, order: int) -> Series:
     """Unique A with A(0) = 1 solving A(x) = 1 + x*B(x^2 / A(x)).
 
-    Coefficient n of the right side only involves coefficients below n of
-    A, so iterating the map from A = 1 locks in at least one further
-    coefficient per pass.
+    That A is 1/g(-x) (``a_from_g``) for the pseudo-involution g whose
+    B-sequence is B: g is column 0 of the Bell triangle B generates,
+    t[n+1][k] = t[n][k-1] + sum_j b_j*t[n-j][k+j] from t[0][0] = 1.
+    Rows below ``order`` read b_j for j <= (order-2)//2 only.
     """
     if b.order < order // 2:
         raise ValueError(f"need B to order {order // 2} for A to order {order}")
-    x2 = Series([0, 0, 1], order)
-    one = Series.one(order)
-    a = one
-    for _ in range(order + 1):
-        # Horner at order-1: B's unseen tail has valuation >= order there,
-        # so evaluating with only the supplied coefficients stays exact.
-        inner = (x2 / a).truncate(max(order - 1, 1))
-        updated = (one + _horner(b.coeffs, inner).shift(1).truncate(order))
-        if updated.coeffs == a.coeffs:
-            return a
-        a = updated
-    raise SelfCheckError("A(x) fixed point failed to stabilise")
+    bs = b.coeffs
+    t = [[Fraction(1)]]
+    for n in range(order - 1):
+        t.append([(t[n][k - 1] if k else _ZERO)
+                  + sum([bs[j] * t[n - j][k + j] for j in range((n - k) // 2 + 1)])
+                  for k in range(n + 2)])
+    return a_from_g(Series([row[0] for row in t], order))
 
 
 def a_from_g(g: Series) -> Series:

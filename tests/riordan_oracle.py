@@ -7,7 +7,9 @@ at every cell of the triangle.  They build their triangles with the plain
 convolution of ``series_oracle`` and share no code with ``riopi.riordan``.
 The reversion fixed point, the composition g*g(-x*g) and the Horner
 evaluation of g = 1 + x*g*B(x^2*g) are series routes to the same
-verdicts, the last two the ones ``riopi.riordan`` once ran itself.
+verdicts, the last two the ones ``riopi.riordan`` once ran itself.  So are
+the reversion formulas for Z and A and the fixed-point iteration for A
+from B, which ``riopi.riordan`` replaced by row recurrences.
 """
 
 from fractions import Fraction
@@ -104,3 +106,30 @@ def b_recurrence_holds(g, b) -> bool:
             if tri[n + 1][k] != rhs:
                 return False
     return True
+
+
+def a_and_z_by_reversion(array) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(Z, A) from A(x) = x/fbar and Z(x) = (1 - 1/g(fbar))/fbar, fbar the
+    reversion of f: order - 1 terms each."""
+    fbar = array.f.revert()
+    a = 1 / fbar.unshift(1)
+    z = (1 - 1 / array.g.compose(fbar)) / fbar
+    return z.coeffs, a.coeffs[:z.order]
+
+
+def a_from_b_fixed_point(b, order) -> Series:
+    """A with A(0) = 1 and A(x) = 1 + x*B(x^2/A(x)) mod x^order, by iterating
+    the map from A = 1: coefficient n of the right side involves only
+    coefficients below n of A, so each pass fixes at least one more."""
+    x2 = Series([0, 0, 1], order)
+    one = Series.one(order)
+    a = one
+    for _ in range(order + 1):
+        # Horner at order-1: B's unseen tail has valuation >= order there,
+        # so evaluating with only the supplied coefficients stays exact.
+        inner = (x2 / a).truncate(max(order - 1, 1))
+        updated = one + _horner(b.coeffs, inner).shift(1).truncate(order)
+        if updated.coeffs == a.coeffs:
+            return a
+        a = updated
+    raise AssertionError("A(x) fixed point failed to stabilise")

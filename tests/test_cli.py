@@ -108,6 +108,17 @@ class TestSomos:
         code, _, err = run(capsys, "somos", "family", "1", "0", "-1", "--terms=1,2,3")
         assert code == 1
 
+    def test_terms_take_no_order(self, capsys):
+        # an explicit term list is not truncated, so no order is reported
+        terms = "--terms=1,1,-1,1,2,-1,-3,-5"
+        code, out, err = run(capsys, "somos", terms, "--order", "50", "--format", "json")
+        assert (code, out) == (1, "")
+        assert "--terms takes no --order" in err
+        code, out, _ = run(capsys, "somos", terms, "--format", "json")
+        assert code == 0 and json.loads(out)["order"] is None
+        code, out, _ = run(capsys, "somos", "curve", "-3", "--format", "json")
+        assert code == 0 and json.loads(out)["order"] == 32
+
 
 class TestBseq:
     def test_family(self, capsys):

@@ -12,7 +12,6 @@ from riopi.riordan import (
     OutOfOrder,
     ProductionMatrix,
     RiordanArray,
-    SelfCheckError,
     _b_read_off,
     a_from_b,
     a_from_g,
@@ -20,7 +19,8 @@ from riopi.riordan import (
     bell,
     is_pseudo_involution,
 )
-from riopi.series import Series, catalan
+from riopi import series
+from riopi.series import NotRevertible, Series, catalan
 
 from conftest import rand_fraction
 from family_oracle import a_family
@@ -56,6 +56,14 @@ def rand_nonzero(rng):
     while not q:
         q = rand_fraction(rng, 3)
     return q
+
+
+def non_bell(rng, order):
+    """A random array (g, f) of order >= 2 with f'(0) != 0 whose f is
+    almost surely not x*g."""
+    return RiordanArray(
+        Series([1] + [rand_fraction(rng) for _ in range(order - 1)]),
+        Series([0, rand_nonzero(rng)] + [rand_fraction(rng) for _ in range(order - 2)]))
 
 
 def perturbed(g, i, delta):
@@ -264,31 +272,36 @@ class TestProduction:
             assert is_pseudo_involution(bad, order - 1)
             assert is_pseudo_involution(bad) == (order % 2 == 0)
             arrays.append(bell(bad))
-        for _ in range(3):  # not Bell: f is not x*g
-            order = rng.randint(3, 12)
-            arrays.append(RiordanArray(
-                Series([1] + [rand_fraction(rng) for _ in range(order - 1)]),
-                Series([0, rand_nonzero(rng)] + [rand_fraction(rng) for _ in range(order - 2)])))
+        arrays += [non_bell(rng, rng.randint(3, 12)) for _ in range(3)]
         for arr in arrays:
             for size in range(1, arr.order):
                 assert arr.production_matrix(size).rows == oracle.production_dense(arr, size), \
                     (arr, size)
 
-    def test_tampered_a_and_z_raises(self, rng, monkeypatch):
-        # arrays that reach a_and_z: one not Bell, one Bell but no
-        # pseudo-involution (pseudo-involutions take the read-off route)
-        not_bell = RiordanArray(1 / Series([1, -1], 8), Series.x(8) / Series([1, -2], 8))
-        for arr in (not_bell, bell(f_from_curve(3, 8))):
-            data = arr.a_and_z()
-            size = arr.order - 2
-            for name in ("z", "a"):
-                for i in range(size):
-                    seqs = {"z": list(data.z[:size]), "a": list(data.a[:size])}
-                    seqs[name][i] += rand_nonzero(rng)
-                    tampered = ProductionMatrix(**seqs)
-                    monkeypatch.setattr(RiordanArray, "a_and_z", lambda self, t=tampered: t)
-                    with pytest.raises(SelfCheckError):
-                        arr.production_matrix(size)
+    def test_general_route_neither_reverts_nor_composes(self, rng, monkeypatch):
+        # arrays that are not Bell, or Bell but no pseudo-involution from
+        # some size on, take a_and_z's row recurrence
+        arrays = [non_bell(rng, rng.randint(3, 12)) for _ in range(3)]
+        arrays += [bell(f_from_curve(a, 12)) for a in (3, Fraction(-11, 2))]
+        for order in (6, 9, 13):
+            g = random_member(rng, order).g
+            arrays.append(bell(perturbed(g, rng.randint(1, order - 1), rand_nonzero(rng))))
+        want = [[oracle.production_dense(arr, size) for size in range(1, arr.order)]
+                for arr in arrays]
+        b = Series([2, -1], 20) / Series([1, 1], 20)
+        want_a = oracle.a_from_b_fixed_point(b, 20)
+
+        def refuse(*args):
+            raise AssertionError("the general route must not revert, compose or run Horner")
+
+        monkeypatch.setattr(Series, "revert", refuse)
+        monkeypatch.setattr(Series, "compose", refuse)
+        monkeypatch.setattr(series, "_horner", refuse)
+        for arr, matrices in zip(arrays, want):
+            assert [arr.production_matrix(size).rows for size in range(1, arr.order)] == matrices
+        assert a_from_b(b, 20) == want_a
+        with pytest.raises(NotRevertible):
+            RiordanArray(Series.one(6), Series([0, 0, 1], 6)).a_and_z()
 
     def test_involution_route_neither_reverts_nor_composes(self, rng, monkeypatch):
         arrays = [pascal(), identity_array(), bell(pipeline(Fraction(-11, 2), 40).g)]
@@ -320,6 +333,9 @@ class TestProduction:
             p.integers()
         # a size-1 matrix shows only z[0]
         assert ProductionMatrix(z=(Fraction(3),), a=(Fraction(1, 2),)).integers() == [[3]]
+        # A needs a term for every row
+        with pytest.raises(ValueError, match="fewer than the 3 of Z"):
+            ProductionMatrix(z=(1, 2, 3), a=(1,))
         # a matrix read off a pseudo-involution shows the same rows by index
         q = bell(pipeline(Fraction(-11, 2), 9).g).production_matrix(6)
         assert tuple(q[i] for i in range(-6, 6)) == q.rows * 2
@@ -552,3 +568,26 @@ class TestASequence:
             data = arr.a_and_z()
             assert data.a[0] == 1
             assert data.a[1:] == data.z[:len(data.a) - 1]
+
+    def test_sweep_matches_reversion_and_fixed_point_oracles(self, rng):
+        # the row recurrences of a_and_z and a_from_b against the formulas
+        # they replaced: A = x/fbar, Z = (1 - 1/g(fbar))/fbar, and the
+        # fixed point of A = 1 + x*B(x^2/A)
+        for order in range(1, 21):
+            params = [FamilyParams.of(*(rng.randint(-3, 3) for _ in range(3))),
+                      FamilyParams.of(*(rand_fraction(rng, 3) for _ in range(3)))]
+            arrays = [bell(g_family(p, order)) for p in params]
+            arrays.append(bell(f_from_curve(rand_fraction(rng, 6, (1, 2, 3)), order)))
+            if order > 1:
+                arrays.append(non_bell(rng, order))
+            for arr in arrays:
+                if order == 1:
+                    with pytest.raises(NotRevertible):
+                        arr.a_and_z()
+                    continue
+                got = arr.a_and_z()
+                assert (got.z, got.a) == oracle.a_and_z_by_reversion(arr), arr
+            bs = [Series(b_expansion_oracle(p.a, p.b, p.c, order // 2 + 1)) for p in params]
+            bs.append(Series([rand_fraction(rng, 3) for _ in range(order // 2 + 1)]))
+            for b in bs:
+                assert a_from_b(b, order) == oracle.a_from_b_fixed_point(b, order), (b, order)
