@@ -34,9 +34,10 @@ EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
-# The largest --order accepted.  Exact work grows about 8x per doubling of
-# the order (pipeline(-3, 128) takes about a second), so larger orders are
-# out of reach anyway; one past the index range would overflow in Series.
+# The largest --order accepted.  Exact work grows about 8-10x per doubling
+# of the order (pipeline(-3, N) takes about 0.05 s at 128 and 0.5 s at 256),
+# so orders past the cap are out of reach anyway; one past the index range
+# would overflow in Series.
 MAX_ORDER = 1024
 DEFAULT_ORDER = 32
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import FamilyParams, binomial_transform
+from .family import FamilyParams, _binomial_table
 from .hankel import hankel_transform
 from .riordan import BSequence, SelfCheckError, is_pseudo_involution
 from .series import Series, rational
@@ -56,7 +56,7 @@ def pipeline(curve, order: int) -> PipelineTrace:
     from f = 1/(1 - x*reverted): reverted = (1 - 1/f)/x.  The last stage
     applies the Riordan array (1/(1+cx), -x/(1+cx)), c = a-1, to h by its
     closed form, not by a composition: g is ``binomial_transform`` of
-    (-1)^k h_k with c = 1-a.  The result is
+    (-1)^k h_k with c = 1-a, run on h's ints.  The result is
     certified once, by the pseudo-involution test of g at ``order``; the
     stage relations are checked in the tests.
     """
@@ -70,8 +70,8 @@ def pipeline(curve, order: int) -> PipelineTrace:
     numerator = f * Series([1, a - 1], f.order) - 1
     denominator = (f * Series([a - 1, a], f.order)).shift(1)
     h = numerator / denominator
-    h_alt = [-v if k & 1 else v for k, v in enumerate(h.truncate(order).coeffs)]
-    g = Series(binomial_transform(h_alt, 1 - a))
+    h_alt = h.truncate(order)._alternated()
+    g = Series._reduced(*_binomial_table(h_alt._nums, h_alt._den, 1 - a))
     if not is_pseudo_involution(g, order):
         raise SelfCheckError("pipeline output failed the pseudo-involution test")
     return PipelineTrace(branch=y.truncate(order),

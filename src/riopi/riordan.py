@@ -6,11 +6,14 @@ lower-triangular matrix t[n][k] = [x^n] g*f^k.  The Bell subgroup is the
 f = x*g slice; a Bell array whose signed version (g, -x*g) squares to the
 identity is a pseudo-involution, and those are exactly the arrays that
 admit a B-sequence recurrence along their rows.  One read-off of the
-B-sequence decides both: is_pseudo_involution and b_extract share it.
+B-sequence decides both: is_pseudo_involution, b_extract and the
+production matrix of a Bell array share it, and it runs once per g: the
+last read-off is remembered for the next call on the same prefix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -365,18 +368,31 @@ def _b_read_off(g: Series) -> tuple[BSequence, int | None]:
     f(f) = x + e*x^m + ... for f = -x*g, then f(f(f)) is
     f + (-1)^m*e*x^m + ... one way round and f - e*x^m + ... the other, so
     g*g(f) - 1 = (f(f) - x)/x first fails at an even power.
+
+    Only g_0..g_2c are read, so g is cut to order 2c+1 and the read-off is
+    keyed on that prefix's values: the last one is remembered, and the next
+    call on the same prefix returns it without walking again, whoever makes
+    it (``b_extract`` and ``production_matrix`` on the g that ``pipeline``
+    just certified, or a second ``pipeline`` on the same curve and c).
     """
     c = (g.order - 1) // 2
+    head = g.truncate(2 * c + 1)
+    return _read_off(head._nums, head._den)
+
+
+@functools.lru_cache(maxsize=1)
+def _read_off(gs: tuple[int, ...], d: int) -> tuple[BSequence, int | None]:
+    """``_b_read_off`` of the series gs/d of odd order 2c+1."""
+    c = len(gs) // 2
     if not c:
         return BSequence(()), None
-    base = g.truncate(2 * c)
+    base = Series._reduced(gs[:2 * c], d)
     powers = [base]  # powers[k] = g^(k+1), read up to x^(2c-2k-1)
     for k in range(1, c):
         powers.append(powers[-1].truncate(2 * c - 2 * k) * base)
-    # Over ints: g = G/d, the powers over one denominator as q[k]/m, and the
-    # terms read so far b_k = bs[k]/e, so s_n = t/(e*m) with
+    # Over ints: g = gs/d, the powers over one denominator as q[k]/m, and
+    # the terms read so far b_k = bs[k]/e, so s_n = t/(e*m) with
     # t = sum bs[k]*q[k][n-2k-1].
-    gs, d = g._nums, g._den
     m = math.lcm(*[p._den for p in powers])
     q = [[v * (m // p._den) for v in p._nums] for p in powers]
     bs: list[int] = []
@@ -414,5 +430,4 @@ def a_from_g(g: Series) -> Series:
     """A-sequence generating function 1 / g(-x) of the pseudo-involution."""
     if g[0] != 1:
         raise ValueError("g must have constant term 1")
-    alternated = Series([(-1) ** n * c for n, c in enumerate(g.coeffs)])
-    return 1 / alternated
+    return 1 / g._alternated()

@@ -201,6 +201,11 @@ class Series:
             return self.unshift(-k)
         return Series._raw((0,) * k + self._nums, self._den)
 
+    def _alternated(self) -> "Series":
+        """s(-x): the odd numerators negated, still in lowest terms."""
+        return Series._raw(tuple([-c if n & 1 else c for n, c in enumerate(self._nums)]),
+                           self._den)
+
     def unshift(self, k: int = 1) -> "Series":
         """Divide by x^k; requires valuation >= k."""
         if k == 0:

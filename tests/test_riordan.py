@@ -13,6 +13,7 @@ from riopi.riordan import (
     ProductionMatrix,
     RiordanArray,
     _b_read_off,
+    _read_off,
     a_from_b,
     a_from_g,
     b_extract,
@@ -522,6 +523,7 @@ class TestReadOff:
             raise AssertionError("the read-off must not compose")
 
         monkeypatch.setattr(Series, "compose", no_compose)
+        _read_off.cache_clear()  # g's read-off must run again under the patch
         with pytest.raises(AssertionError):
             Series([1, 1]).compose(Series([0, 1]))
         assert is_pseudo_involution(g) and not is_pseudo_involution(bad)
@@ -529,6 +531,83 @@ class TestReadOff:
         with pytest.raises(NoBSequence, match=r"fails at x\^20$"):
             b_extract(bad)
         assert pipeline(Fraction(-11, 2), 24).g == g
+
+
+def memo_counts():
+    info = _read_off.cache_info()
+    return info.misses, info.hits
+
+
+class TestReadOffMemo:
+    # the last read-off is remembered, keyed on the values of g mod x^(2c+1)
+    def test_one_entry(self):
+        assert _read_off.cache_info().maxsize == 1
+
+    @pytest.mark.parametrize("a", [Fraction(-3), Fraction(-11, 2)])
+    def test_one_read_off_per_curve_parameter(self, a):
+        _read_off.cache_clear()
+        g = pipeline(a, 40).g
+        b = b_extract(g)
+        p = bell(g).production_matrix()
+        assert memo_counts() == (1, 2)
+        head = g.truncate(39)
+        assert (b, None) == _read_off.__wrapped__(head._nums, head._den)
+        assert p == bell(head).a_and_z()
+        # the CLI rebuilds g from its values
+        assert b_extract(Series(g.coeffs)) is b
+        assert memo_counts() == (1, 3)
+
+    def test_consecutive_pipelines_on_one_prefix(self):
+        # as in `verify`: curve-g(2) at order 21 twice, then orders 11 and 12 (c = 5)
+        _read_off.cache_clear()
+        assert pipeline(2, 21).g == pipeline(2, 21).g
+        assert pipeline(2, 12).g.truncate(11) == pipeline(2, 11).g
+        assert memo_counts() == (2, 2)
+
+    def test_orders_2c_plus_1_and_2c_plus_2_share_an_entry(self):
+        for c in (1, 4, 9):
+            g = g_family(FamilyParams.of(Fraction(1, 2), -2, Fraction(5, 3)), 2 * c + 2)
+            _read_off.cache_clear()
+            b = b_extract(g)
+            assert b_extract(g.truncate(2 * c + 1)) is b and b.certified == c
+            assert is_pseudo_involution(g) and is_pseudo_involution(g, 2 * c + 1)
+            assert memo_counts() == (1, 3)
+
+    def test_change_in_a_read_coefficient_misses(self):
+        c = 9
+        g = g_family(FamilyParams.of(2, -1, 1), 2 * c + 1)
+        want = b_extract(g)
+        for i in (2 * c, 2 * c - 1):  # the last checked and the last B term
+            bad = perturbed(g, i, Fraction(1, 3))
+            misses, hits = memo_counts()
+            assert not is_pseudo_involution(bad)
+            with pytest.raises(NoBSequence, match=rf"fails at x\^{2 * c}$"):
+                b_extract(bad)
+            assert memo_counts() == (misses + 1, hits + 1)
+            assert b_extract(g) == want
+            assert memo_counts() == (misses + 2, hits + 1)
+
+    def test_same_message_on_a_hit_and_a_miss(self):
+        bad = perturbed(g_ad(1, 1, 13), 8, 1)
+        messages = []
+        _read_off.cache_clear()
+        for _ in range(2):
+            with pytest.raises(NoBSequence) as err:
+                b_extract(bad)
+            messages.append(str(err.value))
+        assert memo_counts() == (1, 1)
+        assert messages[0] == messages[1] and messages[0].endswith("fails at x^8")
+
+    def test_alternating_two_series(self):
+        good = g_family(FamilyParams.of(-1, Fraction(2, 3), 3), 21)
+        bad = perturbed(good, 12, -2)
+        cases = [(g, _read_off.__wrapped__(g._nums, g._den)) for g in (good, bad)]
+        assert cases[0][1][1] is None and cases[1][1][1] == 12
+        misses, hits = memo_counts()
+        for _ in range(3):
+            for g, want in cases:
+                assert _b_read_off(g) == want
+        assert memo_counts() == (misses + 6, hits)
 
 
 class TestASequence:
