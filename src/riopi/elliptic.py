@@ -1,16 +1,16 @@
 """From the curve family y^2 - a*x*y - y = x^3 - x to a pseudo-involution.
 
-The pipeline follows the worked transformation chain stage by stage:
-solve the quadratic for the branch with y = x + O(x^2), strip two terms,
-form a reciprocal fraction, take its reversion and the intermediate f,
-build h from f, and finish with the Moebius stage
-g = 1/(1+cx) * h(-x/(1+cx)), c = a-1.  f is taken in the paper's closed
-form and the reverted stage is read back from it, and g is read off h in
-closed form in O(n^2), so no stage reverts or composes; the chain as
-walked is a test oracle in tests/composition_oracle.py.  Each curve
-lands on the family member with parameters (2-a, 1-a, -(a^2-3a+1)) and
-B-sequence generating function (2-a + (1-3a+a^2)x)/(1+(1-a)x), and the
-Hankel transform of f is a (1, 1-a) Somos-4 sequence; all of that is
+``pipeline`` builds only the chain g comes from: the intermediate f in
+the paper's closed form, h from f, and the Moebius stage
+g = 1/(1+cx) * h(-x/(1+cx)), c = a-1, read off h in closed form in
+O(n^2), so no stage reverts or composes.  The paper's full walk (solve
+the quadratic for the branch with y = x + O(x^2), strip two terms, form a
+reciprocal fraction, revert it to reach f, and apply the Riordan array by
+the fundamental theorem) is the test oracle
+``tests/composition_oracle.pipeline_stages``.  Each curve lands on the
+family member with parameters (2-a, 1-a, -(a^2-3a+1)) and B-sequence
+generating function (2-a + (1-3a+a^2)x)/(1+(1-a)x), and the Hankel
+transform of f is a (1, 1-a) Somos-4 sequence; all of that is
 cross-checked in tests.
 """
 
@@ -25,18 +25,15 @@ from .riordan import BSequence, SelfCheckError, is_pseudo_involution
 from .series import Series, rational
 from .somos import SomosParams, SomosReport, somos4_check
 
-# The strip loses two orders, and h = num/den loses up to two (den has
-# valuation 2 at a = 1), so branch and fraction at work order order+2 and f
-# at order+2 give every stage at the requested order.
+# h = num/den loses up to two orders (den has valuation 2 at a = 1), so f
+# at order+2 gives h, and with it g, at the requested order.
 _MARGIN = 2
 
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    branch: Series
-    stripped: Series
-    fraction: Series
-    reverted: Series
+    """The intermediate f and the pseudo-involution g, each at ``order``."""
+
     f: Series
     g: Series
 
@@ -50,23 +47,21 @@ def curve_branch(curve, order: int) -> Series:
 
 
 def pipeline(curve, order: int) -> PipelineTrace:
-    """Run the whole curve-to-involution chain, keeping every stage.
+    """Run curve -> f -> h -> g and keep f and g.
 
-    f is the closed form ``f_from_curve``, and the reverted stage follows
-    from f = 1/(1 - x*reverted): reverted = (1 - 1/f)/x.  The last stage
+    f is the closed form ``f_from_curve``, and
+    h = (f*(1 + (a-1)x) - 1) / (x*f*((a-1) + ax)).  The last stage
     applies the Riordan array (1/(1+cx), -x/(1+cx)), c = a-1, to h by its
     closed form, not by a composition: g is ``binomial_transform`` of
-    (-1)^k h_k with c = 1-a, run on h's ints.  The result is
-    certified once, by the pseudo-involution test of g at ``order``; the
-    stage relations are checked in the tests.
+    (-1)^k h_k with c = 1-a, run on h's ints.  The result is certified
+    once, by the pseudo-involution test of g at ``order``.  The paper's
+    walk through the branch, stripped, fraction and reverted stages is
+    ``tests/composition_oracle.pipeline_stages``.
     """
     a = rational(curve)
-    work = order + _MARGIN
-    y = curve_branch(a, work)
-    stripped = (y - Series.x(work)).unshift(2)
-    fraction = 1 / (Series([1, -1], work) - stripped.shift(2))
-    f = f_from_curve(a, work)
-    reverted = (1 - 1 / f).unshift(1)
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    f = f_from_curve(a, order + _MARGIN)
     numerator = f * Series([1, a - 1], f.order) - 1
     denominator = (f * Series([a - 1, a], f.order)).shift(1)
     h = numerator / denominator
@@ -74,19 +69,18 @@ def pipeline(curve, order: int) -> PipelineTrace:
     g = Series._reduced(*_binomial_table(h_alt._nums, h_alt._den, 1 - a))
     if not is_pseudo_involution(g, order):
         raise SelfCheckError("pipeline output failed the pseudo-involution test")
-    return PipelineTrace(branch=y.truncate(order),
-                         stripped=stripped.truncate(order),
-                         fraction=fraction.truncate(order),
-                         reverted=reverted.truncate(order),
-                         f=f.truncate(order),
-                         g=g)
+    return PipelineTrace(f=f.truncate(order), g=g)
 
 
 def f_from_curve(curve, order: int) -> Series:
     """Intermediate f straight from its closed form
     2x / (sqrt(1 + 2ax + a^2 x^2 - 4x^3 + 4(1-a)x^4) + (2-a)x - 1)."""
     a = rational(curve)
-    work = order + 2
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    # the denominator is 2x + O(x^2) for every a, so the division loses
+    # exactly one order
+    work = order + 1
     radicand = Series([1, 2 * a, a * a, -4, 4 * (1 - a)], work)
     denominator = radicand.sqrt() + Series([-1, 2 - a], work)
     return (Series([0, 2], work) / denominator).truncate(order)

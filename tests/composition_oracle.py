@@ -6,8 +6,8 @@ Catalan series, substituted by ``Series.compose``.  ``pipeline_stages``
 runs the curve chain as the paper walks it: the reverted stage is the
 Lagrange reversion of x*fraction, f = 1/(1 - x*reverted), and the last
 stage is the fundamental-theorem application of the Riordan array
-(1/(1+(a-1)x), -x/(1+(a-1)x)), where ``riopi.elliptic`` takes f and g in
-closed form.
+(1/(1+(a-1)x), -x/(1+(a-1)x)), where ``riopi.elliptic.pipeline`` takes f
+and g in closed form and builds none of the earlier stages.
 """
 
 from fractions import Fraction

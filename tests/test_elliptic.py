@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import riopi.elliptic
 from riopi.elliptic import (
     b_from_curve,
     curve_branch,
@@ -59,22 +60,40 @@ class TestPipeline:
         params = [Fraction(3), Fraction(1), Fraction(-3), Fraction(5, 2), Fraction(-11, 2)]
         params += [rand_fraction(rng) for _ in range(5)]
         for a in params:
-            trace = pipeline(a, 12)
+            branch, stripped, fraction, reverted, f, _ = (
+                Series(c) for c in composition_oracle.pipeline_stages(a, 12))
             # branch y = x + O(x^2) drops its first two terms to make the stripped stage
-            assert trace.branch[1] == 1
-            assert (trace.branch - Series.x(12)).unshift(2).coeffs == \
-                trace.stripped.coeffs[:10]
+            assert branch[1] == 1
+            assert (branch - Series.x(12)).unshift(2).coeffs == stripped.coeffs[:10]
             # stripped recombines into the fraction stage, which collapses to
             # 1/(1 - y) = 2/(1 - a*x + sqrt(1 + 2(a-2)x + a^2 x^2 + 4x^3))
-            rebuilt = 1 / (Series([1, -1], 12) - trace.stripped.shift(2).truncate(12))
-            assert rebuilt == trace.fraction
+            rebuilt = 1 / (Series([1, -1], 12) - stripped.shift(2).truncate(12))
+            assert rebuilt == fraction
             radicand = Series([1, 2 * (a - 2), a * a, 4], 12)
-            assert trace.fraction == 2 / (Series([1, -a], 12) + radicand.sqrt())
+            assert fraction == 2 / (Series([1, -a], 12) + radicand.sqrt())
             # the reverted stage really is the reversion of x * fraction
-            assert trace.reverted.valuation() == 1
-            assert trace.fraction.shift(1).truncate(12).revert().coeffs == \
-                trace.reverted.coeffs[:12]
-            assert trace.f == f_from_curve(a, 12)
+            assert reverted.valuation() == 1
+            assert fraction.shift(1).truncate(12).revert().coeffs == reverted.coeffs[:12]
+            assert f == f_from_curve(a, 12)
+
+    def test_rejects_order_below_one(self):
+        for a in (Fraction(1), Fraction(3), Fraction(-11, 2)):
+            for order in (0, -1):
+                for stage in (pipeline, f_from_curve):
+                    with pytest.raises(ValueError, match="^order must be at least 1$"):
+                        stage(a, order)
+
+    def test_never_builds_the_branch(self, rng, monkeypatch):
+        cases = [(Fraction(1), 14), (Fraction(-3), 11), (Fraction(-11, 2), 30)]
+        cases += [(rand_fraction(rng), rng.randint(1, 30)) for _ in range(3)]
+        want = [pipeline(a, n) for a, n in cases]
+
+        def refuse(*args):
+            raise AssertionError("pipeline must not solve for the branch")
+
+        monkeypatch.setattr(riopi.elliptic, "curve_branch", refuse)
+        for (a, n), trace in zip(cases, want):
+            assert pipeline(a, n) == trace
 
     def test_pipeline_output_is_always_involutory(self, rng):
         for _ in range(5):
@@ -200,22 +219,20 @@ class TestCurveHankel:
 
 
 class TestMoebiusStage:
-    # pipeline takes f in closed form and reads the reverted stage back from
-    # it, and its last stage is the closed form of the Riordan array
-    # (1/(1+cx), -x/(1+cx)), c = a-1, acting on h; the oracle reverts the
-    # fraction stage and applies the array by the fundamental theorem (a
-    # Horner composition).
+    # pipeline takes f in closed form, and its last stage is the closed form
+    # of the Riordan array (1/(1+cx), -x/(1+cx)), c = a-1, acting on h; the
+    # oracle reaches f from the curve's branch by reverting the fraction
+    # stage and applies the array by the fundamental theorem (a Horner
+    # composition).
     def test_every_stage_equals_ftra_oracle(self, rng):
         params = [Fraction(1), Fraction(2), Fraction(-3), Fraction(-11, 2)]
         params += [rand_fraction(rng, 12, (1, 2, 3, 5, 7)) for _ in range(98)]
         for a in params:
             order = rng.randint(1, 50)
             trace = pipeline(a, order)
-            stages = (trace.branch, trace.stripped, trace.fraction, trace.reverted,
-                      trace.f, trace.g)
-            assert all(s.order == order for s in stages)
-            assert tuple(s.coeffs for s in stages) == \
-                composition_oracle.pipeline_stages(a, order), (a, order)
+            assert trace.f.order == trace.g.order == order
+            assert (trace.f.coeffs, trace.g.coeffs) == \
+                composition_oracle.pipeline_stages(a, order)[-2:], (a, order)
 
     def test_stage_never_composes(self, rng, monkeypatch):
         cases = [(Fraction(-11, 2), 40), (Fraction(1), 20), (Fraction(2), 9)]
