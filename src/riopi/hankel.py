@@ -5,13 +5,33 @@ with entry (i,j) = s[i+j].  These matrices are nested, so one
 fraction-free (Bareiss) elimination of the largest yields every h_n as a
 leading principal minor.
 
+After step k of Bareiss's elimination, working entry (i, j) is the minor
+on rows 0..k, i and columns 0..k, j, and the pivot of step k is h_k.  A
+Hankel matrix is symmetric, so every working matrix is too, and only the
+upper triangle is kept and updated: half the multiply-divides per step.
+
 Zero pivots are common (h_1 = 0 throughout the family).  At a zero pivot
-in step k the first row r > k with a nonzero entry in column k is swapped
-in.  While that swap is open (k <= n < r), h_n = 0: over the nonsingular
-leading block, the eliminated rows k..n have a zero first column.  Once n
-is at least every r swapped in so far, the first n+1 rows are rows 0..n
-again, so h_n is the pivot of step n times the sign of the swaps.  If
-column k has no such row, every h_n with n >= k is 0.
+in step k with b = entry (k, k+1) nonzero, one 2x2 block step over rows
+k and k+1 takes the matrix past both (Bareiss's two-step elimination).
+With u, v the working rows k, k+1, c = v_(k+1) and prev = h_(k-1)
+(1 at k = 0), Sylvester's identity makes each new entry the minor
+bordered by the leading k+2 block:
+
+    new_ij = (-b**2 * a_ij + b * (u_i * v_j + u_j * v_i) - c * u_i * u_j)
+             / prev**2,
+
+exact because that minor is an integer, and h_(k+1) = -b**2 / prev is
+nonzero, so the next step divides by it.  On family members every zero
+pivot is of this kind: h_1, and isolated zeros further on.
+
+A zero pivot whose 2x2 block is zero too (b = 0) hands the rest to the
+row-swap loop, from step k with the same prev.  There the first row
+r > k with a nonzero entry in column k is swapped in.  While that swap
+is open (k <= n < r), h_n = 0: over the nonsingular leading block, the
+eliminated rows k..n have a zero first column.  Once n is at least every
+r swapped in so far, the first n+1 rows are rows 0..n again, so h_n is
+the pivot of step n times the sign of the swaps.  If column k has no
+such row, every h_n with n >= k is 0.
 
 Bareiss runs over integers: s'_k = s_k * lam**k * scale.  The matrix of
 the s_k * lam**k is D H D with D = diag(lam**i), so
@@ -49,15 +69,67 @@ class HankelTransform:
 
 
 def _leading_minors(rows: list[list[int]]) -> list[int]:
+    """Every leading principal minor of a symmetric int matrix (consumed).
+
+    rows[i] holds the upper triangle of row i: its entries from column i
+    on.  Bareiss elimination keeps the matrix symmetric, so a step with
+    pivot row u updates only that triangle, a_ij -> (a_ij * u_0 - u_i * u_j)
+    / prev.  A zero pivot with b = u_1 nonzero takes one 2x2 block step
+    (module docstring); its entries are minors bordered by the leading
+    block, so the division by prev**2 is exact.  A zero pivot with b = 0
+    expands what is left to full rows and runs the row-swap loop
+    `_swap_minors` on it from that step, with the same prev.
+    """
+    n = len(rows)
+    minors = [0] * n
+    prev, k = 1, 0
+    while k < n:
+        # rows[i] is row k+i of the working matrix, from column k+i on
+        u = rows[0]
+        pivot = u[0]
+        if pivot:
+            minors[k] = pivot
+            rows = [[(a * pivot - ui * b) // prev for a, b in zip(rows[i], u[i:])]
+                    for i, ui in enumerate(u[1:], 1)]
+            prev = pivot
+            k += 1
+            continue
+        if k + 1 == n:
+            break
+        b = u[1]
+        if not b:
+            full = [[rows[j][i - j] for j in range(i)] + rows[i] for i in range(n - k)]
+            minors[k:] = _swap_minors(full, prev)
+            break
+        # 2x2 block over rows k, k+1: h_k = 0, h_(k+1) = -b**2 / prev
+        v = rows[1]
+        c = v[0]
+        nb2, prev2 = -b * b, prev * prev
+        step = []
+        for i in range(2, n - k):
+            ui, vi = u[i], v[i - 1]
+            x, y = b * ui, b * vi - c * ui
+            step.append([(nb2 * a + x * vj + y * uj) // prev2
+                         for a, uj, vj in zip(rows[i], u[i:], v[i - 1:])])
+        rows = step
+        prev = nb2 // prev
+        minors[k + 1] = prev
+        k += 2
+    return minors
+
+
+def _swap_minors(rows: list[list[int]], prev: int = 1) -> list[int]:
     """Every leading principal minor of a square int matrix (consumed).
 
     Bareiss elimination with row swaps at zero pivots: after step k every
     working entry is a (k+2)x(k+2) minor over the pivot rows, so the
-    division by the previous pivot is exact.
+    division by the previous pivot is exact.  A nonzero prev continues an
+    elimination whose last pivot was prev: rows are then the working
+    entries after it, and the minors returned are the ones that follow.
     """
     n = len(rows)
     minors = [0] * n
-    sign, prev, reach = 1, 1, 0
+    sign, reach = 1, 0
     for k in range(n):
         # rows[i] is row k+i of the working matrix, restricted to columns k..
         if rows[0][0] == 0:
@@ -109,7 +181,7 @@ def _hankel_values(terms: list[Fraction], top: int) -> list[Fraction]:
     for t in window:
         ints.append(t.numerator * (factor // t.denominator))
         factor *= lam
-    minors = _leading_minors([ints[i:i + top + 1] for i in range(top + 1)])
+    minors = _leading_minors([ints[2 * i:i + top + 1] for i in range(top + 1)])
     values = []
     power, step, lam2 = 1, scale, lam * lam
     for minor in minors:

@@ -6,6 +6,18 @@ All checks use the product form
 
 which is total: the usual division form is undefined whenever t[n-4] is
 zero, and the transforms handled here do contain zeros.
+
+The check runs over integers.  Write t[n] = p[n]/q[n] with q[n] > 0, and
+alpha = a/d, beta = b/d over d = den(alpha) * den(beta).  Multiplying
+both sides by the positive d * q[n]*q[n-4] * q[n-1]*q[n-3] * q[n-2]^2
+gives
+
+    p[n]*p[n-4] * d * q[n-1]*q[n-3] * q[n-2]^2
+      == (a * p[n-1]*p[n-3] * q[n-2]^2 + b * p[n-2]^2 * q[n-1]*q[n-3])
+         * q[n]*q[n-4]
+
+which holds exactly when the product form does.  No Fraction is built
+and no gcd taken.
 """
 
 from __future__ import annotations
@@ -54,12 +66,25 @@ def somos4_check(terms, params: SomosParams) -> SomosReport:
     t = [rational(v) for v in terms]
     if len(t) < 5:
         raise ValueError("need at least 5 terms to check a Somos-4 relation")
-    failures = tuple([
-        n for n in range(4, len(t))
-        if t[n] * t[n - 4] != params.alpha * t[n - 1] * t[n - 3] + params.beta * t[n - 2] ** 2
-    ])
+    # the product form cross-multiplied by positive denominators (module
+    # docstring)
+    p = [v.numerator for v in t]
+    q = [v.denominator for v in t]
+    alpha, beta = params.alpha, params.beta
+    d = alpha.denominator * beta.denominator
+    a = alpha.numerator * beta.denominator
+    b = beta.numerator * alpha.denominator
+    failures = []
+    for n in range(4, len(t)):
+        ld = q[n] * q[n - 4]
+        ad = q[n - 1] * q[n - 3]
+        bd = q[n - 2] * q[n - 2]
+        left = p[n] * p[n - 4] * ad * bd * d
+        right = (a * p[n - 1] * p[n - 3] * bd + b * p[n - 2] * p[n - 2] * ad) * ld
+        if left != right:
+            failures.append(n)
     return SomosReport(params=params, start=4, end=len(t) - 1,
-                       failures=failures, degenerate=params.degenerate)
+                       failures=tuple(failures), degenerate=params.degenerate)
 
 
 def somos4_fit(terms) -> SomosReport:

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from riopi.family import FamilyParams, companion, g_ad, g_family
-from riopi.hankel import (InsufficientTerms, _leading_minors, _rescaling, hankel_det,
-                          hankel_transform)
+import riopi.hankel
+from riopi.hankel import (InsufficientTerms, _leading_minors, _rescaling, _swap_minors,
+                          hankel_det, hankel_transform)
 
 from conftest import rand_fraction
 from hankel_oracle import gauss_det, hankel_matrix, per_n_det
@@ -64,13 +65,13 @@ class TestDeterminant:
 
     def test_elimination_transpose_invariance(self, rng):
         # the constructed Hankel matrix is symmetric, so transposing it is
-        # free; check the elimination itself on non-symmetric transposes,
+        # free; check the row-swap fallback on non-symmetric transposes,
         # zero-dense so that rows are swapped in
         for _ in range(40):
             m = [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(5)] for _ in range(5)]
             t = [[m[j][i] for j in range(5)] for i in range(5)]
-            minors = _leading_minors([row[:] for row in m])
-            assert minors == _leading_minors([row[:] for row in t])
+            minors = _swap_minors([row[:] for row in m])
+            assert minors == _swap_minors([row[:] for row in t])
             assert minors == leading_cofactor_minors(m)
         seq = [rand_fraction(rng) for _ in range(9)]
         matrix = hankel_matrix(seq, 3)
@@ -167,7 +168,8 @@ class TestZeroPivots:
     def test_nested_swap_reaching_further(self, rng):
         # step 0 swaps in row 2, then column 1 is zero down to row 3, so a
         # second swap reaches past the first (a random search of Hankel
-        # patterns found none, so the routine is checked on this matrix)
+        # patterns found none, so the row-swap fallback is checked on this
+        # matrix)
         def nz():
             return rng.choice((-3, -2, -1, 1, 2, 3))
         for _ in range(10):
@@ -175,7 +177,7 @@ class TestZeroPivots:
                  [0, 0, nz(), nz()],
                  [nz(), nz(), nz(), nz()],
                  [0, nz(), nz(), nz()]]
-            minors = _leading_minors([row[:] for row in m])
+            minors = _swap_minors([row[:] for row in m])
             assert minors[:3] == [0, 0, 0]
             assert minors == leading_cofactor_minors(m)
 
@@ -185,8 +187,8 @@ class TestZeroPivots:
         seq = [2 ** k + (-1) ** k for k in range(11)]
         values = hankel_transform(seq).values
         assert values[2:] == (0, 0, 0, 0) and values[1] != 0
-        # the same while a swap is still open
-        assert _leading_minors([[0, 0, 1], [0, 0, 2], [1, 5, 0]]) == [0, 0, 0]
+        # the same in the row-swap fallback while a swap is still open
+        assert _swap_minors([[0, 0, 1], [0, 0, 2], [1, 5, 0]]) == [0, 0, 0]
 
     def test_zero_and_short_sequences(self):
         assert hankel_transform([0] * 9).values == (0,) * 5
@@ -344,3 +346,119 @@ class TestRescaledRoute:
         seq = [Fraction(k % 7 - 3) for k in range(81)]
         seq[1] = Fraction(1, 3 ** 40)
         assert rescaling(seq) == (1, 3 ** 40)
+
+
+def triangle(ints, n):
+    """Upper triangle of the (n+1)x(n+1) Hankel matrix of ints[0..2n]."""
+    return [list(ints[2 * i:i + n + 1]) for i in range(n + 1)]
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """The number of rows each hand-over to _swap_minors passes on."""
+    entered = []
+    swap = riopi.hankel._swap_minors
+
+    def spy(rows, prev=1):
+        entered.append(len(rows))
+        return swap(rows, prev)
+    monkeypatch.setattr(riopi.hankel, "_swap_minors", spy)
+    return entered
+
+
+def branches(minors, fallback_rows):
+    """The steps of one symmetric elimination: pivot, block or fallback.
+
+    Before the fallback the pivot of step k is h_k, and a zero pivot takes
+    a 2x2 block exactly when h_(k+1) = -b**2 / h_(k-1) is nonzero.
+    """
+    n = len(minors)
+    stop = n - fallback_rows if fallback_rows is not None else n
+    steps, k = {}, 0
+    while k < stop:
+        if minors[k]:
+            steps[k], k = "pivot", k + 1
+        elif k + 1 < n:
+            assert minors[k + 1], minors
+            steps[k], k = "block", k + 2
+        else:
+            k += 1
+    if fallback_rows is not None:
+        steps[stop] = "fallback"
+    return steps
+
+
+def zero_dense(rng, length, dens=(1,)):
+    """Mostly zero terms over dens, so that zero pivots and zero blocks occur."""
+    return [Fraction(rng.choice((0, 0, 0, rng.randint(-4, 4))), rng.choice(dens))
+            for _ in range(length)]
+
+
+class TestSymmetricElimination:
+    """The upper-triangle elimination against per-n Bareiss and cofactors,
+    with every branch reached: nonzero pivot, 2x2 block, row-swap fallback."""
+
+    @staticmethod
+    def run(fallback, ints):
+        """Minors and branches of the symmetric elimination of int ints."""
+        fallback.clear()
+        n = (len(ints) - 1) // 2
+        minors = _leading_minors(triangle(ints, n))
+        assert len(fallback) <= 1
+        return minors, branches(minors, fallback[0] if fallback else None)
+
+    def test_integer_sweep(self, rng, fallback):
+        seen = {"pivot": 0, "block": 0, "fallback": 0, "late fallback": 0}
+        for _ in range(400):
+            ints = [int(t) for t in zero_dense(rng, 2 * rng.randint(0, 7) + 1)]
+            minors, steps = self.run(fallback, ints)
+            n = len(minors) - 1
+            assert minors == [per_n_det(ints, k) for k in range(n + 1)], ints
+            if n <= 4:
+                assert minors == leading_cofactor_minors(hankel_matrix(ints, n)), ints
+            for k, branch in steps.items():
+                seen[branch] += 1
+                seen["late fallback"] += branch == "fallback" and k > 0
+        assert min(seen.values()) >= 10, seen
+
+    def test_pq_sweep(self, rng, fallback):
+        seen = set()
+        for _ in range(300):
+            mu = rng.choice((1, 2, 3, 6))
+            seq = [t / mu ** k for k, t in
+                   enumerate(zero_dense(rng, rng.randint(1, 17), dens=(1, 2, 3, 5)))]
+            fallback.clear()
+            values = list(hankel_transform(seq).values)
+            assert values == [per_n_det(seq, n) for n in range(len(values))], seq
+            seen.update(branches(values, fallback[0] if fallback else None).values())
+        assert seen == {"pivot", "block", "fallback"}
+
+    def test_pinned_late_fallback(self, fallback):
+        # after step 0, entries (1,1) = s2 - s1**2 and (1,2) = s3 - s1*s2 are
+        # both 0: the 2x2 block at step 1 is zero, so rows 1.. go to the
+        # row-swap loop, continuing from the pivot 1 of step 0
+        ints = [1, 0, 0, 0, 0, 3, 1, 2, 5]
+        minors, steps = self.run(fallback, ints)
+        assert steps == {0: "pivot", 1: "fallback"}
+        assert minors == [per_n_det(ints, n) for n in range(5)]
+        assert minors == leading_cofactor_minors(hankel_matrix(ints, 4))
+        # a block first, then a zero block at step 2
+        ints = [0, 1, 0, 0, 0, 0, 0, 7, 2]
+        minors, steps = self.run(fallback, ints)
+        assert steps == {0: "block", 2: "fallback"}
+        assert minors == leading_cofactor_minors(hankel_matrix(ints, 4))
+
+    def test_pinned_fallback_from_step_0(self, fallback):
+        minors, steps = self.run(fallback, [0, 0, 0, 2, 0, 0, 0])
+        assert steps == {0: "fallback"} and minors == [0, 0, 0, 16]
+
+    def test_scan_members_take_only_blocks(self, fallback):
+        # isolated zeros every 6th / 4th index: many 2x2 blocks in one
+        # elimination, never the fallback
+        for make, params, zeros in ((g_family, (1, 3, 3), [1, 7, 13, 19, 25, 31]),
+                                    (companion, (3, -1, 0), [2, 6, 10, 14, 18, 22, 26, 30])):
+            ints = [int(t) for t in make(FamilyParams.of(*params), 65).coeffs]
+            minors, steps = self.run(fallback, ints)
+            assert [k for k, branch in steps.items() if branch == "block"] == zeros
+            assert "fallback" not in steps.values()
+            assert minors == [per_n_det(ints, n) for n in range(33)]

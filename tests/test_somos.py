@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+import riopi.somos
+from riopi import knowndata
 from riopi.family import FamilyParams, companion, g_family
 from riopi.hankel import hankel_transform
+from riopi.series import rational
 from riopi.somos import (
+    SomosReport,
     NoSomosFit,
     SomosParams,
     Underdetermined,
@@ -12,6 +16,79 @@ from riopi.somos import (
     somos4_check,
     somos4_fit,
 )
+
+
+def fraction_check(terms, params):
+    """The product form over Fraction, as a test oracle for somos4_check."""
+    t = [rational(v) for v in terms]
+    failures = tuple([
+        n for n in range(4, len(t))
+        if t[n] * t[n - 4] != params.alpha * t[n - 1] * t[n - 3] + params.beta * t[n - 2] ** 2
+    ])
+    return SomosReport(params=params, start=4, end=len(t) - 1,
+                       failures=failures, degenerate=params.degenerate)
+
+
+def random_rational(rng):
+    """Zero, a small term, or one with a large numerator and denominator."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+    return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
+
+
+def near_somos(rng, params, length):
+    """Terms that follow params wherever t[n-4] is nonzero, some corrupted."""
+    t = [random_rational(rng) for _ in range(4)]
+    while len(t) < length:
+        n = len(t)
+        if t[n - 4] and rng.randrange(5):
+            t.append((params.alpha * t[n - 1] * t[n - 3] + params.beta * t[n - 2] ** 2)
+                     / t[n - 4])
+        else:
+            t.append(random_rational(rng))
+    return t
+
+
+class TestIntegerCheck:
+    """somos4_check cross-multiplies ints; the Fraction form is the oracle."""
+
+    def test_matches_fraction_oracle(self, rng):
+        passed = failed = 0
+        for _ in range(300):
+            params = SomosParams(*(rng.choice((Fraction(0), random_rational(rng)))
+                                   for _ in range(2)))
+            terms = near_somos(rng, params, rng.randint(5, 14))
+            if rng.randrange(2):
+                terms = [-t for t in terms]
+            report = somos4_check(terms, params)
+            assert report == fraction_check(terms, params), (terms, params)
+            failed += len(report.failures)
+            passed += report.end - report.start + 1 - len(report.failures)
+        assert passed >= 1000 and failed >= 200
+
+    def test_zero_alpha_and_beta(self, rng):
+        for alpha, beta in ((0, 3), (Fraction(-5, 7), 0), (0, 0)):
+            params = SomosParams(Fraction(alpha), Fraction(beta))
+            for _ in range(20):
+                terms = near_somos(rng, params, 10)
+                assert somos4_check(terms, params) == fraction_check(terms, params)
+
+    def test_fit_params_unchanged_on_verify_subjects(self, monkeypatch):
+        # the embedded Somos claims: the fit equals the claim, and equals the
+        # fit made with the Fraction oracle as its check
+        by_label = {entry.label: entry for entry in knowndata.KNOWN_SEQUENCES}
+        reports = []
+        for label, offset, (alpha, beta) in knowndata.SOMOS_CLAIMS:
+            terms = knowndata.computed_values(by_label[label])[offset:]
+            report = somos4_fit(terms)
+            assert report.params == SomosParams(Fraction(alpha), Fraction(beta)), label
+            reports.append((terms, report))
+        monkeypatch.setattr(riopi.somos, "somos4_check", fraction_check)
+        for terms, report in reports:
+            assert somos4_fit(terms) == report
 
 
 class TestCheck:
