@@ -34,10 +34,12 @@ EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
-# The largest --order accepted.  Exact work grows about 8-10x per doubling
-# of the order (pipeline(-3, N) takes about 0.05 s at 128 and 0.5 s at 256),
-# so orders past the cap are out of reach anyway; one past the index range
-# would overflow in Series.
+# The largest --order accepted.  Exact work grows 10-20x per doubling of
+# the order: pipeline(-3, N) in a fresh process takes 0.036 s of process
+# time at 128, 0.36 s at 256, 4.7 s at 512 and 94 s at 1024 (Python 3.11
+# on a shared Xeon; best of two, one run at 1024), most of it in the
+# B read-off that certifies g.  Orders past the cap are out of reach
+# anyway; one past the index range would overflow in Series.
 MAX_ORDER = 1024
 DEFAULT_ORDER = 32
 

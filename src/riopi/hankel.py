@@ -11,27 +11,28 @@ Hankel matrix is symmetric, so every working matrix is too, and only the
 upper triangle is kept and updated: half the multiply-divides per step.
 
 Zero pivots are common (h_1 = 0 throughout the family).  At a zero pivot
-in step k with b = entry (k, k+1) nonzero, one 2x2 block step over rows
-k and k+1 takes the matrix past both (Bareiss's two-step elimination).
-With u, v the working rows k, k+1, c = v_(k+1) and prev = h_(k-1)
-(1 at k = 0), Sylvester's identity makes each new entry the minor
-bordered by the leading k+2 block:
+in step k, let r > k be the first column with b = entry (k, r) nonzero.
+One 2x2 block step over rows k and r takes the matrix past both
+(Bareiss's two-step elimination, with the symmetric 2x2 pivot of
+Bunch-Kaufman).  With u, v the working rows k, r, c = v_r and prev the
+last pivot minor (1 at k = 0), Sylvester's identity makes each new entry
+the minor bordered by the eliminated rows:
 
     new_ij = (-b**2 * a_ij + b * (u_i * v_j + u_j * v_i) - c * u_i * u_j)
              / prev**2,
 
-exact because that minor is an integer, and h_(k+1) = -b**2 / prev is
-nonzero, so the next step divides by it.  On family members every zero
-pivot is of this kind: h_1, and isolated zeros further on.
+exact because that minor is an integer, and the new pivot minor
+-b**2 / prev is nonzero, so the next step divides by it.  On family
+members every zero pivot has r = k + 1, so h_k = 0 and
+h_(k+1) = -b**2 / prev, or (when ab + c = 0) a row with no nonzero entry.
 
-A zero pivot whose 2x2 block is zero too (b = 0) hands the rest to the
-row-swap loop, from step k with the same prev.  There the first row
-r > k with a nonzero entry in column k is swapped in.  While that swap
-is open (k <= n < r), h_n = 0: over the nonsingular leading block, the
-eliminated rows k..n have a zero first column.  Once n is at least every
-r swapped in so far, the first n+1 rows are rows 0..n again, so h_n is
-the pivot of step n times the sign of the swaps.  If column k has no
-such row, every h_n with n >= k is 0.
+For r > k + 1 the rows are no longer eliminated in order, but a minor
+is unchanged when rows and columns are swapped together, so every pivot
+minor is still a principal minor.  Working row k is zero in columns
+k..r-1, so h_n = 0 for k <= n < r, and further blocks may reach further
+on.  h_n stays 0 until the rows eliminated are 0..n again, and then h_n
+is the current pivot minor.  A zero pivot whose row has no nonzero entry
+left makes every later h_n 0.
 
 Bareiss runs over integers: s'_k = s_k * lam**k * scale.  The matrix of
 the s_k * lam**k is D H D with D = diag(lam**i), so
@@ -74,81 +75,51 @@ def _leading_minors(rows: list[list[int]]) -> list[int]:
     rows[i] holds the upper triangle of row i: its entries from column i
     on.  Bareiss elimination keeps the matrix symmetric, so a step with
     pivot row u updates only that triangle, a_ij -> (a_ij * u_0 - u_i * u_j)
-    / prev.  A zero pivot with b = u_1 nonzero takes one 2x2 block step
-    (module docstring); its entries are minors bordered by the leading
-    block, so the division by prev**2 is exact.  A zero pivot with b = 0
-    expands what is left to full rows and runs the row-swap loop
-    `_swap_minors` on it from that step, with the same prev.
+    / prev.  A zero pivot takes one 2x2 block step over that row and the
+    first row r whose entry b = u_r is nonzero (module docstring); its
+    entries are minors bordered by the eliminated rows, so the division by
+    prev**2 is exact.  h_n is 0 until the rows eliminated are rows 0..n,
+    and then it is the last pivot minor prev.  A zero pivot whose row has
+    no nonzero entry leaves every later h_n at 0.
     """
     n = len(rows)
     minors = [0] * n
-    prev, k = 1, 0
-    while k < n:
-        # rows[i] is row k+i of the working matrix, from column k+i on
+    prev, k, reach = 1, 0, 0
+    while rows:
+        # k rows are eliminated, reach is the highest row a block took, and
+        # rows 0..k-1 are the eliminated ones once k > reach; rows[i] is
+        # the i-th row left, from its column i on: row k + i unless
+        # k + i <= reach
         u = rows[0]
         pivot = u[0]
         if pivot:
-            minors[k] = pivot
             rows = [[(a * pivot - ui * b) // prev for a, b in zip(rows[i], u[i:])]
                     for i, ui in enumerate(u[1:], 1)]
             prev = pivot
             k += 1
-            continue
-        if k + 1 == n:
-            break
-        b = u[1]
-        if not b:
-            full = [[rows[j][i - j] for j in range(i)] + rows[i] for i in range(n - k)]
-            minors[k:] = _swap_minors(full, prev)
-            break
-        # 2x2 block over rows k, k+1: h_k = 0, h_(k+1) = -b**2 / prev
-        v = rows[1]
-        c = v[0]
-        nb2, prev2 = -b * b, prev * prev
-        step = []
-        for i in range(2, n - k):
-            ui, vi = u[i], v[i - 1]
-            x, y = b * ui, b * vi - c * ui
-            step.append([(nb2 * a + x * vj + y * uj) // prev2
-                         for a, uj, vj in zip(rows[i], u[i:], v[i - 1:])])
-        rows = step
-        prev = nb2 // prev
-        minors[k + 1] = prev
-        k += 2
-    return minors
-
-
-def _swap_minors(rows: list[list[int]], prev: int = 1) -> list[int]:
-    """Every leading principal minor of a square int matrix (consumed).
-
-    Bareiss elimination with row swaps at zero pivots: after step k every
-    working entry is a (k+2)x(k+2) minor over the pivot rows, so the
-    division by the previous pivot is exact.  A nonzero prev continues an
-    elimination whose last pivot was prev: rows are then the working
-    entries after it, and the minors returned are the ones that follow.
-    """
-    n = len(rows)
-    minors = [0] * n
-    sign, reach = 1, 0
-    for k in range(n):
-        # rows[i] is row k+i of the working matrix, restricted to columns k..
-        if rows[0][0] == 0:
-            r = next((i for i, row in enumerate(rows) if row[0]), None)
-            if r is None:
+        else:
+            r = next((j for j, e in enumerate(u) if e), 0)
+            if not r:
                 break
-            rows[0], rows[r] = rows[r], rows[0]
-            sign = -sign
+            # block over rows 0 and r: u and v drop column r, rows drops row r
+            v = [rows[j][r - j] for j in range(r)] + rows[r]
+            b, c = u[r], v[r]
+            u, v = u[:r] + u[r + 1:], v[:r] + v[r + 1:]
+            rows = ([row[:r - i] + row[r - i + 1:] for i, row in enumerate(rows[1:r], 1)]
+                    + rows[r + 1:])
+            nb2, prev2 = -b * b, prev * prev
+            step = []
+            for i, row in enumerate(rows, 1):
+                ui, vi = u[i], v[i]
+                x, y = b * ui, b * vi - c * ui
+                step.append([(nb2 * a + x * vj + y * uj) // prev2
+                             for a, uj, vj in zip(row, u[i:], v[i:])])
+            rows = step
+            prev = nb2 // prev
             reach = max(reach, k + r)
-        pivot = rows[0][0]
-        if k >= reach:
-            minors[k] = sign * pivot
-        tail = rows[0][1:]
-        step = []
-        for row in rows[1:]:
-            head = row[0]
-            step.append([(a * pivot - head * b) // prev for a, b in zip(row[1:], tail)])
-        rows = step
-        prev = pivot
+            k += 2
+        if reach < k:
+            minors[k - 1] = prev
     return minors
 
 

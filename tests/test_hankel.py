@@ -1,15 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from riopi.family import FamilyParams, companion, g_ad, g_family
-import riopi.hankel
-from riopi.hankel import (InsufficientTerms, _leading_minors, _rescaling, _swap_minors,
-                          hankel_det, hankel_transform)
+from riopi.hankel import (InsufficientTerms, _leading_minors, _rescaling, hankel_det,
+                          hankel_transform)
 
 from conftest import rand_fraction
-from hankel_oracle import gauss_det, hankel_matrix, per_n_det
+from hankel_oracle import bareiss_det, gauss_det, hankel_matrix, per_n_det
 
 
 def cofactor_det(matrix):
@@ -29,6 +29,48 @@ def leading_cofactor_minors(matrix):
             for k in range(len(matrix))]
 
 
+def upper(matrix):
+    """The stored form of a symmetric matrix: row i from column i on."""
+    return [row[i:] for i, row in enumerate(matrix)]
+
+
+def branches(matrix):
+    """The steps of the symmetric elimination of an int matrix, from minors.
+
+    Before step k the k rows in done are eliminated.  The first row q
+    left takes a pivot if the minor on rows done + [q] is nonzero.  If not,
+    it takes a 2x2 block with the first row r left whose minor on rows
+    done + [q], columns done + [r] is nonzero: an adjacent block if r is
+    the next row left, a far block if not.  With no such r it stops.
+    Returns {k: (branch, the rows it takes)}.
+    """
+    def minor(rows, cols):
+        return bareiss_det([[matrix[i][j] for j in cols] for i in rows])
+
+    left, done, steps = list(range(len(matrix))), [], {}
+    while left:
+        q, k = left[0], len(done)
+        if minor(done + [q], done + [q]):
+            steps[k] = ("pivot", (q,))
+            done.append(left.pop(0))
+            continue
+        at = next((i for i in range(1, len(left))
+                   if minor(done + [q], done + [left[i]])), None)
+        if at is None:
+            steps[k] = ("stop", (q,))
+            break
+        r = left.pop(at)
+        left.pop(0)
+        steps[k] = ("adjacent block" if at == 1 else "far block", (q, r))
+        done += [q, r]
+    return steps
+
+
+def kinds(steps):
+    """The branch of each step in ``branches``' result."""
+    return {k: branch for k, (branch, _) in steps.items()}
+
+
 class TestDeterminant:
     def test_matches_cofactor_oracle(self, rng):
         for _ in range(6):
@@ -37,7 +79,7 @@ class TestDeterminant:
                 assert hankel_det(seq, n) == cofactor_det(hankel_matrix(seq, n))
 
     def test_pivoting_path_with_interior_zeros(self, rng):
-        # leading zeros force row swaps inside the elimination
+        # leading zeros force 2x2 blocks inside the elimination
         for head in ([0, 0, 1], [0, 1, 0], [1, 0, 0]):
             seq = head + [rand_fraction(rng) for _ in range(8)]
             for n in range(5):
@@ -64,15 +106,9 @@ class TestDeterminant:
                 hankel_det([1, 2, 3], n)
 
     def test_elimination_transpose_invariance(self, rng):
-        # the constructed Hankel matrix is symmetric, so transposing it is
-        # free; check the row-swap fallback on non-symmetric transposes,
-        # zero-dense so that rows are swapped in
-        for _ in range(40):
-            m = [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(5)] for _ in range(5)]
-            t = [[m[j][i] for j in range(5)] for i in range(5)]
-            minors = _swap_minors([row[:] for row in m])
-            assert minors == _swap_minors([row[:] for row in t])
-            assert minors == leading_cofactor_minors(m)
+        # the constructed Hankel matrix is symmetric, so the elimination
+        # keeps only its upper triangle (TestSymmetricElimination checks
+        # that triangle route on zero-dense symmetric matrices)
         seq = [rand_fraction(rng) for _ in range(9)]
         matrix = hankel_matrix(seq, 3)
         assert matrix == [[matrix[j][i] for j in range(4)] for i in range(4)]
@@ -143,7 +179,7 @@ class TestTransform:
 
 
 class TestZeroPivots:
-    """One elimination yields every h_n, across row swaps at zero pivots."""
+    """One elimination yields every h_n, across 2x2 blocks at zero pivots."""
 
     def test_family_h1_zero_then_nonzero_minors(self):
         seq = g_family(FamilyParams.of(2, -2, 3), 21).coeffs
@@ -152,34 +188,43 @@ class TestZeroPivots:
         assert list(values) == [per_n_det(seq, n) for n in range(11)]
 
     def test_long_swap_gives_a_run_of_zero_minors(self):
-        # column 0 is zero down to row 4: h_0..h_3 vanish while that swap
-        # is open, and h_4 is the anti-diagonal determinant 1
+        # row 0 is zero up to column 4: h_0..h_3 vanish while the far
+        # block over rows 0 and 4 is open, and h_4 is the anti-diagonal
+        # determinant 1
         seq = [0, 0, 0, 0, 1, 5, -3, 2, 7, Fraction(1, 2), -4]
         values = hankel_transform(seq).values
         assert values[:5] == (0, 0, 0, 0, 1)
+        assert branches(hankel_matrix(seq[:9], 4))[0] == ("far block", (0, 4))
         assert list(values) == [per_n_det(seq, n) for n in range(6)]
 
     def test_nested_open_swaps(self):
-        # step 0 swaps in row 3; step 1 swaps in row 2 while that is open
+        # step 0 takes a far block over rows 0 and 3; step 2 a block over
+        # rows 1 and 2 while that is open
         assert hankel_transform([0, 0, 0, 2, 0, 0, 0]).values == (0, 0, 0, 16)
+        assert branches(hankel_matrix([0, 0, 0, 2, 0, 0, 0], 3)) == {
+            0: ("far block", (0, 3)), 2: ("adjacent block", (1, 2))}
         seq = [0, 0, 0, 2, 0, 0, 0, 3, -1, Fraction(2, 3), 5]
         assert list(hankel_transform(seq).values) == [per_n_det(seq, n) for n in range(6)]
 
     def test_nested_swap_reaching_further(self, rng):
-        # step 0 swaps in row 2, then column 1 is zero down to row 3, so a
-        # second swap reaches past the first (a random search of Hankel
-        # patterns found none, so the row-swap fallback is checked on this
-        # matrix)
+        # step 0 takes a far block over rows 0 and 2; then row 1 is zero
+        # but for column 3, so the next block reaches past the first (a
+        # random search of Hankel patterns found none, so the elimination
+        # is checked on this symmetric matrix)
         def nz():
             return rng.choice((-3, -2, -1, 1, 2, 3))
         for _ in range(10):
-            m = [[0, 0, nz(), nz()],
-                 [0, 0, nz(), nz()],
-                 [nz(), nz(), nz(), nz()],
-                 [0, nz(), nz(), nz()]]
-            minors = _swap_minors([row[:] for row in m])
-            assert minors[:3] == [0, 0, 0]
+            p, q, e, s, t, w, z = (nz() for _ in range(7))
+            if p * s == q * e:
+                continue
+            m = [[0, 0, p, q],
+                 [0, 0, e, s],
+                 [p, e, t, w],
+                 [q, s, w, z]]
+            minors = _leading_minors(upper(m))
+            assert minors[:3] == [0, 0, 0] and minors[3]
             assert minors == leading_cofactor_minors(m)
+            assert branches(m) == {0: ("far block", (0, 2)), 2: ("adjacent block", (1, 3))}
 
     def test_column_without_pivot_zeroes_the_rest(self):
         # rank 1 and rank 2: column 1 (column 2) has no nonzero entry left
@@ -187,8 +232,35 @@ class TestZeroPivots:
         seq = [2 ** k + (-1) ** k for k in range(11)]
         values = hankel_transform(seq).values
         assert values[2:] == (0, 0, 0, 0) and values[1] != 0
-        # the same in the row-swap fallback while a swap is still open
-        assert _swap_minors([[0, 0, 1], [0, 0, 2], [1, 5, 0]]) == [0, 0, 0]
+        # a zero row while a far block is open: after the block over rows
+        # 0 and 2, row 1 has no nonzero entry left
+        m = [[0, 0, 1, 0], [0, 0, 2, 0], [1, 2, 5, 3], [0, 0, 3, 7]]
+        assert _leading_minors(upper(m)) == [0, 0, 0, 0] == leading_cofactor_minors(m)
+        assert branches(m) == {0: ("far block", (0, 2)), 2: ("stop", (1,))}
+
+    def test_degenerate_members_stop_at_a_zero_row(self, rng):
+        # ab + c = 0: the family member is 1/(1 - ax), a rank-1 Hankel
+        # matrix, and the companion 1/(1 + ax + bx^2) has rank 2; these are
+        # the family inputs whose elimination stops at a row with no
+        # nonzero entry
+        for dens in ((1,), (1, 2, 3, 5)):
+            for _ in range(6):
+                a, b = rand_fraction(rng, dens=dens), rand_fraction(rng, dens=dens)
+                params = FamilyParams.of(a, b, -a * b)
+                order = rng.randint(5, 25)
+                top = (order - 1) // 2
+                g = g_family(params, order).coeffs
+                assert list(g) == [a ** k for k in range(order)]
+                assert hankel_transform(g).values == (1,) + (0,) * top
+                comp = [Fraction(1), -a]
+                while len(comp) < order:
+                    comp.append(-a * comp[-1] - b * comp[-2])
+                assert list(companion(params, order).coeffs) == comp
+                assert hankel_transform(comp).values == (1, -b) + (0,) * (top - 1)
+                if dens == (1,):
+                    assert kinds(branches(hankel_matrix(g, top)))[1] == "stop"
+                    if b:
+                        assert kinds(branches(hankel_matrix(comp, top)))[2] == "stop"
 
     def test_zero_and_short_sequences(self):
         assert hankel_transform([0] * 9).values == (0,) * 5
@@ -353,41 +425,6 @@ def triangle(ints, n):
     return [list(ints[2 * i:i + n + 1]) for i in range(n + 1)]
 
 
-@pytest.fixture
-def fallback(monkeypatch):
-    """The number of rows each hand-over to _swap_minors passes on."""
-    entered = []
-    swap = riopi.hankel._swap_minors
-
-    def spy(rows, prev=1):
-        entered.append(len(rows))
-        return swap(rows, prev)
-    monkeypatch.setattr(riopi.hankel, "_swap_minors", spy)
-    return entered
-
-
-def branches(minors, fallback_rows):
-    """The steps of one symmetric elimination: pivot, block or fallback.
-
-    Before the fallback the pivot of step k is h_k, and a zero pivot takes
-    a 2x2 block exactly when h_(k+1) = -b**2 / h_(k-1) is nonzero.
-    """
-    n = len(minors)
-    stop = n - fallback_rows if fallback_rows is not None else n
-    steps, k = {}, 0
-    while k < stop:
-        if minors[k]:
-            steps[k], k = "pivot", k + 1
-        elif k + 1 < n:
-            assert minors[k + 1], minors
-            steps[k], k = "block", k + 2
-        else:
-            k += 1
-    if fallback_rows is not None:
-        steps[stop] = "fallback"
-    return steps
-
-
 def zero_dense(rng, length, dens=(1,)):
     """Mostly zero terms over dens, so that zero pivots and zero blocks occur."""
     return [Fraction(rng.choice((0, 0, 0, rng.randint(-4, 4))), rng.choice(dens))
@@ -396,69 +433,96 @@ def zero_dense(rng, length, dens=(1,)):
 
 class TestSymmetricElimination:
     """The upper-triangle elimination against per-n Bareiss and cofactors,
-    with every branch reached: nonzero pivot, 2x2 block, row-swap fallback."""
+    with every branch reached: nonzero pivot, adjacent 2x2 block, far 2x2
+    block, and the stop at a row with no nonzero entry."""
 
     @staticmethod
-    def run(fallback, ints):
-        """Minors and branches of the symmetric elimination of int ints."""
-        fallback.clear()
+    def run(ints):
+        """Minors and steps of the symmetric elimination of int ints."""
         n = (len(ints) - 1) // 2
         minors = _leading_minors(triangle(ints, n))
-        assert len(fallback) <= 1
-        return minors, branches(minors, fallback[0] if fallback else None)
+        return minors, branches(hankel_matrix(ints, n))
 
-    def test_integer_sweep(self, rng, fallback):
-        seen = {"pivot": 0, "block": 0, "fallback": 0, "late fallback": 0}
+    def test_integer_sweep(self, rng):
+        seen = dict.fromkeys(("pivot", "adjacent block", "far block", "late far block",
+                              "stop", "stop with rows left"), 0)
         for _ in range(400):
             ints = [int(t) for t in zero_dense(rng, 2 * rng.randint(0, 7) + 1)]
-            minors, steps = self.run(fallback, ints)
+            minors, steps = self.run(ints)
             n = len(minors) - 1
             assert minors == [per_n_det(ints, k) for k in range(n + 1)], ints
             if n <= 4:
                 assert minors == leading_cofactor_minors(hankel_matrix(ints, n)), ints
-            for k, branch in steps.items():
+            for k, (branch, rows) in steps.items():
                 seen[branch] += 1
-                seen["late fallback"] += branch == "fallback" and k > 0
+                seen["late far block"] += branch == "far block" and k > 0
+                seen["stop with rows left"] += branch == "stop" and rows[0] < n
         assert min(seen.values()) >= 10, seen
 
-    def test_pq_sweep(self, rng, fallback):
+    def test_pq_sweep(self, rng):
         seen = set()
         for _ in range(300):
             mu = rng.choice((1, 2, 3, 6))
             seq = [t / mu ** k for k, t in
                    enumerate(zero_dense(rng, rng.randint(1, 17), dens=(1, 2, 3, 5)))]
-            fallback.clear()
             values = list(hankel_transform(seq).values)
             assert values == [per_n_det(seq, n) for n in range(len(values))], seq
-            seen.update(branches(values, fallback[0] if fallback else None).values())
-        assert seen == {"pivot", "block", "fallback"}
+            # a nonzero constant factor on every term, or lam**k on term k, keeps
+            # each minor zero or nonzero, so the lcm-scaled ints take the same steps
+            scale = math.lcm(*[t.denominator for t in seq])
+            seen.update(kinds(branches(hankel_matrix([int(t * scale) for t in seq],
+                                                     len(values) - 1))).values())
+        assert seen == {"pivot", "adjacent block", "far block", "stop"}
 
-    def test_pinned_late_fallback(self, fallback):
-        # after step 0, entries (1,1) = s2 - s1**2 and (1,2) = s3 - s1*s2 are
-        # both 0: the 2x2 block at step 1 is zero, so rows 1.. go to the
-        # row-swap loop, continuing from the pivot 1 of step 0
+    def test_symmetric_zero_dense_matrices(self, rng):
+        # symmetric int matrices beyond the Hankel pattern: far blocks,
+        # blocks opened while another is open that reach past it, and
+        # zero rows while a block is open
+        seen = dict.fromkeys(("far block", "nested reaching further", "stop while open"), 0)
+        for _ in range(500):
+            n = rng.randint(3, 6)
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    m[i][j] = m[j][i] = rng.choice((0, 0, 0, rng.randint(-5, 5)))
+            assert _leading_minors(upper(m)) == leading_cofactor_minors(m), m
+            reach = -1
+            for k, (branch, rows) in sorted(branches(m).items()):
+                seen["far block"] += branch == "far block"
+                seen["stop while open"] += branch == "stop" and reach >= k
+                seen["nested reaching further"] += len(rows) == 2 and k <= reach < rows[1]
+                reach = max(reach, *rows)
+        assert min(seen.values()) >= 10, seen
+
+    def test_pinned_late_far_block(self):
+        # after step 0, entries (1,1) = s2 - s1**2, (1,2) = s3 - s1*s2 and
+        # (1,3) are 0 and (1,4) = s5 is not: a far block over rows 1 and 4
+        # from the pivot 1 of step 0
         ints = [1, 0, 0, 0, 0, 3, 1, 2, 5]
-        minors, steps = self.run(fallback, ints)
-        assert steps == {0: "pivot", 1: "fallback"}
+        minors, steps = self.run(ints)
+        assert steps == {0: ("pivot", (0,)), 1: ("far block", (1, 4)),
+                         3: ("adjacent block", (2, 3))}
         assert minors == [per_n_det(ints, n) for n in range(5)]
         assert minors == leading_cofactor_minors(hankel_matrix(ints, 4))
-        # a block first, then a zero block at step 2
+        # an adjacent block first, then at step 2 a row with no nonzero
+        # entry left: h_2 .. h_4 are 0
         ints = [0, 1, 0, 0, 0, 0, 0, 7, 2]
-        minors, steps = self.run(fallback, ints)
-        assert steps == {0: "block", 2: "fallback"}
-        assert minors == leading_cofactor_minors(hankel_matrix(ints, 4))
+        minors, steps = self.run(ints)
+        assert kinds(steps) == {0: "adjacent block", 2: "stop"}
+        assert minors == [0, -1, 0, 0, 0] == leading_cofactor_minors(hankel_matrix(ints, 4))
 
-    def test_pinned_fallback_from_step_0(self, fallback):
-        minors, steps = self.run(fallback, [0, 0, 0, 2, 0, 0, 0])
-        assert steps == {0: "fallback"} and minors == [0, 0, 0, 16]
+    def test_pinned_far_block_from_step_0(self):
+        minors, steps = self.run([0, 0, 0, 2, 0, 0, 0])
+        assert kinds(steps) == {0: "far block", 2: "adjacent block"}
+        assert minors == [0, 0, 0, 16]
 
-    def test_scan_members_take_only_blocks(self, fallback):
-        # isolated zeros every 6th / 4th index: many 2x2 blocks in one
-        # elimination, never the fallback
+    def test_scan_members_take_only_blocks(self):
+        # isolated zeros every 6th / 4th index: many adjacent 2x2 blocks in
+        # one elimination, never a far block or a stop
         for make, params, zeros in ((g_family, (1, 3, 3), [1, 7, 13, 19, 25, 31]),
                                     (companion, (3, -1, 0), [2, 6, 10, 14, 18, 22, 26, 30])):
             ints = [int(t) for t in make(FamilyParams.of(*params), 65).coeffs]
-            minors, steps = self.run(fallback, ints)
-            assert [k for k, branch in steps.items() if branch == "block"] == zeros
-            assert "fallback" not in steps.values()
+            minors, steps = self.run(ints)
+            assert [k for k, branch in kinds(steps).items() if branch != "pivot"] == zeros
+            assert set(kinds(steps).values()) == {"pivot", "adjacent block"}
             assert minors == [per_n_det(ints, n) for n in range(33)]
