@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import knowndata
-from .elliptic import b_from_curve, curve_somos_check, pipeline
+from .elliptic import b_from_curve, curve_somos_check
 from .family import FamilyParams, binomial, narayana
 from .hankel import InsufficientTerms, hankel_transform
 from .riordan import NoBSequence, OutOfOrder, b_extract, bell
@@ -43,9 +43,9 @@ EXIT_VERIFY = 3
 MAX_ORDER = 1024
 DEFAULT_ORDER = 32
 
-# Subjects are knowndata generator kinds, each with its parameter count.
-_SUBJECT_ARITY = {"family": 3, "ad": 2, "companion": 3, "curve": 1, "curvef": 1}
 # Where the printed Somos tails start in each subject's Hankel transform.
+# Its keys are the subjects: knowndata.GENERATORS kinds, which give each
+# one's parameter count and build.
 _SOMOS_OFFSET = {"family": 2, "ad": 2, "curve": 2, "companion": 0, "curvef": 0}
 
 _NEGATIVE_RE = re.compile(r"^-\d")
@@ -110,12 +110,14 @@ def _int_at_least(low: int, most: int | None = None):
     return parse
 
 
-def _subject_params(args) -> list[Fraction]:
-    want = _SUBJECT_ARITY[args.subject]
+def _subject(args) -> tuple[list[Fraction], Series]:
+    """The subject's parameters and its series at --order."""
+    want, build = knowndata.GENERATORS[args.subject]
     if len(args.params) != want:
         raise UsageError(
             f"subject {args.subject!r} takes {want} parameter(s), got {len(args.params)}")
-    return [parse_rational(p) for p in args.params]
+    params = [parse_rational(p) for p in args.params]
+    return params, build(tuple(params), args.order)
 
 
 def _emit(args, payload: dict, plain_lines: list[str], csv_rows: list[tuple]) -> None:
@@ -151,9 +153,8 @@ def _payload(args, values: list[str], report: dict) -> dict:
 
 
 def cmd_expand(args) -> int:
-    params = _subject_params(args)
-    seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
-    values = [str(v) for v in seq]
+    _, g = _subject(args)
+    values = [str(v) for v in g]
     _emit(args, _payload(args, values, {}),
           [" ".join(values)],
           [("n", "value"), *enumerate(values)])
@@ -161,10 +162,9 @@ def cmd_expand(args) -> int:
 
 
 def cmd_hankel(args) -> int:
-    params = _subject_params(args)
+    _, g = _subject(args)
     offset = args.offset or 0
-    seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
-    transform = hankel_transform(seq)
+    transform = hankel_transform(g.coeffs)
     if offset >= len(transform.values):
         raise UsageError(f"--offset {offset} leaves none of the "
                          f"{len(transform.values)} transform values")
@@ -190,10 +190,9 @@ def cmd_somos(args) -> int:
             raise UsageError("somos needs a subject or --terms")
         if args.order is None:
             args.order = DEFAULT_ORDER
-        params = _subject_params(args)
-        seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
+        _, g = _subject(args)
         offset = args.offset if args.offset is not None else _SOMOS_OFFSET[args.subject]
-        terms = list(hankel_transform(seq).values[offset:])
+        terms = list(hankel_transform(g.coeffs).values[offset:])
     if len(terms) < 6:
         raise UsageError(f"somos needs at least 6 terms after offset {offset}, "
                          f"got {len(terms)}")
@@ -221,9 +220,7 @@ def cmd_somos(args) -> int:
 
 
 def cmd_bseq(args) -> int:
-    params = _subject_params(args)
-    seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
-    g = Series(seq)
+    params, g = _subject(args)
     b = b_extract(g)
     values = [str(v) for v in b.values]
     report: dict = {"certified": str(b.certified)}
@@ -241,9 +238,8 @@ def cmd_bseq(args) -> int:
 
 
 def cmd_prodmat(args) -> int:
-    params = _subject_params(args)
-    seq = knowndata.base_sequence(args.subject, tuple(params), args.order)
-    matrix = bell(Series(seq)).production_matrix(args.order - 2)
+    _, g = _subject(args)
+    matrix = bell(g).production_matrix(args.order - 2)
     rows = [[str(v) for v in row] for row in matrix.rows]
     report = {"rows": rows, "size": str(matrix.size)}
     _emit(args, _payload(args, [], report),
@@ -267,9 +263,10 @@ def _check(label: str, ok: bool, expected="", got="") -> dict:
 def run_paper_suite() -> list[dict]:
     checks = []
     by_label = {}
+    sources = knowndata.build_sources(knowndata.KNOWN_SEQUENCES)
     for entry in knowndata.KNOWN_SEQUENCES:
         expected = [Fraction(v) for v in entry.prefix]
-        got = knowndata.computed_values(entry)
+        got = knowndata.computed_values(entry, sources)
         by_label[entry.label] = got
         checks.append(_check(entry.label, got == expected,
                              [str(v) for v in expected], [str(v) for v in got]))
@@ -278,12 +275,13 @@ def run_paper_suite() -> list[dict]:
         report = somos4_check(terms, SomosParams(Fraction(alpha), Fraction(beta)))
         checks.append(_check(f"somos({alpha},{beta}) {label}", not report.failures,
                              "no failures", f"failures at {list(report.failures)}"))
-    trace = pipeline("-3", 11)
-    triangle = bell(trace.g).triangle(8).integers()
+    # the matrix fragments read g from the curve(-3) entries' series
+    g = sources["curve", ("-3",)]
+    triangle = bell(g).triangle(8).integers()
     checks.append(_check("triangle curve(-3) 8x8",
                          tuple([tuple(r) for r in triangle]) == knowndata.TRIANGLE_CURVE_A_MINUS3,
                          knowndata.TRIANGLE_CURVE_A_MINUS3, triangle))
-    prodmat = bell(trace.g).production_matrix(7).integers()
+    prodmat = bell(g).production_matrix(7).integers()
     checks.append(_check("production matrix curve(-3) 7x7",
                          tuple([tuple(r) for r in prodmat]) == knowndata.PRODMAT_CURVE_A_MINUS3,
                          knowndata.PRODMAT_CURVE_A_MINUS3, prodmat))
@@ -365,44 +363,32 @@ def _add_format(sub):
     sub.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
 
 
+def _add_subject_command(commands, name: str, help_text: str, func, offset=False):
+    sub = commands.add_parser(name, help=help_text)
+    sub.add_argument("subject", choices=sorted(_SOMOS_OFFSET))
+    sub.add_argument("params", nargs="*")
+    _add_common(sub, offset=offset)
+    sub.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="riopi",
                      description="Exact Riordan pseudo-involution toolkit")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    subjects = sorted(_SUBJECT_ARITY)
-    expand = commands.add_parser("expand", help="print a subject's sequence")
-    expand.add_argument("subject", choices=subjects)
-    expand.add_argument("params", nargs="*")
-    _add_common(expand)
-    expand.set_defaults(func=cmd_expand)
-
-    hank = commands.add_parser("hankel", help="Hankel transform of a subject")
-    hank.add_argument("subject", choices=subjects)
-    hank.add_argument("params", nargs="*")
-    _add_common(hank, offset=True)
-    hank.set_defaults(func=cmd_hankel)
-
+    _add_subject_command(commands, "expand", "print a subject's sequence", cmd_expand)
+    _add_subject_command(commands, "hankel", "Hankel transform of a subject", cmd_hankel,
+                         offset=True)
     somos = commands.add_parser("somos", help="fit and verify a Somos-4 recurrence")
-    somos.add_argument("subject", nargs="?", choices=subjects)
+    somos.add_argument("subject", nargs="?", choices=sorted(_SOMOS_OFFSET))
     somos.add_argument("params", nargs="*")
     somos.add_argument("--terms", help="comma-separated explicit term list")
     _add_common(somos, offset=True)
     # an explicit term list is not truncated, so --order is left unset to
     # tell it apart; subject runs take the default
     somos.set_defaults(func=cmd_somos, order=None)
-
-    bseq = commands.add_parser("bseq", help="certified B-sequence of a subject")
-    bseq.add_argument("subject", choices=subjects)
-    bseq.add_argument("params", nargs="*")
-    _add_common(bseq)
-    bseq.set_defaults(func=cmd_bseq)
-
-    prodmat = commands.add_parser("prodmat", help="production matrix of a subject")
-    prodmat.add_argument("subject", choices=subjects)
-    prodmat.add_argument("params", nargs="*")
-    _add_common(prodmat)
-    prodmat.set_defaults(func=cmd_prodmat)
+    _add_subject_command(commands, "bseq", "certified B-sequence of a subject", cmd_bseq)
+    _add_subject_command(commands, "prodmat", "production matrix of a subject", cmd_prodmat)
 
     verify = commands.add_parser("verify", help="regression and conjecture suites")
     verify.add_argument("suite", choices=("paper", "conjecture", "all"),

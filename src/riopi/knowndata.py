@@ -2,9 +2,12 @@
 Somos parameter claims, keyed by OEIS tag where one exists.
 
 Prefixes are stored verbatim as printed; nothing here is fetched from
-the network.  The ``verify`` command recomputes every entry from scratch
-and diffs exactly, which makes this table the regression corpus for the
-whole package.
+the network.  Each entry names a generator kind of ``GENERATORS``, the one
+table of kinds, their parameter counts and their builds; the CLI's
+subjects come from it too.  The ``verify`` command builds each
+(kind, params) that an entry reads once (``build_sources``), recomputes
+every entry from that series and diffs exactly, which makes this table the
+regression corpus for the whole package.
 """
 
 from __future__ import annotations
@@ -12,16 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import elliptic, family
+from . import elliptic, family, series
 from .family import FamilyParams, binomial_transform
 from .hankel import hankel_transform
-from .series import catalan, rational
+from .series import Series, rational
 
 
 @dataclass(frozen=True)
 class KnownSequence:
     label: str            # OEIS tag or a descriptive name
-    kind: str             # generator: catalan|family|ad|companion|curve|curvef|curve_branch
+    kind: str             # a GENERATORS kind
     params: tuple[str, ...]
     transform: str        # ""|hankel|hankel_tail_neg|binomial_inverse|diff|prepend:v,v
     prefix: tuple[int, ...]
@@ -192,49 +195,59 @@ CURVE_B_TABLE: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-def base_sequence(kind: str, params: tuple[str, ...], length: int) -> list[Fraction]:
-    """Recompute the first ``length`` terms of a generator sequence."""
-    if kind == "catalan":
-        return list(catalan(length).coeffs)
-    if kind == "family":
-        p = FamilyParams.of(*params)
-        return list(family.g_family(p, length).coeffs)
-    if kind == "ad":
-        a, d = params
-        return list(family.g_ad(a, d, length).coeffs)
-    if kind == "companion":
-        p = FamilyParams.of(*params)
-        return list(family.companion(p, length).coeffs)
-    if kind == "curve":
-        return list(elliptic.pipeline(params[0], length).g.coeffs)
-    if kind == "curvef":
-        return list(elliptic.f_from_curve(params[0], length).coeffs)
-    if kind == "curve_branch":
-        return list(elliptic.curve_branch(params[0], length).coeffs)
-    raise ValueError(f"unknown generator kind {kind!r}")
+# The generator kinds: kind -> (parameter count, build(params, order) ->
+# Series).  Each build looks its function up on its module at call time,
+# so a wrapper patched onto the module sees the call.  The CLI's subjects
+# are these kinds except catalan and curve_branch.
+GENERATORS = {
+    "catalan": (0, lambda p, n: series.catalan(n)),
+    "family": (3, lambda p, n: family.g_family(FamilyParams.of(*p), n)),
+    "ad": (2, lambda p, n: family.g_ad(*p, n)),
+    "companion": (3, lambda p, n: family.companion(FamilyParams.of(*p), n)),
+    "curve": (1, lambda p, n: elliptic.pipeline(*p, n).g),
+    "curvef": (1, lambda p, n: elliptic.f_from_curve(*p, n)),
+    "curve_branch": (1, lambda p, n: elliptic.curve_branch(*p, n)),
+}
 
 
-def computed_values(entry: KnownSequence) -> list[Fraction]:
-    """Recompute the values an entry's prefix claims, same length."""
+def source_length(entry: KnownSequence) -> int:
+    """How many terms of its generator's series an entry reads."""
     want = len(entry.prefix)
+    if entry.transform == "hankel":
+        return 2 * want - 1
+    if entry.transform == "hankel_tail_neg":
+        return 2 * (want + 2) - 1
+    if entry.transform.startswith("prepend:"):
+        return want - entry.transform.count(",") - 1
+    return want
+
+
+def build_sources(entries) -> dict[tuple[str, tuple[str, ...]], Series]:
+    """Build each (kind, params) that ``entries`` read once, at the longest
+    prefix any of them reads."""
+    lengths: dict[tuple[str, tuple[str, ...]], int] = {}
+    for entry in entries:
+        key = entry.kind, entry.params
+        lengths[key] = max(lengths.get(key, 0), source_length(entry))
+    return {key: GENERATORS[key[0]][1](key[1], n) for key, n in lengths.items()}
+
+
+def computed_values(entry: KnownSequence, sources) -> list[Fraction]:
+    """Recompute the values an entry's prefix claims, same length, from
+    its generator's series in ``sources`` (see ``build_sources``)."""
+    want = len(entry.prefix)
+    source = list(sources[entry.kind, entry.params][:source_length(entry)])
     transform = entry.transform
     if transform == "":
-        return base_sequence(entry.kind, entry.params, want)
+        return source
     if transform == "hankel":
-        source = base_sequence(entry.kind, entry.params, 2 * want - 1)
         return list(hankel_transform(source).values[:want])
     if transform == "hankel_tail_neg":
-        source = base_sequence(entry.kind, entry.params, 2 * (want + 2) - 1)
-        values = hankel_transform(source).values
-        return [-v for v in values[2:want + 2]]
+        return [-v for v in hankel_transform(source).values[2:want + 2]]
     if transform == "binomial_inverse":
-        source = base_sequence(entry.kind, entry.params, want)
         return binomial_transform(source, -1)
     if transform == "diff":
-        source = base_sequence(entry.kind, entry.params, want)
         return [source[0]] + [source[n] - source[n - 1] for n in range(1, want)]
     if transform.startswith("prepend:"):
-        head = [rational(v) for v in transform.split(":", 1)[1].split(",")]
-        source = base_sequence(entry.kind, entry.params, want - len(head))
-        return head + source
+        return [rational(v) for v in transform[len("prepend:"):].split(",")] + source
     raise ValueError(f"unknown transform {entry.transform!r}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import riopi
-from riopi import cli, knowndata, somos
+from riopi import cli, elliptic, knowndata, somos
 from riopi.cli import MAX_ORDER, main
 
 
@@ -17,6 +17,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def spy_builds(monkeypatch):
+    """Record each generator build as (kind, params) and each
+    ``elliptic.pipeline`` call as (curve, order), wherever it is called from."""
+    builds, pipelines = [], []
+    for kind, (arity, build) in knowndata.GENERATORS.items():
+        def spy(params, order, kind=kind, build=build):
+            builds.append((kind, tuple(params)))
+            return build(params, order)
+        monkeypatch.setitem(knowndata.GENERATORS, kind, (arity, spy))
+    original = elliptic.pipeline
+
+    def pipeline(curve, order):
+        pipelines.append((str(curve), order))
+        return original(curve, order)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "riopi" and getattr(module, "pipeline", None) is original:
+            monkeypatch.setattr(module, "pipeline", pipeline)
+    return builds, pipelines
+
+
+def labels(out: str) -> dict[str, str]:
+    """Each check label of a plain verify report, with its ok/FAIL verdict."""
+    return {line[5:]: line[:4].strip() for line in out.splitlines()
+            if line.startswith(("ok   ", "FAIL "))}
 
 
 class TestExpand:
@@ -486,3 +512,42 @@ class TestVerify:
         assert code == 3
         assert "FAIL A105633" in out
         assert "expected:" in out and "got:" in out
+
+    def test_one_build_per_source(self, capsys, monkeypatch):
+        # a pass builds each (kind, params) once and runs one pipeline per curve
+        builds, pipelines = spy_builds(monkeypatch)
+        code, out, _ = run(capsys, "verify", "paper")
+        assert code == 0 and "0 failed" in out
+        assert sorted(curve for curve, _ in pipelines) == ["-3", "0", "2"]
+        wanted = {(entry.kind, entry.params) for entry in knowndata.KNOWN_SEQUENCES}
+        assert sorted(builds) == sorted(wanted) and len(builds) == 22
+
+    def test_shared_source_isolates_failures(self, capsys, monkeypatch):
+        # A050512 shares curve(2)'s series with four other entries; only it fails
+        _, clean, _ = run(capsys, "verify", "paper")
+        corrupted = []
+        for entry in knowndata.KNOWN_SEQUENCES:
+            if entry.label == "A050512":
+                bad = entry.prefix[:-1] + (entry.prefix[-1] + 1,)
+                entry = dataclasses.replace(entry, prefix=bad)
+            corrupted.append(entry)
+        monkeypatch.setattr(knowndata, "KNOWN_SEQUENCES", tuple(corrupted))
+        code, out, _ = run(capsys, "verify", "paper")
+        assert code == 3
+        assert "FAIL A050512" in out
+        want = {label: "ok" for label in labels(clean)} | {"A050512": "FAIL"}
+        assert labels(out) == want
+
+    def test_source_length_follows_current_table(self, capsys, monkeypatch):
+        # without the two entries that read curve(2) furthest, its series is
+        # built only as long as the longest remaining entry, curve-g(2)
+        dropped = {"hankel(curve-g(2))", "A050512"}
+        entries = tuple(e for e in knowndata.KNOWN_SEQUENCES if e.label not in dropped)
+        claims = tuple(c for c in knowndata.SOMOS_CLAIMS if c[0] not in dropped)
+        monkeypatch.setattr(knowndata, "KNOWN_SEQUENCES", entries)
+        monkeypatch.setattr(knowndata, "SOMOS_CLAIMS", claims)
+        _, pipelines = spy_builds(monkeypatch)
+        code, out, _ = run(capsys, "verify", "paper")
+        assert code == 0 and "0 failed" in out
+        longest = next(e for e in entries if e.label == "curve-g(2)")
+        assert [order for curve, order in pipelines if curve == "2"] == [len(longest.prefix)]

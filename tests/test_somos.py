@@ -80,9 +80,10 @@ class TestIntegerCheck:
         # the embedded Somos claims: the fit equals the claim, and equals the
         # fit made with the Fraction oracle as its check
         by_label = {entry.label: entry for entry in knowndata.KNOWN_SEQUENCES}
+        sources = knowndata.build_sources(knowndata.KNOWN_SEQUENCES)
         reports = []
         for label, offset, (alpha, beta) in knowndata.SOMOS_CLAIMS:
-            terms = knowndata.computed_values(by_label[label])[offset:]
+            terms = knowndata.computed_values(by_label[label], sources)[offset:]
             report = somos4_fit(terms)
             assert report.params == SomosParams(Fraction(alpha), Fraction(beta)), label
             reports.append((terms, report))
