@@ -43,10 +43,8 @@ EXIT_VERIFY = 3
 MAX_ORDER = 1024
 DEFAULT_ORDER = 32
 
-# Where the printed Somos tails start in each subject's Hankel transform.
-# Its keys are the subjects: knowndata.GENERATORS kinds, which give each
-# one's parameter count and build.
-_SOMOS_OFFSET = {"family": 2, "ad": 2, "curve": 2, "companion": 0, "curvef": 0}
+_SUBJECTS = sorted(kind for kind, gen in knowndata.GENERATORS.items()
+                   if gen.somos_offset is not None)
 
 _NEGATIVE_RE = re.compile(r"^-\d")
 
@@ -112,7 +110,7 @@ def _int_at_least(low: int, most: int | None = None):
 
 def _subject(args) -> tuple[list[Fraction], Series]:
     """The subject's parameters and its series at --order."""
-    want, build = knowndata.GENERATORS[args.subject]
+    want, _, build = knowndata.GENERATORS[args.subject]
     if len(args.params) != want:
         raise UsageError(
             f"subject {args.subject!r} takes {want} parameter(s), got {len(args.params)}")
@@ -177,7 +175,7 @@ def cmd_hankel(args) -> int:
 
 
 def cmd_somos(args) -> int:
-    if args.terms:
+    if args.terms is not None:
         if args.subject:
             raise UsageError("give either a subject or --terms, not both")
         if args.order is not None:
@@ -191,7 +189,8 @@ def cmd_somos(args) -> int:
         if args.order is None:
             args.order = DEFAULT_ORDER
         _, g = _subject(args)
-        offset = args.offset if args.offset is not None else _SOMOS_OFFSET[args.subject]
+        default = knowndata.GENERATORS[args.subject].somos_offset
+        offset = default if args.offset is None else args.offset
         terms = list(hankel_transform(g.coeffs).values[offset:])
     if len(terms) < 6:
         raise UsageError(f"somos needs at least 6 terms after offset {offset}, "
@@ -261,30 +260,21 @@ def _check(label: str, ok: bool, expected="", got="") -> dict:
 
 
 def run_paper_suite() -> list[dict]:
-    checks = []
-    by_label = {}
+    checks, somos_checks = [], []
     sources = knowndata.build_sources(knowndata.KNOWN_SEQUENCES)
     for entry in knowndata.KNOWN_SEQUENCES:
         expected = [Fraction(v) for v in entry.prefix]
         got = knowndata.computed_values(entry, sources)
-        by_label[entry.label] = got
         checks.append(_check(entry.label, got == expected,
                              [str(v) for v in expected], [str(v) for v in got]))
-    for label, offset, (alpha, beta) in knowndata.SOMOS_CLAIMS:
-        terms = by_label[label][offset:]
-        report = somos4_check(terms, SomosParams(Fraction(alpha), Fraction(beta)))
-        checks.append(_check(f"somos({alpha},{beta}) {label}", not report.failures,
-                             "no failures", f"failures at {list(report.failures)}"))
-    # the matrix fragments read g from the curve(-3) entries' series
-    g = sources["curve", ("-3",)]
-    triangle = bell(g).triangle(8).integers()
-    checks.append(_check("triangle curve(-3) 8x8",
-                         tuple([tuple(r) for r in triangle]) == knowndata.TRIANGLE_CURVE_A_MINUS3,
-                         knowndata.TRIANGLE_CURVE_A_MINUS3, triangle))
-    prodmat = bell(g).production_matrix(7).integers()
-    checks.append(_check("production matrix curve(-3) 7x7",
-                         tuple([tuple(r) for r in prodmat]) == knowndata.PRODMAT_CURVE_A_MINUS3,
-                         knowndata.PRODMAT_CURVE_A_MINUS3, prodmat))
+        if entry.somos:
+            alpha, beta = entry.somos
+            report = somos4_check(knowndata.somos_terms(entry, got),
+                                  SomosParams(Fraction(alpha), Fraction(beta)))
+            somos_checks.append(_check(f"somos({alpha},{beta}) {entry.label}",
+                                       not report.failures, "no failures",
+                                       f"failures at {list(report.failures)}"))
+    checks += somos_checks
     got_narayana = tuple([tuple([int(narayana(n, k)) for k in range(n + 1)])
                           for n in range(len(knowndata.NARAYANA_ROWS))])
     checks.append(_check("narayana triangle rows", got_narayana == knowndata.NARAYANA_ROWS,
@@ -365,7 +355,7 @@ def _add_format(sub):
 
 def _add_subject_command(commands, name: str, help_text: str, func, offset=False):
     sub = commands.add_parser(name, help=help_text)
-    sub.add_argument("subject", choices=sorted(_SOMOS_OFFSET))
+    sub.add_argument("subject", choices=_SUBJECTS)
     sub.add_argument("params", nargs="*")
     _add_common(sub, offset=offset)
     sub.set_defaults(func=func)
@@ -380,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_subject_command(commands, "hankel", "Hankel transform of a subject", cmd_hankel,
                          offset=True)
     somos = commands.add_parser("somos", help="fit and verify a Somos-4 recurrence")
-    somos.add_argument("subject", nargs="?", choices=sorted(_SOMOS_OFFSET))
+    somos.add_argument("subject", nargs="?", choices=_SUBJECTS)
     somos.add_argument("params", nargs="*")
     somos.add_argument("--terms", help="comma-separated explicit term list")
     _add_common(somos, offset=True)

@@ -2,22 +2,26 @@
 Somos parameter claims, keyed by OEIS tag where one exists.
 
 Prefixes are stored verbatim as printed; nothing here is fetched from
-the network.  Each entry names a generator kind of ``GENERATORS``, the one
-table of kinds, their parameter counts and their builds; the CLI's
-subjects come from it too.  The ``verify`` command builds each
-(kind, params) that an entry reads once (``build_sources``), recomputes
-every entry from that series and diffs exactly, which makes this table the
-regression corpus for the whole package.
+the network.  Each check that reads a generator's series is a row of
+``KNOWN_SEQUENCES``: a prefix or a matrix fragment flattened row by row,
+with its Somos-4 claim if any.  Each row names a kind of ``GENERATORS``,
+the one table of kinds, parameter counts, Somos offsets and builds.
+``verify`` builds each (kind, params) that an entry reads once
+(``build_sources``), recomputes every entry from that series and diffs
+exactly, which makes this table the regression corpus for the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
+from typing import Callable, NamedTuple
 
 from . import elliptic, family, series
 from .family import FamilyParams, binomial_transform
 from .hankel import hankel_transform
+from .riordan import bell
 from .series import Series, rational
 
 
@@ -26,8 +30,11 @@ class KnownSequence:
     label: str            # OEIS tag or a descriptive name
     kind: str             # a GENERATORS kind
     params: tuple[str, ...]
-    transform: str        # ""|hankel|hankel_tail_neg|binomial_inverse|diff|prepend:v,v
+    # ""|hankel|hankel_tail_neg|binomial_inverse|diff|prepend:v,v, or the Bell
+    # array's triangle|prodmat (production matrix), rows flattened into prefix
+    transform: str
     prefix: tuple[int, ...]
+    somos: tuple[int, int] | None = None  # (alpha, beta) on somos_terms
 
 
 KNOWN_SEQUENCES: tuple[KnownSequence, ...] = (
@@ -56,21 +63,21 @@ KNOWN_SEQUENCES: tuple[KnownSequence, ...] = (
     KnownSequence("g(2,-2,3)", "family", ("2", "-2", "3"), "",
                   (1, 2, 4, 9, 22, 58, 162, 472, 1418, 4357, 13618)),
     KnownSequence("hankel(g(2,-2,3))", "family", ("2", "-2", "3"), "hankel",
-                  (1, 0, -1, -1, -2, -3, 5, 28, 67, 411, 506)),
+                  (1, 0, -1, -1, -2, -3, 5, 28, 67, 411, 506), somos=(1, -2)),
     KnownSequence("g(-1,2,1)", "family", ("-1", "2", "1"), "",
                   (1, -1, 1, 0, -2, 3, 1, -12, 20, 4, -84)),
     KnownSequence("hankel(g(-1,2,1))", "family", ("-1", "2", "1"), "hankel",
-                  (1, 0, -1, -1, 2, -1, -9, 16, 73, 145, -1442)),
+                  (1, 0, -1, -1, 2, -1, -9, 16, 73, 145, -1442), somos=(1, 2)),
     KnownSequence("A178075", "family", ("-1", "2", "1"), "hankel_tail_neg",
-                  (1, 1, -2, 1, 9, -16, -73, -145, 1442)),
+                  (1, 1, -2, 1, 9, -16, -73, -145, 1442), somos=(1, 2)),
     KnownSequence("g(-1,-2,-1)", "family", ("-1", "-2", "-1"), "",
                   (1, -1, 1, -2, 4, -9, 21, -50, 122, -302, 758)),
     KnownSequence("hankel(g(-1,-2,-1))", "family", ("-1", "-2", "-1"), "hankel",
-                  (1, 0, -1, -1, -2, -1, 7, 16, 57, 113, -670)),
+                  (1, 0, -1, -1, -2, -1, 7, 16, 57, 113, -670), somos=(1, -2)),
     KnownSequence("curve-f(3)", "curvef", ("3",), "",
                   (1, 0, 1, -1, 4, -10, 30, -84, 237, -653, 1771, -4699, 12173, -30625)),
     KnownSequence("hankel(curve-f(3))", "curvef", ("3",), "hankel",
-                  (1, 1, 2, 1, -7, -16, -57)),
+                  (1, 1, 2, 1, -7, -16, -57), somos=(1, -2)),
     KnownSequence("curve-branch(3)", "curve_branch", ("3",), "",
                   (0, 1, -2, 1, 3, -7)),
     KnownSequence("curve-branch(2)", "curve_branch", ("2",), "",
@@ -78,9 +85,9 @@ KNOWN_SEQUENCES: tuple[KnownSequence, ...] = (
     KnownSequence("curve-g(2)", "curve", ("2",), "",
                   (1, 0, 0, -1, 0, -1, 2, -1, 5, -6, 9, -22, 28, -57, 104, -163)),
     KnownSequence("hankel(curve-g(2))", "curve", ("2",), "hankel",
-                  (1, 0, -1, -1, -1, 1, 2, 3, 1, -7, -11)),
+                  (1, 0, -1, -1, -1, 1, 2, 3, 1, -7, -11), somos=(1, -1)),
     KnownSequence("A050512", "curve", ("2",), "hankel_tail_neg",
-                  (1, 1, 1, -1, -2, -3, -1, 7, 11)),
+                  (1, 1, 1, -1, -2, -3, -1, 7, 11), somos=(1, -1)),
     KnownSequence("A025273-related", "curve", ("2",), "binomial_inverse",
                   (1, -1, 1, -2, 5, -12, 29, -72, 182, -466, 1207)),
     KnownSequence("A025250-signed", "curve", ("2",), "diff",
@@ -88,19 +95,19 @@ KNOWN_SEQUENCES: tuple[KnownSequence, ...] = (
     KnownSequence("A025258-related", "companion", ("-1", "1", "2"), "",
                   (1, 1, 0, 0, 2, 3, 1, 2, 11, 17, 12)),
     KnownSequence("hankel(companion(-1,1,2))", "companion", ("-1", "1", "2"), "hankel",
-                  (1, -1, -2, -1, 5, 9, -8, -41, -61, 241)),
+                  (1, -1, -2, -1, 5, 9, -8, -41, -61, 241), somos=(1, 1)),
     KnownSequence("companion(-1,-1,-2)", "companion", ("-1", "-1", "-2"), "",
                   (1, 1, 2, 2, 2, -1, -7, -20, -37, -53, -40, 49, 301)),
     KnownSequence("hankel(companion(-1,-1,-2))", "companion", ("-1", "-1", "-2"), "hankel",
-                  (1, 1, -2, -3, -7, 5, 32, 83, 87, -821)),
+                  (1, 1, -2, -3, -7, 5, 32, 83, 87, -821), somos=(1, -1)),
     KnownSequence("companion(1,2,-1)", "companion", ("1", "2", "-1"), "",
                   (1, -1, -1, 4, -4, -5, 23, -28, -28, 164, -232, -166)),
     KnownSequence("hankel(companion(1,2,-1))", "companion", ("1", "2", "-1"), "hankel",
-                  (1, -2, 1, 9, -16, -73, -145, 1442, 3951, -49121)),
+                  (1, -2, 1, 9, -16, -73, -145, 1442, 3951, -49121), somos=(1, 2)),
     KnownSequence("companion(-1,-2,-1)", "companion", ("-1", "-2", "-1"), "",
                   (1, 1, 3, 6, 14, 33, 79, 194, 482, 1214, 3090, 7936, 20544)),
     KnownSequence("hankel(companion(-1,-2,-1))", "companion", ("-1", "-2", "-1"), "hankel",
-                  (1, 2, 1, -7, -16, -57, -113, 670, 3983, 23647)),
+                  (1, 2, 1, -7, -16, -57, -113, 670, 3983, 23647), somos=(1, -2)),
     KnownSequence("A025243-related", "companion", ("-1", "-2", "-1"), "prepend:1,2",
                   (1, 2, 1, 1, 3, 6, 14, 33, 79, 194, 482, 1214, 3090, 7936, 20544)),
     KnownSequence("curve-g(-3)", "curve", ("-3",), "",
@@ -108,58 +115,35 @@ KNOWN_SEQUENCES: tuple[KnownSequence, ...] = (
     KnownSequence("hankel(curve-g(-3))", "curve", ("-3",), "hankel",
                   (1, 0, -1, -1, 4, -19, -83, -1112, 12171)),
     KnownSequence("somos(1,4)-curve(-3)", "curvef", ("-3",), "hankel",
-                  (1, 1, -4, 19, 83, 1112, -12171)),
+                  (1, 1, -4, 19, 83, 1112, -12171), somos=(1, 4)),
     KnownSequence("curve-g(0)", "curve", ("0",), "",
                   (1, 2, 4, 7, 10, 9, -6, -53, -151, -284, -301, 278, 2482, 7717)),
     KnownSequence("hankel(curve-g(0))", "curve", ("0",), "hankel",
                   (1, 0, -1, -1, 1, -1, -2, 1, 3, 5)),
     KnownSequence("A006769", "curvef", ("0",), "hankel",
-                  (1, 1, -1, 1, 2, -1, -3, -5)),
+                  (1, 1, -1, 1, 2, -1, -3, -5), somos=(1, 1)),
     KnownSequence("curve-f(0)", "curvef", ("0",), "",
                   (1, 0, 1, -1, 1, -1, 0, 0, 0, -2, 4, -4, -1, 11, -16)),
+    # printed matrix fragments of curve(-3)'s Bell array, row by row
+    KnownSequence("triangle curve(-3) 8x8", "curve", ("-3",), "triangle", (
+        1,
+        5, 1,
+        25, 10, 1,
+        124, 75, 15, 1,
+        610, 498, 150, 20, 1,
+        2979, 3085, 1247, 250, 25, 1,
+        14457, 18258, 9300, 2496, 375, 30, 1,
+        69784, 104580, 64512, 21755, 4370, 525, 35, 1)),
+    KnownSequence("production matrix curve(-3) 7x7", "curve", ("-3",), "prodmat", (
+        5, 1, 0, 0, 0, 0, 0,
+        0, 5, 1, 0, 0, 0, 0,
+        -1, 0, 5, 1, 0, 0, 0,
+        5, -1, 0, 5, 1, 0, 0,
+        -21, 5, -1, 0, 5, 1, 0,
+        84, -21, 5, -1, 0, 5, 1,
+        -326, 84, -21, 5, -1, 0, 5)),
 )
 
-
-# (sequence label, offset into its values, (alpha, beta)) claims; the
-# product form must hold over the full remaining range.
-SOMOS_CLAIMS: tuple[tuple[str, int, tuple[int, int]], ...] = (
-    ("hankel(g(2,-2,3))", 2, (1, -2)),
-    ("hankel(g(-1,2,1))", 2, (1, 2)),
-    ("hankel(g(-1,-2,-1))", 2, (1, -2)),
-    ("hankel(curve-g(2))", 2, (1, -1)),
-    ("A178075", 0, (1, 2)),
-    ("A050512", 0, (1, -1)),
-    ("hankel(companion(-1,1,2))", 0, (1, 1)),
-    ("hankel(companion(-1,-1,-2))", 0, (1, -1)),
-    ("hankel(companion(1,2,-1))", 0, (1, 2)),
-    ("hankel(companion(-1,-2,-1))", 0, (1, -2)),
-    ("hankel(curve-f(3))", 0, (1, -2)),
-    ("somos(1,4)-curve(-3)", 0, (1, 4)),
-    ("A006769", 0, (1, 1)),
-)
-
-
-# Printed matrix fragments.
-TRIANGLE_CURVE_A_MINUS3: tuple[tuple[int, ...], ...] = (
-    (1,),
-    (5, 1),
-    (25, 10, 1),
-    (124, 75, 15, 1),
-    (610, 498, 150, 20, 1),
-    (2979, 3085, 1247, 250, 25, 1),
-    (14457, 18258, 9300, 2496, 375, 30, 1),
-    (69784, 104580, 64512, 21755, 4370, 525, 35, 1),
-)
-
-PRODMAT_CURVE_A_MINUS3: tuple[tuple[int, ...], ...] = (
-    (5, 1, 0, 0, 0, 0, 0),
-    (0, 5, 1, 0, 0, 0, 0),
-    (-1, 0, 5, 1, 0, 0, 0),
-    (5, -1, 0, 5, 1, 0, 0),
-    (-21, 5, -1, 0, 5, 1, 0),
-    (84, -21, 5, -1, 0, 5, 1),
-    (-326, 84, -21, 5, -1, 0, 5),
-)
 
 NARAYANA_ROWS: tuple[tuple[int, ...], ...] = (
     (1,),
@@ -195,18 +179,22 @@ CURVE_B_TABLE: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-# The generator kinds: kind -> (parameter count, build(params, order) ->
-# Series).  Each build looks its function up on its module at call time,
-# so a wrapper patched onto the module sees the call.  The CLI's subjects
-# are these kinds except catalan and curve_branch.
+class Generator(NamedTuple):
+    arity: int
+    somos_offset: int | None  # start of the printed Somos-4 tail in the Hankel transform
+    build: Callable[[tuple, int], Series]
+
+
+# The generator kinds; the CLI's subjects are those with a Somos offset.
+# Each build looks its function up at call time, so a patched module sees it.
 GENERATORS = {
-    "catalan": (0, lambda p, n: series.catalan(n)),
-    "family": (3, lambda p, n: family.g_family(FamilyParams.of(*p), n)),
-    "ad": (2, lambda p, n: family.g_ad(*p, n)),
-    "companion": (3, lambda p, n: family.companion(FamilyParams.of(*p), n)),
-    "curve": (1, lambda p, n: elliptic.pipeline(*p, n).g),
-    "curvef": (1, lambda p, n: elliptic.f_from_curve(*p, n)),
-    "curve_branch": (1, lambda p, n: elliptic.curve_branch(*p, n)),
+    "catalan": Generator(0, None, lambda p, n: series.catalan(n)),
+    "family": Generator(3, 2, lambda p, n: family.g_family(FamilyParams.of(*p), n)),
+    "ad": Generator(2, 2, lambda p, n: family.g_ad(*p, n)),
+    "companion": Generator(3, 0, lambda p, n: family.companion(FamilyParams.of(*p), n)),
+    "curve": Generator(1, 2, lambda p, n: elliptic.pipeline(*p, n).g),
+    "curvef": Generator(1, 0, lambda p, n: elliptic.f_from_curve(*p, n)),
+    "curve_branch": Generator(1, None, lambda p, n: elliptic.curve_branch(*p, n)),
 }
 
 
@@ -216,7 +204,11 @@ def source_length(entry: KnownSequence) -> int:
     if entry.transform == "hankel":
         return 2 * want - 1
     if entry.transform == "hankel_tail_neg":
-        return 2 * (want + 2) - 1
+        return 2 * (want + GENERATORS[entry.kind].somos_offset) - 1
+    if entry.transform == "triangle":  # n rows hold n(n + 1)/2 entries
+        return isqrt(2 * want)
+    if entry.transform == "prodmat":  # an m x m matrix reads m + 1 terms
+        return isqrt(want) + 1
     if entry.transform.startswith("prepend:"):
         return want - entry.transform.count(",") - 1
     return want
@@ -229,21 +221,27 @@ def build_sources(entries) -> dict[tuple[str, tuple[str, ...]], Series]:
     for entry in entries:
         key = entry.kind, entry.params
         lengths[key] = max(lengths.get(key, 0), source_length(entry))
-    return {key: GENERATORS[key[0]][1](key[1], n) for key, n in lengths.items()}
+    return {key: GENERATORS[key[0]].build(key[1], n) for key, n in lengths.items()}
 
 
 def computed_values(entry: KnownSequence, sources) -> list[Fraction]:
     """Recompute the values an entry's prefix claims, same length, from
     its generator's series in ``sources`` (see ``build_sources``)."""
-    want = len(entry.prefix)
-    source = list(sources[entry.kind, entry.params][:source_length(entry)])
+    want, n = len(entry.prefix), source_length(entry)
+    g = sources[entry.kind, entry.params]
     transform = entry.transform
+    if transform == "triangle":
+        return [v for row in bell(g).triangle(n).rows for v in row]
+    if transform == "prodmat":
+        return [v for row in bell(g).production_matrix(n - 1).rows for v in row]
+    source = list(g[:n])
     if transform == "":
         return source
     if transform == "hankel":
         return list(hankel_transform(source).values[:want])
     if transform == "hankel_tail_neg":
-        return [-v for v in hankel_transform(source).values[2:want + 2]]
+        offset = GENERATORS[entry.kind].somos_offset
+        return [-v for v in hankel_transform(source).values[offset:offset + want]]
     if transform == "binomial_inverse":
         return binomial_transform(source, -1)
     if transform == "diff":
@@ -251,3 +249,11 @@ def computed_values(entry: KnownSequence, sources) -> list[Fraction]:
     if transform.startswith("prepend:"):
         return [rational(v) for v in transform[len("prepend:"):].split(",")] + source
     raise ValueError(f"unknown transform {entry.transform!r}")
+
+
+def somos_terms(entry: KnownSequence, values: list[Fraction]) -> list[Fraction]:
+    """The computed values an entry's Somos claim covers: a ``hankel``
+    entry's from its kind's offset, a ``hankel_tail_neg`` entry's whole."""
+    if entry.transform == "hankel":
+        return values[GENERATORS[entry.kind].somos_offset:]
+    return values

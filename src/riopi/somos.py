@@ -114,7 +114,11 @@ def somos4_fit(terms) -> SomosReport:
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """The family and companion sub-checks of the Somos-4 conjecture."""
+    """The family and companion sub-checks of the Somos-4 conjecture.
+
+    ``degenerate`` means ab + c = 0 only.  It is not ``params.degenerate``
+    (alpha or beta zero), which b = 0 makes true too: for (1, 0, 1) that and
+    ``family.degenerate`` hold, and ``degenerate`` does not."""
 
     params: SomosParams
     family: SomosReport

@@ -23,11 +23,11 @@ def spy_builds(monkeypatch):
     """Record each generator build as (kind, params) and each
     ``elliptic.pipeline`` call as (curve, order), wherever it is called from."""
     builds, pipelines = [], []
-    for kind, (arity, build) in knowndata.GENERATORS.items():
-        def spy(params, order, kind=kind, build=build):
+    for kind, generator in knowndata.GENERATORS.items():
+        def spy(params, order, kind=kind, build=generator.build):
             builds.append((kind, tuple(params)))
             return build(params, order)
-        monkeypatch.setitem(knowndata.GENERATORS, kind, (arity, spy))
+        monkeypatch.setitem(knowndata.GENERATORS, kind, generator._replace(build=spy))
     original = elliptic.pipeline
 
     def pipeline(curve, order):
@@ -133,6 +133,36 @@ class TestSomos:
     def test_subject_and_terms_conflict(self, capsys):
         code, _, err = run(capsys, "somos", "family", "1", "0", "-1", "--terms=1,2,3")
         assert code == 1
+
+    def test_empty_terms_are_given(self, capsys):
+        # an empty --terms is a term list: it conflicts with a subject, and
+        # on its own it is one malformed term
+        code, out, err = run(capsys, "somos", "family", "2", "-2", "3", "--terms", "")
+        assert (code, out) == (1, "")
+        assert "give either a subject or --terms, not both" in err
+        code, out, err = run(capsys, "somos", "--terms", "")
+        assert (code, out) == (1, "")
+        assert "malformed rational ''" in err
+
+    def test_subjects_are_the_kinds_with_an_offset(self):
+        assert cli._SUBJECTS == ["ad", "companion", "curve", "curvef", "family"]
+
+    @pytest.mark.parametrize("subject, offset, fit", [
+        (("family", "2", "-2", "3"), 2, ("1", "-2")),
+        (("ad", "1", "2"), 2, ("4", "0")),
+        (("curve", "-3"), 2, ("1", "4")),
+        (("companion", "-1", "1", "2"), 0, ("1", "1")),
+        (("curvef", "-11/2"), 0, ("1", "13/2")),
+    ])
+    def test_default_offset(self, capsys, subject, offset, fit):
+        # the default run is the run at the subject's printed offset; the
+        # values are the terms after it, so another offset prints others
+        code, out, _ = run(capsys, "somos", *subject, "--format", "json")
+        assert code == 0
+        assert run(capsys, "somos", *subject, "--offset", str(offset),
+                   "--format", "json") == (0, out, "")
+        report = json.loads(out)["report"]
+        assert (report["alpha"], report["beta"]) == fit
 
     def test_terms_take_no_order(self, capsys):
         # an explicit term list is not truncated, so no order is reported
@@ -543,11 +573,25 @@ class TestVerify:
         # built only as long as the longest remaining entry, curve-g(2)
         dropped = {"hankel(curve-g(2))", "A050512"}
         entries = tuple(e for e in knowndata.KNOWN_SEQUENCES if e.label not in dropped)
-        claims = tuple(c for c in knowndata.SOMOS_CLAIMS if c[0] not in dropped)
         monkeypatch.setattr(knowndata, "KNOWN_SEQUENCES", entries)
-        monkeypatch.setattr(knowndata, "SOMOS_CLAIMS", claims)
         _, pipelines = spy_builds(monkeypatch)
         code, out, _ = run(capsys, "verify", "paper")
         assert code == 0 and "0 failed" in out
         longest = next(e for e in entries if e.label == "curve-g(2)")
         assert [order for curve, order in pipelines if curve == "2"] == [len(longest.prefix)]
+
+    @pytest.mark.parametrize("label", [e.label for e in knowndata.KNOWN_SEQUENCES])
+    def test_dropped_entry_loses_only_its_checks(self, capsys, monkeypatch, label):
+        # every check that reads a generator is a row of the table, so a
+        # table without one row still runs, minus that row and its claim
+        _, clean, _ = run(capsys, "verify", "paper")
+        entry = next(e for e in knowndata.KNOWN_SEQUENCES if e.label == label)
+        lost = {label}
+        if entry.somos:
+            lost.add("somos({},{}) {}".format(*entry.somos, label))
+        monkeypatch.setattr(knowndata, "KNOWN_SEQUENCES",
+                            tuple(e for e in knowndata.KNOWN_SEQUENCES if e is not entry))
+        code, out, err = run(capsys, "verify", "paper")
+        assert (code, err) == (0, "")
+        want = {k: v for k, v in labels(clean).items() if k not in lost}
+        assert labels(out) == want and len(want) == len(labels(clean)) - len(lost)

@@ -79,14 +79,17 @@ class TestIntegerCheck:
     def test_fit_params_unchanged_on_verify_subjects(self, monkeypatch):
         # the embedded Somos claims: the fit equals the claim, and equals the
         # fit made with the Fraction oracle as its check
-        by_label = {entry.label: entry for entry in knowndata.KNOWN_SEQUENCES}
         sources = knowndata.build_sources(knowndata.KNOWN_SEQUENCES)
         reports = []
-        for label, offset, (alpha, beta) in knowndata.SOMOS_CLAIMS:
-            terms = knowndata.computed_values(by_label[label], sources)[offset:]
+        for entry in knowndata.KNOWN_SEQUENCES:
+            if entry.somos is None:
+                continue
+            values = knowndata.computed_values(entry, sources)
+            terms = knowndata.somos_terms(entry, values)
             report = somos4_fit(terms)
-            assert report.params == SomosParams(Fraction(alpha), Fraction(beta)), label
+            assert report.params == SomosParams(*map(Fraction, entry.somos)), entry.label
             reports.append((terms, report))
+        assert len(reports) == 13
         monkeypatch.setattr(riopi.somos, "somos4_check", fraction_check)
         for terms, report in reports:
             assert somos4_fit(terms) == report
@@ -183,6 +186,15 @@ class TestConjecture:
         assert report.degenerate
         assert report.params == SomosParams(Fraction(0), Fraction(0))
         assert report.ok  # all-zero tails satisfy the product form trivially
+
+    def test_b_zero_is_not_degenerate(self):
+        # the report's flag means ab + c = 0 only; b = 0 zeroes beta, which
+        # the Somos parameters' own flag counts as degenerate
+        report = conjecture_family(FamilyParams.of(1, 0, 1), 24)
+        assert report.params == SomosParams(Fraction(1), Fraction(0))
+        assert report.params.degenerate and report.family.degenerate
+        assert not report.degenerate
+        assert report.ok
 
     def test_random_small_integer_sweep(self, rng):
         # empirical support: a counterexample would be a finding, so surface
