@@ -162,7 +162,7 @@ def cmd_expand(args) -> int:
 def cmd_hankel(args) -> int:
     _, g = _subject(args)
     offset = args.offset or 0
-    transform = hankel_transform(g.coeffs)
+    transform = hankel_transform(g)
     if offset >= len(transform.values):
         raise UsageError(f"--offset {offset} leaves none of the "
                          f"{len(transform.values)} transform values")
@@ -191,7 +191,7 @@ def cmd_somos(args) -> int:
         _, g = _subject(args)
         default = knowndata.GENERATORS[args.subject].somos_offset
         offset = default if args.offset is None else args.offset
-        terms = list(hankel_transform(g.coeffs).values[offset:])
+        terms = list(hankel_transform(g).values[offset:])
     if len(terms) < 6:
         raise UsageError(f"somos needs at least 6 terms after offset {offset}, "
                          f"got {len(terms)}")

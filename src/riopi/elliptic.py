@@ -3,15 +3,17 @@
 ``pipeline`` builds only the chain g comes from: the intermediate f in
 the paper's closed form, h from f, and the Moebius stage
 g = 1/(1+cx) * h(-x/(1+cx)), c = a-1, read off h in closed form in
-O(n^2), so no stage reverts or composes.  The paper's full walk (solve
-the quadratic for the branch with y = x + O(x^2), strip two terms, form a
-reciprocal fraction, revert it to reach f, and apply the Riordan array by
-the fundamental theorem) is the test oracle
-``tests/composition_oracle.pipeline_stages``.  Each curve lands on the
-family member with parameters (2-a, 1-a, -(a^2-3a+1)) and B-sequence
-generating function (2-a + (1-3a+a^2)x)/(1+(1-a)x), and the Hankel
-transform of f is a (1, 1-a) Somos-4 sequence; all of that is
-cross-checked in tests.
+O(n^2), so no stage reverts or composes.  The branch y and f are roots
+of quadratics, and ``series._quadratic_root`` builds both term by term
+over ints, with no square root and no series division.  The paper's full
+walk (solve the quadratic for the branch with y = x + O(x^2), strip two
+terms, form a reciprocal fraction, revert it to reach f, and apply the
+Riordan array by the fundamental theorem) is the test oracle
+``tests/composition_oracle.pipeline_stages``, and the square-root forms
+of y and f are oracles there too.  Each curve lands on the family member
+with parameters (2-a, 1-a, -(a^2-3a+1)) and B-sequence generating
+function (2-a + (1-3a+a^2)x)/(1+(1-a)x), and the Hankel transform of f
+is a (1, 1-a) Somos-4 sequence; all of that is cross-checked in tests.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from .family import FamilyParams, _binomial_table
 from .hankel import hankel_transform
 from .riordan import BSequence, SelfCheckError, is_pseudo_involution
-from .series import Series, rational
+from .series import Series, _quadratic_root, rational
 from .somos import SomosParams, SomosReport, somos4_check
 
 # h = num/den loses up to two orders (den has valuation 2 at a = 1), so f
@@ -39,11 +41,10 @@ class PipelineTrace:
 
 
 def curve_branch(curve, order: int) -> Series:
-    """Quadratic branch y with y(0) = 0, y'(0) = 1."""
+    """Quadratic branch y with y(0) = 0, y'(0) = 1: the root y(0) = 0 of
+    y^2 - (1 + ax)*y + x - x^3 = 0, the curve solved for y."""
     a = rational(curve)
-    # 1 + 2(a-2)x + a^2 x^2 + 4x^3 under the square root of the y-branch
-    root = Series([1, 2 * (a - 2), a * a, 4], order).sqrt()
-    return (Series([1, a], order) - root) / 2
+    return _quadratic_root((1,), (-1, -a), (0, 1, 0, -1), 0, order)
 
 
 def pipeline(curve, order: int) -> PipelineTrace:
@@ -73,17 +74,12 @@ def pipeline(curve, order: int) -> PipelineTrace:
 
 
 def f_from_curve(curve, order: int) -> Series:
-    """Intermediate f straight from its closed form
-    2x / (sqrt(1 + 2ax + a^2 x^2 - 4x^3 + 4(1-a)x^4) + (2-a)x - 1)."""
+    """Intermediate f of the paper's closed form
+    2x / (sqrt(1 + 2ax + a^2 x^2 - 4x^3 + 4(1-a)x^4) + (2-a)x - 1), built
+    as the root f(0) = 1 of P*f^2 - L*f - x = 0 with
+    P = 1 - (1-a)x - x^2 + (1-a)x^3 and L = 1 - (2-a)x."""
     a = rational(curve)
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    # the denominator is 2x + O(x^2) for every a, so the division loses
-    # exactly one order
-    work = order + 1
-    radicand = Series([1, 2 * a, a * a, -4, 4 * (1 - a)], work)
-    denominator = radicand.sqrt() + Series([-1, 2 - a], work)
-    return (Series([0, 2], work) / denominator).truncate(order)
+    return _quadratic_root((1, a - 1, -1, 1 - a), (-1, 2 - a), (0, -1), 1, order)
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ def family_params_from_curve(curve) -> FamilyParams:
 def curve_somos_check(curve, order: int = 24) -> SomosReport:
     """Check the Hankel transform of f against the (1, 1-a) Somos-4 form."""
     a = rational(curve)
-    values = hankel_transform(f_from_curve(a, order).coeffs).values
+    values = hankel_transform(f_from_curve(a, order)).values
     params = SomosParams(Fraction(1), 1 - a)
     return somos4_check(values, params)
 

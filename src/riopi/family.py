@@ -5,12 +5,17 @@ The family member for parameters (a, b, c) is the generating function
     g(x) = 1/(1 - a*x - b*x^2) * c(-x^2*(b + c*x) / (1 - a*x - b*x^2)^2)
 
 whose Bell array is a pseudo-involution with B-sequence generating
-function (a - c*x)/(1 + b*x).  With c(u) = 2/(1 + sqrt(1 - 4u)) the
-Catalan series, every member and the companion is a quadratic closed
-form (1/den)*c(num/den^2) = 2/(den + sqrt(den^2 - 4*num)): one product,
-one square root and one division, O(n^2).  The paper's other printed
+function (a - c*x)/(1 + b*x).  The Catalan series c(u) is the root
+c(0) = 1 of u*c^2 - c + 1 = 0, so every member and the companion,
+g = (1/den)*c(num/den^2), is the root g(0) = 1 of the quadratic
+
+    num*g^2 - den*g + 1 = 0,
+
+built term by term over ints by ``series._quadratic_root`` in O(n^2),
+with no square root and no series division.  The paper's other printed
 routes -- continued fractions, the c = 0 quadratic recurrence, the
-single/double/triple sums -- are test oracles in tests/family_oracle.py.
+single/double/triple sums, the closed form 2/(den + sqrt(den^2 - 4*num))
+-- are test oracles in tests/family_oracle.py.
 """
 
 from __future__ import annotations
@@ -19,7 +24,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import Series, _packed, rational
+from .series import Series, _packed, _quadratic_root, rational
+
+# Where the Somos-4 tail of a member's Hankel transform starts: the paper
+# prints the family transforms from index 2 on (h_1 = g_2 - g_1^2 = 0 for
+# every member).  ``conjecture_family`` and the family, ad and curve kinds
+# of ``knowndata.GENERATORS`` read it here.
+SOMOS_OFFSET = 2
 
 
 @dataclass(frozen=True)
@@ -52,17 +63,11 @@ def binomial(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
-def _catalan_quotient(den: Series, num: Series) -> Series:
-    """(1/den) * c(num/den^2) for the Catalan series c, as
-    2 / (den + sqrt(den^2 - 4*num)); needs den(0) = 1 and num(0) = 0."""
-    return 2 / (den + (den * den - 4 * num).sqrt())
-
-
 def g_family(p: FamilyParams, order: int) -> Series:
-    """Involutory generating function of the family member."""
-    den = Series([1, -p.a, -p.b], order)
-    num = Series([0, 0, -p.b, -p.c], order)
-    return _catalan_quotient(den, num)
+    """Involutory generating function of the family member: the root
+    g(0) = 1 of num*g^2 - den*g + 1 = 0, den = 1 - ax - bx^2 and
+    num = -bx^2 - cx^3."""
+    return _quadratic_root((0, 0, -p.b, -p.c), (-1, p.a, p.b), (1,), 1, order)
 
 
 def g_ad(a, d, order: int) -> Series:
@@ -71,12 +76,11 @@ def g_ad(a, d, order: int) -> Series:
 
 
 def companion(p: FamilyParams, order: int) -> Series:
-    """Companion series 1/(1+ax+bx^2) * c((ab+c)x^3/(1+ax+bx^2)^2); its
-    Hankel transform carries the same Somos-4 structure as the family's."""
-    k = p.somos_weight
-    den = Series([1, p.a, p.b], order)
-    num = Series([0, 0, 0, k], order)
-    return _catalan_quotient(den, num)
+    """Companion series 1/(1+ax+bx^2) * c((ab+c)x^3/(1+ax+bx^2)^2): the root
+    g(0) = 1 of num*g^2 - den*g + 1 = 0, den = 1 + ax + bx^2 and
+    num = (ab+c)x^3.  Its Hankel transform carries the same Somos-4
+    structure as the family's."""
+    return _quadratic_root((0, 0, 0, p.somos_weight), (-1, -p.a, -p.b), (1,), 1, order)
 
 
 def binomial_transform(seq, c=1) -> list[Fraction]:

@@ -34,20 +34,23 @@ on.  h_n stays 0 until the rows eliminated are 0..n again, and then h_n
 is the current pivot minor.  A zero pivot whose row has no nonzero entry
 left makes every later h_n 0.
 
-Bareiss runs over integers: s'_k = s_k * lam**k * scale.  The matrix of
-the s_k * lam**k is D H D with D = diag(lam**i), so
+The input is ints over one denominator: a Series's own fields, or a
+plain sequence packed to them, nums_k / den with term k in lowest terms
+over den_k = den // gcd(nums_k, den).  Bareiss runs over integers:
+s'_k = s_k * lam**k * scale = nums_k * lam**k * scale // den.  The
+matrix of the s_k * lam**k is D H D with D = diag(lam**i), so
 det H'_n = scale**(n+1) * lam**(n(n+1)) * det H_n, exact for any lam.
 Integer input takes lam = scale = 1.  Otherwise lam grows term by term:
-for k >= 1 it is multiplied by den(s_k) / gcd(den(s_k), lam**k), so every
-s_k * lam**k with k >= 1 is an integer and scale is left to clear s_0's
-denominator.  The denominators of a p/q family member grow geometrically,
-and lam stays small: 6 for (1/2, -2/3, 5/3), 42 for (-11/2, 1/3, 2/7).
+for k >= 1 it is multiplied by den_k / gcd(den_k, lam**k), so every
+s_k * lam**k with k >= 1 is an integer and scale is left to clear den_0.
+The denominators of a p/q family member grow geometrically, and lam
+stays small: 6 for (1/2, -2/3, 5/3), 42 for (-11/2, 1/3, 2/7).
 lam pays only if the bits it takes off scale outweigh what
 lam**(n(n+1)) adds to the minors: Bareiss work is weighted toward step
 k ~ 0.4 * top, where the saving is about (k+1) * (bits(lcm) - bits(scale)
 - k * bits(lam)).  So lam is kept when
 5 * (bits(lcm) - bits(scale)) > 2 * top * bits(lam), and otherwise
-lam = 1 and scale is the lcm of every denominator.
+lam = 1 and scale is the lcm of every den_k.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import rational
+from .series import Series, _packed, rational
 
 
 class InsufficientTerms(ValueError):
@@ -123,34 +126,34 @@ def _leading_minors(rows: list[list[int]]) -> list[int]:
     return minors
 
 
-def _rescaling(window: list[Fraction], top: int) -> tuple[int, int]:
-    """(lam, scale) with every window[k] * lam**k * scale an int.
+def _rescaling(dens: list[int], top: int) -> tuple[int, int]:
+    """(lam, scale) such that term k, whose denominator is dens[k], times
+    lam**k * scale is an int.
 
     The choice of lam and its cost rule are in the module docstring.
     """
-    lcm = math.lcm(*[t.denominator for t in window])
+    lcm = math.lcm(*dens)
     if lcm == 1:
         return 1, 1
     lam = 1
-    for k, t in enumerate(window[1:], 1):
-        d = t.denominator
+    for k, d in enumerate(dens[1:], 1):
         lam *= d // math.gcd(d, pow(lam, k, d))
-    left = window[0].denominator
+    left = dens[0]
     if 5 * (lcm.bit_length() - left.bit_length()) > 2 * top * lam.bit_length():
         return lam, left
     return 1, lcm
 
 
-def _hankel_values(terms: list[Fraction], top: int) -> list[Fraction]:
-    """h_0 .. h_top of terms[0..2*top], from one elimination."""
-    window = terms[: 2 * top + 1]
+def _hankel_values(nums, den: int, top: int) -> list[Fraction]:
+    """h_0 .. h_top of the terms nums[k]/den, k <= 2*top, from one elimination."""
+    window = nums[: 2 * top + 1]
     # Bareiss runs over the ints s_k * lam**k * scale; rescale after by
     # det H'_n = scale**(n+1) * lam**(n(n+1)) * det H_n.
-    lam, scale = _rescaling(window, top)
+    lam, scale = _rescaling([den // math.gcd(c, den) for c in window], top)
     ints = []
     factor = scale
-    for t in window:
-        ints.append(t.numerator * (factor // t.denominator))
+    for c in window:
+        ints.append(c * factor // den)
         factor *= lam
     minors = _leading_minors([ints[2 * i:i + top + 1] for i in range(top + 1)])
     values = []
@@ -166,18 +169,25 @@ def hankel_det(seq, n: int) -> Fraction:
     """Determinant of the (n+1)x(n+1) Hankel matrix built from seq[0..2n]."""
     if n < 0:
         raise ValueError(f"h_n needs n >= 0, got {n}")
-    terms = [rational(v) for v in seq]
-    if len(terms) < 2 * n + 1:
+    nums, den = _packed([rational(v) for v in seq])
+    if len(nums) < 2 * n + 1:
         raise InsufficientTerms(
-            f"h_{n} needs {2 * n + 1} terms, got {len(terms)}")
-    return _hankel_values(terms, n)[n]
+            f"h_{n} needs {2 * n + 1} terms, got {len(nums)}")
+    return _hankel_values(nums, den, n)[n]
 
 
 def hankel_transform(seq) -> HankelTransform:
-    """All h_n determinable from the given terms: h_0 .. h_((len-1)//2)."""
-    terms = [rational(v) for v in seq]
-    if not terms:
+    """All h_n determinable from the given terms: h_0 .. h_((len-1)//2).
+
+    ``seq`` is a Series, whose ints are read as they are, or a sequence
+    of rationals.
+    """
+    if isinstance(seq, Series):
+        nums, den = seq._nums, seq._den
+    else:
+        nums, den = _packed([rational(v) for v in seq])
+    if not nums:
         raise InsufficientTerms("need at least one term")
-    top = (len(terms) - 1) // 2
-    return HankelTransform(values=tuple(_hankel_values(terms, top)),
-                           source_length=len(terms))
+    top = (len(nums) - 1) // 2
+    return HankelTransform(values=tuple(_hankel_values(nums, den, top)),
+                           source_length=len(nums))

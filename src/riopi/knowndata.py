@@ -189,10 +189,12 @@ class Generator(NamedTuple):
 # Each build looks its function up at call time, so a patched module sees it.
 GENERATORS = {
     "catalan": Generator(0, None, lambda p, n: series.catalan(n)),
-    "family": Generator(3, 2, lambda p, n: family.g_family(FamilyParams.of(*p), n)),
-    "ad": Generator(2, 2, lambda p, n: family.g_ad(*p, n)),
+    "family": Generator(3, family.SOMOS_OFFSET,
+                        lambda p, n: family.g_family(FamilyParams.of(*p), n)),
+    "ad": Generator(2, family.SOMOS_OFFSET, lambda p, n: family.g_ad(*p, n)),
     "companion": Generator(3, 0, lambda p, n: family.companion(FamilyParams.of(*p), n)),
-    "curve": Generator(1, 2, lambda p, n: elliptic.pipeline(*p, n).g),
+    # a curve's g is the family member family_params_from_curve names
+    "curve": Generator(1, family.SOMOS_OFFSET, lambda p, n: elliptic.pipeline(*p, n).g),
     "curvef": Generator(1, 0, lambda p, n: elliptic.f_from_curve(*p, n)),
     "curve_branch": Generator(1, None, lambda p, n: elliptic.curve_branch(*p, n)),
 }
@@ -234,14 +236,14 @@ def computed_values(entry: KnownSequence, sources) -> list[Fraction]:
         return [v for row in bell(g).triangle(n).rows for v in row]
     if transform == "prodmat":
         return [v for row in bell(g).production_matrix(n - 1).rows for v in row]
+    if transform == "hankel":
+        return list(hankel_transform(g.truncate(n)).values[:want])
+    if transform == "hankel_tail_neg":
+        offset = GENERATORS[entry.kind].somos_offset
+        return [-v for v in hankel_transform(g.truncate(n)).values[offset:offset + want]]
     source = list(g[:n])
     if transform == "":
         return source
-    if transform == "hankel":
-        return list(hankel_transform(source).values[:want])
-    if transform == "hankel_tail_neg":
-        offset = GENERATORS[entry.kind].somos_offset
-        return [-v for v in hankel_transform(source).values[offset:offset + want]]
     if transform == "binomial_inverse":
         return binomial_transform(source, -1)
     if transform == "diff":

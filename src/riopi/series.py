@@ -370,7 +370,11 @@ class Series:
         return Series(out)
 
     def sqrt(self) -> "Series":
-        """Principal square root (constant term +1) of a series with s(0)=1."""
+        """Principal square root (constant term +1) of a series with s(0)=1.
+
+        Public API.  No builder in the package calls it: each algebraic
+        series is the root of a quadratic, built by ``_quadratic_root``.
+        """
         s, ds = self._nums, self._den
         if s[0] != ds:
             raise SqrtConstantTerm("square root requires constant term 1")
@@ -382,6 +386,64 @@ class Series:
             top = s[k] * dr * dr - sum(map(mul, rs[1:k], rs[k - 1:0:-1])) * ds
             rs, dr = _append_ratio(rs, dr, top, 2 * ds * dr)
         return Series._reduced(rs, dr)
+
+
+def _quadratic_root(p2, p1, p0, y0, order: int) -> Series:
+    """The root y with y(0) = y0 of p2*y^2 + p1*y + p0 = 0, to ``order`` terms.
+
+    p2, p1 and p0 are short polynomials, nonempty coefficient lists of
+    rationals with integer constant terms; y0 is an integer root of the
+    constant terms, and the pivot pi = 2*p2(0)*y0 + p1(0) is +1 or -1.
+
+    The root runs on the integer image Y(t) = y(lam*t), lam the lcm of
+    every coefficient denominator: Y solves the same equation with the
+    coefficients p_i[j]*lam**j, all ints.  Its t^n coefficient is
+    pi*Y_n + R_n = 0, with R_n the t^n coefficient of p2*Y^2 + p1*Y + p0
+    taken with Y_n = 0, so Y_n = -pi*R_n: one running convolution for Y^2,
+    and no division and no gcd per term.  Then y_n is
+    Y_n*lam**(order-1-n) over lam**(order-1).
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    polys = [[rational(c) for c in p] for p in (p2, p1, p0)]
+    y0 = rational(y0)
+    c2, c1, c0 = (p[0] for p in polys)
+    if any(v.denominator != 1 for v in (c2, c1, c0, y0)):
+        raise ValueError("constant terms and y0 must be integers")
+    pivot = 2 * c2 * y0 + c1
+    if pivot not in (1, -1):
+        raise ValueError(f"pivot 2*p2(0)*y0 + p1(0) is {pivot}, need +1 or -1")
+    if c2 * y0 * y0 + c1 * y0 + c0:
+        raise ValueError(f"y0 = {y0} is no root of the constant terms")
+    lam = math.lcm(*[c.denominator for p in polys for c in p])
+    # the nonzero (j, p_i[j]*lam**j) of each polynomial, all ints
+    t2, t1, t0 = ([(j, (c * lam ** j).numerator) for j, c in enumerate(p) if c]
+                  for p in polys)
+    t1 = [(j, c) for j, c in t1 if j]   # p1(0)*Y_n is the pivot's share
+    t0 = dict(t0)
+    pivot, y0 = int(pivot), int(y0)
+    ys = [y0]        # Y_0 .. Y_(n-1)
+    sq = [y0 * y0]   # [t^m] Y^2 for m < n
+    for n in range(1, order):
+        # [t^n] Y^2 without its 2*Y_0*Y_n term, by the symmetry of the
+        # convolution: twice the pairs i < n - i, plus the middle square
+        h = (n - 1) // 2
+        s = 2 * sum(map(mul, ys[1:h + 1], ys[n - 1:n - 1 - h:-1]))
+        if not n & 1:
+            s += ys[n >> 1] ** 2
+        sq.append(s)
+        r = t0.get(n, 0)
+        for j, c in t2:
+            if j <= n:
+                r += c * sq[n - j]
+        for j, c in t1:
+            if j <= n:
+                r += c * ys[n - j]
+        y = -pivot * r
+        ys.append(y)
+        sq[n] = s + 2 * y0 * y
+    top = order - 1
+    return Series._reduced([y * lam ** (top - n) for n, y in enumerate(ys)], lam ** top)
 
 
 def _horner(coeffs, inner: Series) -> Series:

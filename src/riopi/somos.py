@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import FamilyParams, companion, g_family
+from .family import SOMOS_OFFSET, FamilyParams, companion, g_family
 from .hankel import hankel_transform
 from .series import rational
 
@@ -131,15 +131,15 @@ class ConjectureReport:
 
 
 def conjecture_family(p: FamilyParams, order: int = 28) -> ConjectureReport:
-    """Test that the family Hankel tail (from index 2, where the printed
-    transforms start) and the full companion Hankel transform are
+    """Test that the family Hankel tail (from ``family.SOMOS_OFFSET``, where
+    the printed transforms start) and the full companion Hankel transform are
     ((ab+c)^2, b*(ab+c)^2) Somos-4 sequences.  Failures are report data,
     not errors: this is a conjecture check."""
     k = p.somos_weight
     params = SomosParams(k * k, p.b * k * k)
-    family_tail = hankel_transform(g_family(p, order).coeffs).values[2:]
+    family_tail = hankel_transform(g_family(p, order)).values[SOMOS_OFFSET:]
     fam = somos4_check(family_tail, params)
-    comp_values = hankel_transform(companion(p, order).coeffs).values
+    comp_values = hankel_transform(companion(p, order)).values
     comp = somos4_check(comp_values, params)
     return ConjectureReport(params=params, family=fam, companion=comp,
                             degenerate=(k == 0))

@@ -1,13 +1,17 @@
-"""Horner-composition routes replaced by the family and pipeline closed forms.
+"""Horner-composition and square-root routes replaced by the family and
+pipeline builds.
 
-``riopi.family`` builds every member as 2/(den + sqrt(den^2 - 4*num)); the
+``riopi.family`` builds every member as the root of a quadratic; the
 functions here build the same series as (1/den) * c(num/den^2) with c the
-Catalan series, substituted by ``Series.compose``.  ``pipeline_stages``
-runs the curve chain as the paper walks it: the reverted stage is the
-Lagrange reversion of x*fraction, f = 1/(1 - x*reverted), and the last
-stage is the fundamental-theorem application of the Riordan array
-(1/(1+(a-1)x), -x/(1+(a-1)x)), where ``riopi.elliptic.pipeline`` takes f
-and g in closed form and builds none of the earlier stages.
+Catalan series, substituted by ``Series.compose``.  ``curve_branch_sqrt``
+and ``f_from_curve_sqrt`` are the square-root closed forms of the curve
+branch and of f, which ``riopi.elliptic`` builds as roots of quadratics
+too.  ``pipeline_stages`` runs the curve chain as the paper walks it: the
+reverted stage is the Lagrange reversion of x*fraction,
+f = 1/(1 - x*reverted), and the last stage is the fundamental-theorem
+application of the Riordan array (1/(1+(a-1)x), -x/(1+(a-1)x)), where
+``riopi.elliptic.pipeline`` takes f and g in closed form and builds none
+of the earlier stages.
 """
 
 from fractions import Fraction
@@ -43,6 +47,26 @@ def g_ad(a, d, order: int) -> Series:
     den = Series([1, -Fraction(a)], order)
     num = Series([0, 0, 0, Fraction(d)], order)
     return catalan_quotient(den, num, order)
+
+
+def curve_branch_sqrt(a, order: int) -> Series:
+    """Branch y = ((1 + ax) - sqrt(1 + 2(a-2)x + a^2 x^2 + 4x^3)) / 2."""
+    a = Fraction(a)
+    root = Series([1, 2 * (a - 2), a * a, 4], order).sqrt()
+    return (Series([1, a], order) - root) / 2
+
+
+def f_from_curve_sqrt(a, order: int) -> Series:
+    """f = 2x / (sqrt(1 + 2ax + a^2 x^2 - 4x^3 + 4(1-a)x^4) + (2-a)x - 1).
+
+    The denominator is 2x + O(x^2) for every a, so the division loses
+    exactly one order, and the work runs one order longer.
+    """
+    a = Fraction(a)
+    work = order + 1
+    radicand = Series([1, 2 * a, a * a, -4, 4 * (1 - a)], work)
+    denominator = radicand.sqrt() + Series([-1, 2 - a], work)
+    return (Series([0, 2], work) / denominator).truncate(order)
 
 
 def pipeline_stages(a, order: int) -> tuple:

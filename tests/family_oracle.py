@@ -1,10 +1,12 @@
 """The paper's other printed routes to the (a, b, c) family, as test oracles.
 
-``riopi.family`` builds every member, and the companion, by one closed form
-(1/den)*c(num/den^2).  The paper also prints each member as a period-1
+``riopi.family`` builds every member, and the companion, as the root of the
+quadratic num*g^2 - den*g + 1 = 0 that (1/den)*c(num/den^2) solves.  The
+square-root closed form 2/(den + sqrt(den^2 - 4*num)) of that root is
+``catalan_quotient`` here.  The paper also prints each member as a period-1
 continued fraction, as a quadratic recurrence when c = 0, and as single,
 double and triple sums; those routes live here so the tests can check the
-closed form against every printed formula.  ``a_family`` is the A-series of
+build against every printed formula.  ``a_family`` is the A-series of
 the family's Bell array, compared with ``a_from_b`` and ``a_from_g``.
 ``binomial_transform_sum`` is the term-by-term double sum that
 ``binomial_transform``'s integer difference table replaces.
@@ -13,8 +15,25 @@ the family's Bell array, compared with ``a_from_b`` and ``a_from_g``.
 import math
 from fractions import Fraction
 
-from riopi.family import _catalan_quotient, binomial
+from riopi.family import binomial
 from riopi.series import Series, cf_eval, rational
+
+
+def catalan_quotient(den: Series, num: Series) -> Series:
+    """(1/den) * c(num/den^2) for the Catalan series c, as
+    2 / (den + sqrt(den^2 - 4*num)); needs den(0) = 1 and num(0) = 0."""
+    return 2 / (den + (den * den - 4 * num).sqrt())
+
+
+def g_family_sqrt(p, order: int) -> Series:
+    """Family member by its square-root closed form."""
+    return catalan_quotient(Series([1, -p.a, -p.b], order), Series([0, 0, -p.b, -p.c], order))
+
+
+def companion_sqrt(p, order: int) -> Series:
+    """Companion series by its square-root closed form."""
+    return catalan_quotient(Series([1, p.a, p.b], order),
+                            Series([0, 0, 0, p.somos_weight], order))
 
 
 def a_family(p, order: int) -> Series:
@@ -23,7 +42,7 @@ def a_family(p, order: int) -> Series:
     den = Series([1, p.a, p.b], order)
     num = Series([0, 0, 0, k], order)
     head = Series([1, p.a], order)
-    return head - num * _catalan_quotient(den, num)
+    return head - num * catalan_quotient(den, num)
 
 
 def g_family_cf(p, order: int) -> Series:

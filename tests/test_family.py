@@ -299,7 +299,7 @@ class TestFourWayAgreement:
 
 
 class TestCatalanClosedForm:
-    # The builds use 2/(den + sqrt(den^2 - 4*num)); the oracle substitutes
+    # The builds solve num*g^2 - den*g + 1 = 0; the oracle substitutes
     # into the Catalan series by Horner composition.
     def test_equals_horner_composition_oracle(self, rng):
         dens = (1, 1, 2, 3, 5, 7)

@@ -7,6 +7,7 @@ import pytest
 from riopi.family import FamilyParams, companion, g_ad, g_family
 from riopi.hankel import (InsufficientTerms, _leading_minors, _rescaling, hankel_det,
                           hankel_transform)
+from riopi.series import Series
 
 from conftest import rand_fraction
 from hankel_oracle import bareiss_det, gauss_det, hankel_matrix, per_n_det
@@ -324,7 +325,7 @@ def rescaled_member(rng, make, dens=(2, 3, 5, 7)):
 def rescaling(seq):
     """(lam, scale) as hankel_transform picks them for seq."""
     top = (len(seq) - 1) // 2
-    return _rescaling(seq[:2 * top + 1], top)
+    return _rescaling([Fraction(t).denominator for t in seq[:2 * top + 1]], top)
 
 
 def assert_matches_oracles(seq):
@@ -400,8 +401,9 @@ class TestRescaledRoute:
     def test_printed_lams(self):
         for params, lam in (((Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)), 6),
                             ((Fraction(-11, 2), Fraction(1, 3), Fraction(2, 7)), 42)):
-            seq = g_family(FamilyParams.of(*params), 81).coeffs
-            assert rescaling(seq) == (lam, 1)
+            g = g_family(FamilyParams.of(*params), 81)
+            assert rescaling(g.coeffs) == (lam, 1)
+            assert hankel_transform(g) == hankel_transform(g.coeffs)
 
     def test_integer_input_skips_lam(self, rng):
         for _ in range(10):
@@ -415,9 +417,39 @@ class TestRescaledRoute:
         # 1024 or 3**40 and add more bits than it takes off
         seq = [Fraction(k % 7 - 3, 1024) for k in range(81)]
         assert rescaling(seq) == (1, 1024)
+        assert hankel_transform(Series(seq)) == hankel_transform(seq)
         seq = [Fraction(k % 7 - 3) for k in range(81)]
         seq[1] = Fraction(1, 3 ** 40)
         assert rescaling(seq) == (1, 3 ** 40)
+        assert hankel_transform(Series(seq)) == hankel_transform(seq)
+
+
+class TestSeriesInput:
+    """A Series is read as its own ints over one denominator: the same
+    transform as its Fraction coefficients on both sides of the lam rule
+    (and in TestRescaledRoute's printed and declined lams)."""
+
+    def test_series_equals_its_coefficients(self, rng):
+        kept = declined = 0
+        for i in range(60):
+            if i % 3:
+                s = Series(rescaled_member(rng, (g_family, companion)[i % 2]))
+            else:
+                s = Series(random_sequence(rng, rng.randint(1, 25)))
+            seq = s.coeffs
+            assert hankel_transform(s) == hankel_transform(seq), seq
+            lam, scale = rescaling(seq)
+            kept += lam > 1
+            declined += lam == 1 and scale > 1
+        assert kept >= 20 and declined >= 5
+
+    def test_hankel_det_takes_either(self, rng):
+        for _ in range(20):
+            s = Series(random_sequence(rng, rng.randint(1, 15)))
+            for n in range((s.order - 1) // 2 + 1):
+                want = per_n_det(s.coeffs, n)
+                assert hankel_det(s, n) == want
+                assert hankel_det(s.coeffs, n) == want
 
 
 def triangle(ints, n):

@@ -1,12 +1,19 @@
 """The integer Series kernels against the Fraction oracle, on seeded
 random p/q series: orders 1..40, operands of different orders, divisor
-valuations 0..3, zero and large coefficients."""
+valuations 0..3, zero and large coefficients; and the quadratic-root
+kernel against the square-root forms of the series it builds."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
+import composition_oracle
+import family_oracle
 import series_oracle as oracle
-from riopi.series import Series
+from riopi.elliptic import curve_branch, f_from_curve
+from riopi.family import FamilyParams, companion, g_family
+from riopi.series import Series, _quadratic_root
 
 CASES = 200
 
@@ -105,3 +112,57 @@ def test_revert_twice_is_identity():
     for case in range(CASES // 4):
         f = rand_series(rng, rng.randint(2, 30), 1)
         assert f.revert().revert().coeffs == f.coeffs, (case, f)
+
+
+# The quadratic-root kernel against the square-root closed forms of the four
+# series it builds.  Orders 1-4 reach every start-up index of its recurrence,
+# and 40 and 64 the orders the CLI and the benchmark use.
+QUADRATIC_ORDERS = (1, 2, 3, 4, 40, 64)
+QUADRATIC_DENS = (1, 2, 3, 7, 12)
+
+
+def quadratic_cases(rng: random.Random):
+    """(build, oracle, argument, order) cases: p/q and integer parameters,
+    b = 0 and ab + c = 0 members, a = 1 curves and plain-int parameters."""
+    families = ((g_family, family_oracle.g_family_sqrt),
+                (companion, family_oracle.companion_sqrt))
+    curves = ((curve_branch, composition_oracle.curve_branch_sqrt),
+              (f_from_curve, composition_oracle.f_from_curve_sqrt))
+    for order in QUADRATIC_ORDERS:
+        members = [FamilyParams(*(rng.randint(-9, 9) for _ in range(3)))]
+        a_values = [1, Fraction(1)]
+        for den in QUADRATIC_DENS:
+            a, b, c = (Fraction(rng.randint(-9, 9), den) for _ in range(3))
+            members += [FamilyParams(a, b, c), FamilyParams(a, Fraction(0), c),
+                        FamilyParams(a, b, -a * b)]
+            a_values.append(a)
+        for build, oracle in families:
+            for p in members:
+                yield build, oracle, p, order
+        for build, oracle in curves:
+            for a in a_values:
+                yield build, oracle, a, order
+
+
+def test_quadratic_root_matches_sqrt_oracles():
+    rng = random.Random(109)
+    for build, oracle, arg, order in quadratic_cases(rng):
+        got, want = build(arg, order), oracle(arg, order)
+        case = (build.__name__, arg, order)
+        assert (got._nums, got._den) == (want._nums, want._den), case
+
+
+def test_quadratic_root_rejects():
+    for build, arg in ((g_family, FamilyParams(1, 2, 3)), (companion, FamilyParams.of(1, 2, 3)),
+                       (curve_branch, Fraction(-11, 2)), (f_from_curve, 1)):
+        for order in (0, -1):
+            with pytest.raises(ValueError, match="^order must be at least 1$"):
+                build(arg, order)
+    # y^2 - 1 = 0 at y0 = 1, and y^2 + y - 2 = 0 at y0 = 1: pivots 2 and 3
+    for p1, p0 in (((0,), (-1,)), ((1,), (-2,))):
+        with pytest.raises(ValueError, match="pivot"):
+            _quadratic_root((1,), p1, p0, 1, 8)
+    with pytest.raises(ValueError, match="no root"):
+        _quadratic_root((0,), (-1,), (2,), 1, 8)
+    with pytest.raises(ValueError, match="integers"):
+        _quadratic_root((0,), (-1,), (Fraction(1, 2),), Fraction(1, 2), 8)

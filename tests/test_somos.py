@@ -4,7 +4,7 @@ import pytest
 
 import riopi.somos
 from riopi import knowndata
-from riopi.family import FamilyParams, companion, g_family
+from riopi.family import SOMOS_OFFSET, FamilyParams, companion, g_family
 from riopi.hankel import hankel_transform
 from riopi.series import rational
 from riopi.somos import (
@@ -180,6 +180,20 @@ class TestConjecture:
         assert report.params == SomosParams(Fraction(1), Fraction(1))
         comp = hankel_transform(companion(FamilyParams.of(-1, 1, 2), 21).coeffs)
         assert list(comp.values)[:10] == [1, -1, -2, -1, 5, 9, -8, -41, -61, 241]
+
+    def test_family_tail_starts_at_the_somos_offset(self):
+        # one offset for the family's Somos-4 tail: the printed transforms
+        # start at index 2, and conjecture_family and the family, ad and
+        # curve kinds all read it from riopi.family
+        assert SOMOS_OFFSET == 2
+        for kind in ("family", "ad", "curve"):
+            assert knowndata.GENERATORS[kind].somos_offset == SOMOS_OFFSET
+        for abc in ((2, -2, 3), (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3))):
+            p = FamilyParams.of(*abc)
+            report = conjecture_family(p, 24)
+            values = hankel_transform(g_family(p, 24)).values
+            assert report.family == somos4_check(values[2:], report.params)
+            assert report.family.end == len(values) - 3
 
     def test_degenerate_case(self):
         report = conjecture_family(FamilyParams.of(0, 0, 0), 24)
