@@ -50,6 +50,7 @@ from .somos import (
     somos4_check,
     somos4_fit,
     conjecture_family,
+    family_somos_params,
 )
 from .elliptic import (
     PipelineTrace,

@@ -10,10 +10,12 @@ walk (solve the quadratic for the branch with y = x + O(x^2), strip two
 terms, form a reciprocal fraction, revert it to reach f, and apply the
 Riordan array by the fundamental theorem) is the test oracle
 ``tests/composition_oracle.pipeline_stages``, and the square-root forms
-of y and f are oracles there too.  Each curve lands on the family member
-with parameters (2-a, 1-a, -(a^2-3a+1)) and B-sequence generating
-function (2-a + (1-3a+a^2)x)/(1+(1-a)x), and the Hankel transform of f
-is a (1, 1-a) Somos-4 sequence; all of that is cross-checked in tests.
+of y and f are oracles there too.  Each curve lands on one family member,
+``family_params_from_curve``, and takes its B-sequence (``b_from_curve``)
+and Somos-4 parameters (``curve_somos_check``) from that member.  The
+Hankel transform of f is that of the member's companion shifted by one,
+h(f)_(n+1) = h(companion)_n, and h(f)_n = -h(g)_(n+2) for n >= 1; tests
+cross-check all of it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .family import FamilyParams, _binomial_table
 from .hankel import hankel_transform
 from .riordan import BSequence, SelfCheckError, is_pseudo_involution
 from .series import Series, _quadratic_root, rational
-from .somos import SomosParams, SomosReport, somos4_check
+from .somos import SomosReport, family_somos_params, somos4_check
 
 # h = num/den loses up to two orders (den has valuation 2 at a = 1), so f
 # at order+2 gives h, and with it g, at the requested order.
@@ -84,7 +86,8 @@ def f_from_curve(curve, order: int) -> Series:
 
 @dataclass(frozen=True)
 class CurveBSequence:
-    """B(x) = (2-a + (1-3a+a^2)x) / (1 + (1-a)x) plus its expansion."""
+    """The B-sequence generating function numerator/denominator of the
+    curve's family member (see ``b_from_curve``) plus its expansion."""
 
     numerator: tuple[Fraction, Fraction]
     denominator: tuple[Fraction, Fraction]
@@ -97,13 +100,14 @@ class CurveBSequence:
 
 
 def b_from_curve(curve, terms: int = 12) -> CurveBSequence:
-    """Closed-form B-sequence of the curve's pseudo-involution."""
-    a = rational(curve)
-    numerator = (2 - a, 1 - 3 * a + a * a)
-    denominator = (Fraction(1), 1 - a)
+    """Closed-form B-sequence of the curve's pseudo-involution: the
+    family's (a - cx)/(1 + bx) at ``family_params_from_curve(curve)``."""
+    m = family_params_from_curve(curve)
+    numerator = (m.a, -m.c)
+    denominator = (Fraction(1), m.b)
     expansion = Series(numerator, terms) / Series(denominator, terms)
     return CurveBSequence(numerator=numerator, denominator=denominator,
-                          prefix=BSequence(expansion.coeffs))
+                          prefix=BSequence._from_ints(expansion._nums, expansion._den))
 
 
 def family_params_from_curve(curve) -> FamilyParams:
@@ -113,9 +117,8 @@ def family_params_from_curve(curve) -> FamilyParams:
 
 
 def curve_somos_check(curve, order: int = 24) -> SomosReport:
-    """Check the Hankel transform of f against the (1, 1-a) Somos-4 form."""
-    a = rational(curve)
-    values = hankel_transform(f_from_curve(a, order)).values
-    params = SomosParams(Fraction(1), 1 - a)
-    return somos4_check(values, params)
-
+    """Check the Hankel transform of f against the Somos-4 parameters of
+    the curve's family member, ``family_somos_params``, which are (1, b)
+    there since ab + c = 1."""
+    values = hankel_transform(f_from_curve(curve, order)).values
+    return somos4_check(values, family_somos_params(family_params_from_curve(curve)))

@@ -78,8 +78,13 @@ def g_ad(a, d, order: int) -> Series:
 def companion(p: FamilyParams, order: int) -> Series:
     """Companion series 1/(1+ax+bx^2) * c((ab+c)x^3/(1+ax+bx^2)^2): the root
     g(0) = 1 of num*g^2 - den*g + 1 = 0, den = 1 + ax + bx^2 and
-    num = (ab+c)x^3.  Its Hankel transform carries the same Somos-4
-    structure as the family's."""
+    num = (ab+c)x^3.  With k = ab + c and h the Hankel transform, it ties
+    the member's A-sequence and transform together (tests check both):
+
+        1/g(-x) = 1 + ax - k*x^3*companion(x),
+        h(companion)_n = -h(g)_(n+3) / k^(2n+4)   (k != 0),
+
+    so its transform carries the same Somos-4 structure as the family's."""
     return _quadratic_root((0, 0, 0, p.somos_weight), (-1, -p.a, -p.b), (1,), 1, order)
 
 

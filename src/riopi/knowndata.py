@@ -1,11 +1,18 @@
-"""Embedded golden data: printed sequence prefixes, matrix fragments and
-Somos parameter claims, keyed by OEIS tag where one exists.
+"""Embedded golden data: printed sequence prefixes, matrix fragments,
+table rows and Somos parameter claims, keyed by OEIS tag where one exists.
 
 Prefixes are stored verbatim as printed; nothing here is fetched from
-the network.  Each check that reads a generator's series is a row of
-``KNOWN_SEQUENCES``: a prefix or a matrix fragment flattened row by row,
-with its Somos-4 claim if any.  Each row names a kind of ``GENERATORS``,
-the one table of kinds, parameter counts, Somos offsets and builds.
+the network.  Every check of ``verify paper`` is a row of
+``KNOWN_SEQUENCES`` or a row's Somos-4 claim: a row holds a prefix, or a
+matrix fragment or printed table flattened row by row.  Each row names a
+kind of ``GENERATORS``, the one table of kinds, parameter counts, Somos
+offsets and builds.  Most kinds are series the library builds (a family member,
+its companion, a curve's g, f or branch, Catalan); the CLI's subjects
+are those with a Somos offset.  Three are formula kinds for the paper's
+printed tables, read as one flattened sequence: ``narayana`` and
+``binomial_narayana`` (the Narayana triangle and its product with the
+binomial triangle, row by row, from ``family.narayana``) and ``curve_b``
+(the expansion of a curve's closed-form B-sequence, ``b_from_curve``).
 ``verify`` builds each (kind, params) that an entry reads once
 (``build_sources``), recomputes every entry from that series and diffs
 exactly, which makes this table the regression corpus for the package.
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import isqrt
 from typing import Callable, NamedTuple
 
@@ -142,41 +150,42 @@ KNOWN_SEQUENCES: tuple[KnownSequence, ...] = (
         -21, 5, -1, 0, 5, 1, 0,
         84, -21, 5, -1, 0, 5, 1,
         -326, 84, -21, 5, -1, 0, 5)),
+    KnownSequence("narayana triangle rows", "narayana", (), "", (
+        1,
+        0, 1,
+        0, 1, 1,
+        0, 1, 3, 1,
+        0, 1, 6, 6, 1,
+        0, 1, 10, 20, 10, 1,
+        0, 1, 15, 50, 50, 15, 1)),
+    # the binomial triangle times the Narayana triangle, row by row; its
+    # diagonal sums reproduce A105633 with a prepended 1
+    KnownSequence("binomial*narayana product rows", "binomial_narayana", (), "", (
+        1,
+        1, 1,
+        1, 3, 1,
+        1, 7, 6, 1,
+        1, 15, 24, 10, 1,
+        1, 31, 80, 60, 15, 1,
+        1, 63, 240, 280, 125, 21, 1)),
+    # b_n rows of the curve table for a = 0..5, lengths as printed
+    KnownSequence("curve b-table a=0", "curve_b", ("0",), "", (2, -1, 1, -1, 1, -1)),
+    KnownSequence("curve b-table a=1", "curve_b", ("1",), "", (1, -1, 0, 0, 0)),
+    KnownSequence("curve b-table a=2", "curve_b", ("2",), "", (0, -1, -1, -1)),
+    KnownSequence("curve b-table a=3", "curve_b", ("3",), "", (-1, -1, -2, -4, -8)),
+    KnownSequence("curve b-table a=4", "curve_b", ("4",), "", (-2, -1, -3, -9, -27)),
+    KnownSequence("curve b-table a=5", "curve_b", ("5",), "", (-3, -1, -4, -16)),
 )
 
 
-NARAYANA_ROWS: tuple[tuple[int, ...], ...] = (
-    (1,),
-    (0, 1),
-    (0, 1, 1),
-    (0, 1, 3, 1),
-    (0, 1, 6, 6, 1),
-    (0, 1, 10, 20, 10, 1),
-    (0, 1, 15, 50, 50, 15, 1),
-)
+def _triangle(cell: Callable[[int, int], Fraction], n: int) -> Series:
+    """The first n entries of the triangle cell(r, k), 0 <= k <= r, read
+    row by row."""
+    return Series(islice((cell(r, k) for r in count() for k in range(r + 1)), n), n)
 
-# Row-by-row product of the binomial triangle with the Narayana triangle;
-# its diagonal sums reproduce A105633 with a prepended 1.
-BINOMIAL_NARAYANA_PRODUCT: tuple[tuple[int, ...], ...] = (
-    (1,),
-    (1, 1),
-    (1, 3, 1),
-    (1, 7, 6, 1),
-    (1, 15, 24, 10, 1),
-    (1, 31, 80, 60, 15, 1),
-    (1, 63, 240, 280, 125, 21, 1),
-)
 
-# b_n rows of the curve table for a = 0..5 (true expansions of
-# (2-a + (1-3a+a^2)x)/(1+(1-a)x), lengths as printed).
-CURVE_B_TABLE: tuple[tuple[str, tuple[int, ...]], ...] = (
-    ("0", (2, -1, 1, -1, 1, -1)),
-    ("1", (1, -1, 0, 0, 0)),
-    ("2", (0, -1, -1, -1)),
-    ("3", (-1, -1, -2, -4, -8)),
-    ("4", (-2, -1, -3, -9, -27)),
-    ("5", (-3, -1, -4, -16)),
-)
+def _binomial_narayana(n: int, k: int) -> Fraction:
+    return sum(family.binomial(n, j) * family.narayana(j, k) for j in range(k, n + 1))
 
 
 class Generator(NamedTuple):
@@ -197,6 +206,11 @@ GENERATORS = {
     "curve": Generator(1, family.SOMOS_OFFSET, lambda p, n: elliptic.pipeline(*p, n).g),
     "curvef": Generator(1, 0, lambda p, n: elliptic.f_from_curve(*p, n)),
     "curve_branch": Generator(1, None, lambda p, n: elliptic.curve_branch(*p, n)),
+    # the printed tables: two triangles flattened row by row, and a curve's B-sequence
+    "narayana": Generator(0, None, lambda p, n: _triangle(family.narayana, n)),
+    "binomial_narayana": Generator(0, None, lambda p, n: _triangle(_binomial_narayana, n)),
+    "curve_b": Generator(1, None, lambda p, n: Series(
+        elliptic.b_from_curve(*p, terms=n).prefix.values)),
 }
 
 

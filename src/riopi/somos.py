@@ -130,16 +130,21 @@ class ConjectureReport:
         return not self.family.failures and not self.companion.failures
 
 
+def family_somos_params(p: FamilyParams) -> SomosParams:
+    """The member's Somos-4 parameters ((ab+c)^2, b*(ab+c)^2)."""
+    k2 = p.somos_weight ** 2
+    return SomosParams(k2, p.b * k2)
+
+
 def conjecture_family(p: FamilyParams, order: int = 28) -> ConjectureReport:
     """Test that the family Hankel tail (from ``family.SOMOS_OFFSET``, where
     the printed transforms start) and the full companion Hankel transform are
-    ((ab+c)^2, b*(ab+c)^2) Somos-4 sequences.  Failures are report data,
+    ``family_somos_params(p)`` Somos-4 sequences.  Failures are report data,
     not errors: this is a conjecture check."""
-    k = p.somos_weight
-    params = SomosParams(k * k, p.b * k * k)
+    params = family_somos_params(p)
     family_tail = hankel_transform(g_family(p, order)).values[SOMOS_OFFSET:]
     fam = somos4_check(family_tail, params)
     comp_values = hankel_transform(companion(p, order)).values
     comp = somos4_check(comp_values, params)
     return ConjectureReport(params=params, family=fam, companion=comp,
-                            degenerate=(k == 0))
+                            degenerate=(p.somos_weight == 0))

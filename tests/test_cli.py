@@ -550,7 +550,7 @@ class TestVerify:
         assert code == 0 and "0 failed" in out
         assert sorted(curve for curve, _ in pipelines) == ["-3", "0", "2"]
         wanted = {(entry.kind, entry.params) for entry in knowndata.KNOWN_SEQUENCES}
-        assert sorted(builds) == sorted(wanted) and len(builds) == 22
+        assert sorted(builds) == sorted(wanted) and len(builds) == 30
 
     def test_shared_source_isolates_failures(self, capsys, monkeypatch):
         # A050512 shares curve(2)'s series with four other entries; only it fails

@@ -11,7 +11,7 @@ from riopi.elliptic import (
     family_params_from_curve,
     pipeline,
 )
-from riopi.family import FamilyParams, g_family
+from riopi.family import FamilyParams, companion, g_family
 from riopi.hankel import hankel_transform
 from riopi.riordan import b_extract, is_pseudo_involution
 from riopi.series import Series, cf_eval
@@ -200,6 +200,19 @@ class TestCurveHankel:
             h = hankel_transform(f_from_curve(a, 13).coeffs).values
             assert h[:5] == (1, 1, a - 1, a * a - 3 * a + 1,
                              -a ** 3 + 4 * a * a - 6 * a + 2)
+
+    def test_f_hankel_is_the_member_transform_shifted(self, rng):
+        # identity (iii): h(f)_(n+1) = h(companion(m))_n for the curve's
+        # member m, and h(f)_n = -h(g)_(n+2) for n >= 1
+        curves = [Fraction(1), Fraction(-3)] + [rand_fraction(rng, 6, (1, 2, 3, 7))
+                                                for _ in range(38)]
+        for a in curves:
+            h_f = hankel_transform(f_from_curve(a, 25)).values
+            h_comp = hankel_transform(companion(family_params_from_curve(a), 25)).values
+            h_g = hankel_transform(pipeline(a, 25).g).values
+            assert h_f[1:] == h_comp[:-1], a
+            assert h_f[1:-2] == tuple(-v for v in h_g[3:]), a
+        assert sum(a.denominator > 1 for a in curves) >= 15
 
     def test_somos_check_printed_cases(self):
         rep = curve_somos_check(-3, 16)

@@ -11,7 +11,8 @@ from riopi.family import (
     g_family,
     narayana,
 )
-from riopi.riordan import is_pseudo_involution
+from riopi.hankel import hankel_transform
+from riopi.riordan import a_from_g, is_pseudo_involution
 from riopi.series import Series
 
 import composition_oracle
@@ -31,6 +32,21 @@ from family_oracle import (
 
 def params_of(rng, span=3):
     return FamilyParams.of(*(rand_fraction(rng, span) for _ in range(3)))
+
+
+def shaped_members(rng, count):
+    """Seeded integer and p/q members (denominators 2, 3, 7): about a
+    quarter with b = 0 and a quarter with ab + c = 0."""
+    members = []
+    for _ in range(count):
+        a, b, c = (rand_fraction(rng, 3, (1, 1, 2, 3, 7)) for _ in range(3))
+        shape = rng.randrange(4)
+        if shape == 0:
+            b = 0
+        elif shape == 1:
+            c = -a * b
+        members.append(FamilyParams.of(a, b, c))
+    return members
 
 
 class TestExpansions:
@@ -203,6 +219,33 @@ class TestCompanion:
             comp = companion(p, 16)
             expected = Series([1, p.a], 16) - p.somos_weight * comp.shift(3).truncate(16)
             assert a_family(p, 16).coeffs == expected.coeffs
+
+    def test_a_from_g_is_the_companion_form(self, rng):
+        # identity (i) on the library's own builds: 1/g(-x) = 1 + a*x
+        # - (ab+c) * x^3 * companion(x), ab + c = 0 included
+        members = shaped_members(rng, 120)
+        for p in members:
+            tail = companion(p, 24).shift(3).truncate(24)
+            expected = Series([1, p.a], 24) - p.somos_weight * tail
+            assert a_from_g(g_family(p, 24)) == expected, p
+        assert sum(p.somos_weight == 0 for p in members) >= 20
+        assert sum(p.b == 0 for p in members) >= 20
+        assert sum(any(v.denominator > 1 for v in (p.a, p.b, p.c)) for p in members) >= 60
+
+    def test_companion_hankel_is_the_family_tail_rescaled(self, rng):
+        # identity (ii), k = ab + c != 0: h(companion)_n = -h(g)_(n+3) / k^(2n+4);
+        # with (i), the A-tail from a_3, -k * companion, has h_n = (-k)^(n+1) * h(companion)_n
+        members = [p for p in shaped_members(rng, 120) if p.somos_weight != 0]
+        for p in members:
+            k = p.somos_weight
+            h_comp = hankel_transform(companion(p, 27)).values
+            h_g = hankel_transform(g_family(p, 27)).values
+            assert h_comp[:-3] == tuple(-h_g[n + 3] / k ** (2 * n + 4)
+                                        for n in range(len(h_g) - 3)), p
+            a_tail = a_from_g(g_family(p, 30)).coeffs[3:]
+            assert hankel_transform(a_tail).values == tuple(
+                (-k) ** (n + 1) * v for n, v in enumerate(h_comp)), p
+        assert len(members) >= 60 and sum(p.b == 0 for p in members) >= 20
 
 
 class TestBinomialTransform:
