@@ -1,8 +1,9 @@
 """riopi: exact-arithmetic Riordan pseudo-involution toolkit.
 
-Truncated rational power series, Riordan-group operations, the
-three-parameter Bell pseudo-involution family, Hankel transforms,
-Somos-4 fitting, and the elliptic-curve-to-involution pipeline.
+Truncated rational power series, Riordan arrays (triangles, production
+matrices, A/Z/B-sequences), the three-parameter Bell pseudo-involution
+family, Hankel transforms, Somos-4 fitting, and the
+elliptic-curve-to-involution pipeline.
 """
 
 from .series import (
@@ -28,7 +29,6 @@ from .riordan import (
     bell,
     is_pseudo_involution,
     b_extract,
-    a_from_b,
     a_from_g,
 )
 from .family import (

@@ -289,16 +289,19 @@ def run_conjecture_suite(seed: int, trials: int, order: int = 28) -> list[dict]:
                 break
         report = conjecture_family(FamilyParams.of(a, b, c), order)
         checks.append(_check(
-            f"conjecture family({a},{b},{c})", report.ok,
-            "somos product form over all checkable indices",
+            f"conjecture family({a},{b},{c})", report.ok, _product_form(report.params),
             f"family failures {list(report.family.failures)}, "
             f"companion failures {list(report.companion.failures)}"))
     for _ in range(max(1, trials // 3)):
         a = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
         report = curve_somos_check(a, order=20)
         checks.append(_check(f"curve somos a={a}", not report.failures,
-                             "(1, 1-a) product form", f"failures {list(report.failures)}"))
+                             _product_form(report.params), f"failures {list(report.failures)}"))
     return checks
+
+
+def _product_form(params: SomosParams) -> str:
+    return f"({params.alpha}, {params.beta}) product form"
 
 
 def cmd_verify(args) -> int:

@@ -70,7 +70,7 @@ def pipeline(curve, order: int) -> PipelineTrace:
     h = numerator / denominator
     h_alt = h.truncate(order)._alternated()
     g = Series._reduced(*_binomial_table(h_alt._nums, h_alt._den, 1 - a))
-    if not is_pseudo_involution(g, order):
+    if not is_pseudo_involution(g):
         raise SelfCheckError("pipeline output failed the pseudo-involution test")
     return PipelineTrace(f=f.truncate(order), g=g)
 

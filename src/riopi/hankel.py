@@ -166,14 +166,14 @@ def _hankel_values(nums, den: int, top: int) -> list[Fraction]:
 
 
 def hankel_det(seq, n: int) -> Fraction:
-    """Determinant of the (n+1)x(n+1) Hankel matrix built from seq[0..2n]."""
+    """Determinant of the (n+1)x(n+1) Hankel matrix built from seq[0..2n]:
+    the last value of the Hankel transform of those terms."""
     if n < 0:
         raise ValueError(f"h_n needs n >= 0, got {n}")
-    nums, den = _packed([rational(v) for v in seq])
-    if len(nums) < 2 * n + 1:
-        raise InsufficientTerms(
-            f"h_{n} needs {2 * n + 1} terms, got {len(nums)}")
-    return _hankel_values(nums, den, n)[n]
+    terms = list(seq)
+    if len(terms) < 2 * n + 1:
+        raise InsufficientTerms(f"h_{n} needs {2 * n + 1} terms, got {len(terms)}")
+    return hankel_transform(terms[:2 * n + 1]).values[n]
 
 
 def hankel_transform(seq) -> HankelTransform:

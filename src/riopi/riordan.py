@@ -1,5 +1,5 @@
-"""Riordan arrays as values: matrices, group operations, production matrices,
-A/Z/B-sequences and the pseudo-involution test.
+"""Riordan arrays as values: triangles, production matrices, A/Z/B-sequences
+and the pseudo-involution test.
 
 A Riordan array is a pair (g, f) with g(0) = 1 and f(0) = 0 acting as the
 lower-triangular matrix t[n][k] = [x^n] g*f^k.  The Bell subgroup is the
@@ -9,6 +9,10 @@ admit a B-sequence recurrence along their rows.  One read-off of the
 B-sequence decides both: is_pseudo_involution, b_extract and the
 production matrix of a Bell array share it, and it runs once per g: the
 last read-off is remembered for the next call on the same prefix.
+
+The group product and inverse, the fundamental-theorem action h -> g*h(f)
+and A from B are second routes to these answers, kept as test oracles in
+``tests/riordan_oracle.py``.
 """
 
 from __future__ import annotations
@@ -182,12 +186,7 @@ class BSequence:
 
 
 class RiordanArray:
-    """Pair (g, f); g needs unit constant term, f zero constant term.
-
-    f'(0) may be zero for arrays used only through the fundamental
-    theorem (ftra_apply); group operations that need the compositional
-    inverse of f raise NotRevertible on such arrays.
-    """
+    """Pair (g, f); g needs unit constant term, f zero constant term."""
 
     __slots__ = ("g", "f")
 
@@ -208,20 +207,6 @@ class RiordanArray:
 
     # -- matrix realisation ----------------------------------------------
 
-    def entry(self, n: int, k: int) -> Fraction:
-        """t[n][k] = [x^n] g*f^k."""
-        if n < 0 or k < 0:
-            raise OutOfOrder("negative index")
-        if n >= self.order:
-            raise OutOfOrder(f"row {n} beyond certified order {self.order}")
-        if k > n:
-            return _ZERO
-        col = self.g.truncate(n + 1)
-        f = self.f.truncate(n + 1)
-        for _ in range(k):
-            col = col * f
-        return col[n]
-
     def triangle(self, size: int) -> TriangularMatrix:
         """First ``size`` rows, row n holding columns 0..n."""
         if size < 1 or size > self.order:
@@ -237,24 +222,6 @@ class RiordanArray:
             if k + 1 < size:
                 col = col * f
         return TriangularMatrix(tuple([tuple(r) for r in rows]))
-
-    # -- group structure ---------------------------------------------------
-
-    def multiply(self, other: "RiordanArray") -> "RiordanArray":
-        """(g, f) . (u, v) = (g * u(f), v(f))."""
-        return RiordanArray(self.g * other.g.compose(self.f),
-                            other.f.compose(self.f))
-
-    __mul__ = multiply
-
-    def inverse(self) -> "RiordanArray":
-        """(g, f)^-1 = (1 / g(fbar), fbar) with fbar the reversion of f."""
-        fbar = self.f.revert()
-        return RiordanArray(1 / self.g.compose(fbar), fbar)
-
-    def ftra_apply(self, h: Series) -> Series:
-        """Fundamental theorem: the array acts on h by h -> g * h(f)."""
-        return self.g * h.compose(self.f)
 
     # -- production structure ----------------------------------------------
 
@@ -323,20 +290,17 @@ def bell(g: Series) -> RiordanArray:
 # -- pseudo-involutions ----------------------------------------------------
 
 
-def is_pseudo_involution(g: Series, size: int | None = None) -> bool:
-    """Does (g, -x*g) square to the identity on the size x size truncation?
+def is_pseudo_involution(g: Series) -> bool:
+    """Does (g, -x*g) square to the identity on the N x N truncation,
+    N = g.order?  Truncate g to ask at a smaller size.
 
     The square is (g*g(f), f(f)) with f = -x*g, and f(f) = x*g*g(f), so it
-    is the identity exactly when g*g(-x*g) = 1 mod x^size, which the
-    B-sequence read-off of g mod x^size decides (see _b_read_off).
+    is the identity exactly when g*g(-x*g) = 1 mod x^N, which the
+    B-sequence read-off of g decides (see _b_read_off).
     """
     if g[0] != 1:
         raise ValueError("g must have constant term 1")
-    if size is None:
-        size = g.order
-    if size < 1 or size > g.order:
-        raise OutOfOrder(f"size {size} outside 1..{g.order}")
-    return _b_read_off(g.truncate(size))[1] is None
+    return _b_read_off(g)[1] is None
 
 
 def b_extract(g: Series) -> BSequence:
@@ -405,25 +369,6 @@ def _read_off(gs: tuple[int, ...], d: int) -> tuple[BSequence, int | None]:
         elif t * d != gs[n] * e * m:
             return BSequence._from_ints(bs, e), n
     return BSequence._from_ints(bs, e), None
-
-
-def a_from_b(b: Series, order: int) -> Series:
-    """Unique A with A(0) = 1 solving A(x) = 1 + x*B(x^2 / A(x)).
-
-    That A is 1/g(-x) (``a_from_g``) for the pseudo-involution g whose
-    B-sequence is B: g is column 0 of the Bell triangle B generates,
-    t[n+1][k] = t[n][k-1] + sum_j b_j*t[n-j][k+j] from t[0][0] = 1.
-    Rows below ``order`` read b_j for j <= (order-2)//2 only.
-    """
-    if b.order < order // 2:
-        raise ValueError(f"need B to order {order // 2} for A to order {order}")
-    bs = b.coeffs
-    t = [[Fraction(1)]]
-    for n in range(order - 1):
-        t.append([(t[n][k - 1] if k else _ZERO)
-                  + sum([bs[j] * t[n - j][k + j] for j in range((n - k) // 2 + 1)])
-                  for k in range(n + 2)])
-    return a_from_g(Series([row[0] for row in t], order))
 
 
 def a_from_g(g: Series) -> Series:

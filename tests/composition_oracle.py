@@ -19,6 +19,7 @@ from fractions import Fraction
 from riopi.elliptic import curve_branch
 from riopi.riordan import RiordanArray
 from riopi.series import Series, catalan
+from riordan_oracle import ftra_apply
 
 
 def catalan_quotient(den: Series, num: Series, order: int) -> Series:
@@ -82,5 +83,5 @@ def pipeline_stages(a, order: int) -> tuple:
     denominator = (f * Series([a - 1, a], f.order)).shift(1)
     h = numerator / denominator
     outer_g = 1 / Series([1, a - 1], work)
-    g = RiordanArray(outer_g, -(outer_g.shift(1))).ftra_apply(h)
+    g = ftra_apply(RiordanArray(outer_g, -(outer_g.shift(1))), h)
     return tuple(s.truncate(order).coeffs for s in (y, stripped, fraction, reverted, f, g))

@@ -7,7 +7,8 @@ square-root closed form 2/(den + sqrt(den^2 - 4*num)) of that root is
 continued fraction, as a quadratic recurrence when c = 0, and as single,
 double and triple sums; those routes live here so the tests can check the
 build against every printed formula.  ``a_family`` is the A-series of
-the family's Bell array, compared with ``a_from_b`` and ``a_from_g``.
+the family's Bell array, compared with ``a_from_g`` and with
+``riordan_oracle.a_from_b``.
 ``binomial_transform_sum`` is the term-by-term double sum that
 ``binomial_transform``'s integer difference table replaces.
 """

@@ -10,10 +10,17 @@ evaluation of g = 1 + x*g*B(x^2*g) are series routes to the same
 verdicts, the last two the ones ``riopi.riordan`` once ran itself.  So are
 the reversion formulas for Z and A and the fixed-point iteration for A
 from B, which ``riopi.riordan`` replaced by row recurrences.
+
+The Riordan group product and inverse, the fundamental-theorem action, a
+single entry [x^n] g*f^k and ``a_from_b`` (A from B through the Bell
+triangle B generates) are second routes to what ``riopi.riordan`` reads
+off once; they act on ``RiordanArray`` values by composition and
+reversion, or by the recurrence, and the tests hold the library to them.
 """
 
 from fractions import Fraction
 
+from riopi.riordan import RiordanArray, a_from_g
 from riopi.series import Series, _horner
 from series_oracle import _convolve
 
@@ -133,3 +140,50 @@ def a_from_b_fixed_point(b, order) -> Series:
             return a
         a = updated
     raise AssertionError("A(x) fixed point failed to stabilise")
+
+
+def entry(array, n, k) -> Fraction:
+    """t[n][k] = [x^n] g*f^k by k series products; zero above the diagonal."""
+    if k > n:
+        return _ZERO
+    col = array.g.truncate(n + 1)
+    f = array.f.truncate(n + 1)
+    for _ in range(k):
+        col = col * f
+    return col[n]
+
+
+def multiply(r, s) -> RiordanArray:
+    """(g, f) . (u, v) = (g * u(f), v(f))."""
+    return RiordanArray(r.g * s.g.compose(r.f), s.f.compose(r.f))
+
+
+def inverse(r) -> RiordanArray:
+    """(g, f)^-1 = (1 / g(fbar), fbar) with fbar the reversion of f."""
+    fbar = r.f.revert()
+    return RiordanArray(1 / r.g.compose(fbar), fbar)
+
+
+def ftra_apply(r, h) -> Series:
+    """Fundamental theorem: the array acts on h by h -> g * h(f).  f'(0) may
+    be zero here, as no reversion is taken."""
+    return r.g * h.compose(r.f)
+
+
+def a_from_b(b, order) -> Series:
+    """Unique A with A(0) = 1 solving A(x) = 1 + x*B(x^2 / A(x)).
+
+    That A is 1/g(-x) (``a_from_g``) for the pseudo-involution g whose
+    B-sequence is B: g is column 0 of the Bell triangle B generates,
+    t[n+1][k] = t[n][k-1] + sum_j b_j*t[n-j][k+j] from t[0][0] = 1.
+    Rows below ``order`` read b_j for j <= (order-2)//2 only.
+    """
+    if b.order < order // 2:
+        raise ValueError(f"need B to order {order // 2} for A to order {order}")
+    bs = b.coeffs
+    t = [[_ONE]]
+    for n in range(order - 1):
+        t.append([(t[n][k - 1] if k else _ZERO)
+                  + sum([bs[j] * t[n - j][k + j] for j in range((n - k) // 2 + 1)])
+                  for k in range(n + 2)])
+    return a_from_g(Series([row[0] for row in t], order))

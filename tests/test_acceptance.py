@@ -18,12 +18,13 @@ from riopi.family import (
     g_ad,
 )
 from riopi.hankel import hankel_transform
-from riopi.riordan import a_from_b, a_from_g, b_extract, bell, is_pseudo_involution
+from riopi.riordan import a_from_g, b_extract, bell, is_pseudo_involution
 from riopi.series import Series
 from riopi.somos import somos4_check, somos4_fit
 
 from conftest import rand_fraction
 from family_oracle import companion_cf, g_family_cf, sum_ab, sum_ab_alt, sum_abc, sum_ad
+from riordan_oracle import a_from_b
 
 SEED = 20240815
 
@@ -208,7 +209,7 @@ def test_criterion_6_property_suites():
     subjects += [pipeline(a, 24).g for a in (3, 2, -3, 0)]
     for i, g in enumerate(subjects):
         for size in (8, 16, 24):
-            if not is_pseudo_involution(g, size):
+            if not is_pseudo_involution(g.truncate(size)):
                 failures.append(("pseudo-involution", i, size))
     # revert/compose round trips
     x = Series.x(12)

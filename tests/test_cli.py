@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -542,6 +543,38 @@ class TestVerify:
         assert code == 3
         assert "FAIL A105633" in out
         assert "expected:" in out and "got:" in out
+
+    def test_failing_somos_checks_name_their_parameters(self, capsys, monkeypatch):
+        # a failing conjecture or curve check prints the (alpha, beta) it
+        # checked: ((ab+c)^2, b(ab+c)^2) for a member, (1, 1-a) for a curve
+        def failing(check):
+            def wrapped(*args, **kwargs):
+                report = check(*args, **kwargs)
+                if isinstance(report, somos.ConjectureReport):
+                    return dataclasses.replace(
+                        report, family=dataclasses.replace(report.family, failures=(7,)))
+                return dataclasses.replace(report, failures=(7,))
+            return wrapped
+
+        monkeypatch.setattr(cli, "conjecture_family", failing(cli.conjecture_family))
+        monkeypatch.setattr(cli, "curve_somos_check", failing(cli.curve_somos_check))
+        code, out, _ = run(capsys, "verify", "conjecture", "--seed", "4", "--trials", "6",
+                           "--format", "json")
+        checks = json.loads(out)["report"]["checks"]
+        assert code == 3 and not any(c["ok"] for c in checks)
+        curves = 0
+        for check in checks:
+            label, expected = check["label"], check["expected"]
+            if label.startswith("curve somos a="):
+                a = Fraction(label.removeprefix("curve somos a="))
+                assert expected == f"(1, {1 - a}) product form"
+                curves += 1
+            else:
+                a, b, c = (int(v) for v in
+                           label.removeprefix("conjecture family(")[:-1].split(","))
+                k = a * b + c
+                assert expected == f"({k * k}, {b * k * k}) product form"
+        assert curves == 2 and len(checks) == 8
 
     def test_one_build_per_source(self, capsys, monkeypatch):
         # a pass builds each (kind, params) once and runs one pipeline per curve

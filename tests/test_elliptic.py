@@ -98,7 +98,7 @@ class TestPipeline:
     def test_pipeline_output_is_always_involutory(self, rng):
         for _ in range(5):
             a = rand_fraction(rng)
-            assert is_pseudo_involution(pipeline(a, 10).g, 10)
+            assert is_pseudo_involution(pipeline(a, 10).g)
 
     def test_a1_degenerate_assembly_denominator(self):
         # at a = 1 the final division is by a valuation-2 series

@@ -338,7 +338,7 @@ class TestFourWayAgreement:
     def test_every_member_is_a_pseudo_involution(self, rng):
         for _ in range(6):
             p = params_of(rng)
-            assert is_pseudo_involution(g_family(p, 12), 12)
+            assert is_pseudo_involution(g_family(p, 12))
 
 
 class TestCatalanClosedForm:
