@@ -35,11 +35,12 @@ EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
 # The largest --order accepted.  Exact work grows 10-20x per doubling of
-# the order: pipeline(-3, N) in a fresh process takes 0.036 s of process
-# time at 128, 0.36 s at 256, 4.7 s at 512 and 94 s at 1024 (Python 3.11
-# on a shared Xeon; best of two, one run at 1024), most of it in the
-# B read-off that certifies g.  Orders past the cap are out of reach
-# anyway; one past the index range would overflow in Series.
+# the order: pipeline(-3, N) in a fresh process takes 0.037 s of process
+# time at 128, 0.34 s at 256, 4.6 s at 512 and 82 s at 1024 (Python 3.11
+# on a shared 2-vCPU Xeon; best of two), 92-99% of it in the B read-off
+# that certifies g, since g and f are O(N^2) quadratic-root builds.
+# Orders past the cap are out of reach anyway; one past the index range
+# would overflow in Series.
 MAX_ORDER = 1024
 DEFAULT_ORDER = 32
 

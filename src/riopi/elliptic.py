@@ -1,19 +1,19 @@
 """From the curve family y^2 - a*x*y - y = x^3 - x to a pseudo-involution.
 
-``pipeline`` builds only the chain g comes from: the intermediate f in
-the paper's closed form, h from f, and the Moebius stage
-g = 1/(1+cx) * h(-x/(1+cx)), c = a-1, read off h in closed form in
-O(n^2), so no stage reverts or composes.  The branch y and f are roots
-of quadratics, and ``series._quadratic_root`` builds both term by term
-over ints, with no square root and no series division.  The paper's full
-walk (solve the quadratic for the branch with y = x + O(x^2), strip two
-terms, form a reciprocal fraction, revert it to reach f, and apply the
-Riordan array by the fundamental theorem) is the test oracle
-``tests/composition_oracle.pipeline_stages``, and the square-root forms
-of y and f are oracles there too.  Each curve lands on one family member,
-``family_params_from_curve``, and takes its B-sequence (``b_from_curve``)
-and Somos-4 parameters (``curve_somos_check``) from that member.  The
-Hankel transform of f is that of the member's companion shifted by one,
+Each curve lands on one family member, ``family_params_from_curve``:
+``pipeline`` builds the curve's g as that member (``family.g_family``)
+and the intermediate f in the paper's closed form, and certifies g once,
+by the pseudo-involution test.  The curve's B-sequence (``b_from_curve``)
+and Somos-4 parameters (``curve_somos_check``) come from the same member.
+The branch y and f are roots of quadratics, and
+``series._quadratic_root`` builds both term by term over ints, with no
+square root and no series division.  The paper's full walk (solve the
+quadratic for the branch with y = x + O(x^2), strip two terms, form a
+reciprocal fraction, revert it to reach f, form h from f and apply the
+Riordan array (1/(1+cx), -x/(1+cx)), c = a-1, by the fundamental
+theorem) is the test oracle ``tests/composition_oracle.pipeline_stages``,
+and the square-root forms of y and f are oracles there too.  The Hankel
+transform of f is that of the member's companion shifted by one,
 h(f)_(n+1) = h(companion)_n, and h(f)_n = -h(g)_(n+2) for n >= 1; tests
 cross-check all of it.
 """
@@ -23,20 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import FamilyParams, _binomial_table
+from .family import FamilyParams, g_family
 from .hankel import hankel_transform
 from .riordan import BSequence, SelfCheckError, is_pseudo_involution
 from .series import Series, _quadratic_root, rational
 from .somos import SomosReport, family_somos_params, somos4_check
 
-# h = num/den loses up to two orders (den has valuation 2 at a = 1), so f
-# at order+2 gives h, and with it g, at the requested order.
-_MARGIN = 2
-
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    """The intermediate f and the pseudo-involution g, each at ``order``."""
+    """The intermediate f and the pseudo-involution g, each at ``order``:
+    g is the curve's family member, certified once by ``pipeline``."""
 
     f: Series
     g: Series
@@ -50,29 +47,24 @@ def curve_branch(curve, order: int) -> Series:
 
 
 def pipeline(curve, order: int) -> PipelineTrace:
-    """Run curve -> f -> h -> g and keep f and g.
+    """Build the curve's f and g and certify g.
 
-    f is the closed form ``f_from_curve``, and
-    h = (f*(1 + (a-1)x) - 1) / (x*f*((a-1) + ax)).  The last stage
-    applies the Riordan array (1/(1+cx), -x/(1+cx)), c = a-1, to h by its
-    closed form, not by a composition: g is ``binomial_transform`` of
-    (-1)^k h_k with c = 1-a, run on h's ints.  The result is certified
-    once, by the pseudo-involution test of g at ``order``.  The paper's
-    walk through the branch, stripped, fraction and reverted stages is
+    f is the closed form ``f_from_curve`` and g is the family member
+    ``g_family(family_params_from_curve(curve), order)``.  That g is the
+    curve's at every order: g = 1 + x*g*B(x^2*g) fixes g term by term from
+    its B-sequence, and the B read off the paper's g is ``b_from_curve``'s
+    closed form, the member's (a - cx)/(1 + bx).  g is certified once, by
+    the pseudo-involution test at ``order``.  The paper's walk through the
+    branch, stripped, fraction, reverted and h stages is the test oracle
     ``tests/composition_oracle.pipeline_stages``.
     """
     a = rational(curve)
     if order < 1:
         raise ValueError("order must be at least 1")
-    f = f_from_curve(a, order + _MARGIN)
-    numerator = f * Series([1, a - 1], f.order) - 1
-    denominator = (f * Series([a - 1, a], f.order)).shift(1)
-    h = numerator / denominator
-    h_alt = h.truncate(order)._alternated()
-    g = Series._reduced(*_binomial_table(h_alt._nums, h_alt._den, 1 - a))
+    g = g_family(family_params_from_curve(a), order)
     if not is_pseudo_involution(g):
         raise SelfCheckError("pipeline output failed the pseudo-involution test")
-    return PipelineTrace(f=f.truncate(order), g=g)
+    return PipelineTrace(f=f_from_curve(a, order), g=g)
 
 
 def f_from_curve(curve, order: int) -> Series:

@@ -90,27 +90,21 @@ def companion(p: FamilyParams, order: int) -> Series:
 
 def binomial_transform(seq, c=1) -> list[Fraction]:
     """t_m = sum_k binom(m, k) * c^(m-k) * s_k, the array (1/(1-cx), x/(1-cx))
-    acting on s; c = 1 is the binomial transform and c = -1 its inverse."""
-    nums, d = _binomial_table(*_packed([rational(v) for v in seq]), rational(c))
-    return [Fraction(t, d) for t in nums]
+    acting on s; c = 1 is the binomial transform and c = -1 its inverse.
 
-
-def _binomial_table(nums, den: int, c: Fraction) -> tuple[list[int], int]:
-    """``binomial_transform`` of s = nums/den as ints over one denominator,
-    den*q^(n-1) for c = p/q and n = len(nums).
-
-    t_m*den*q^m = sum_k binom(m, k) * p^(m-k) * (nums_k*q^k) is entry 0
-    of the difference table row_(j+1)[i] = p*row_j[i] + row_j[i+1] started
-    from nums_k*q^k, and t_m*den*q^(n-1) is that times q^(n-1-m).
+    With s = nums/den over ints and c = p/q, t_m*den*q^m =
+    sum_k binom(m, k) * p^(m-k) * (nums_k*q^k) is entry 0 of the difference
+    table row_(j+1)[i] = p*row_j[i] + row_j[i+1] started from nums_k*q^k.
     """
+    nums, den = _packed([rational(v) for v in seq])
+    c = rational(c)
     p, q = c.numerator, c.denominator
-    n = len(nums)
     row = [s * q ** k for k, s in enumerate(nums)]
     out = []
-    for m in range(n):
-        out.append(row[0] * q ** (n - 1 - m))
+    for m in range(len(nums)):
+        out.append(Fraction(row[0], den * q ** m))
         row = [p * u + v for u, v in zip(row, row[1:])]
-    return out, den * q ** max(n - 1, 0)
+    return out
 
 
 def narayana(n: int, k: int) -> Fraction:

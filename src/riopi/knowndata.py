@@ -202,7 +202,8 @@ GENERATORS = {
                         lambda p, n: family.g_family(FamilyParams.of(*p), n)),
     "ad": Generator(2, family.SOMOS_OFFSET, lambda p, n: family.g_ad(*p, n)),
     "companion": Generator(3, 0, lambda p, n: family.companion(FamilyParams.of(*p), n)),
-    # a curve's g is the family member family_params_from_curve names
+    # a curve's g: pipeline builds the member family_params_from_curve names
+    # and certifies it once
     "curve": Generator(1, family.SOMOS_OFFSET, lambda p, n: elliptic.pipeline(*p, n).g),
     "curvef": Generator(1, 0, lambda p, n: elliptic.f_from_curve(*p, n)),
     "curve_branch": Generator(1, None, lambda p, n: elliptic.curve_branch(*p, n)),

@@ -8,10 +8,12 @@ and ``f_from_curve_sqrt`` are the square-root closed forms of the curve
 branch and of f, which ``riopi.elliptic`` builds as roots of quadratics
 too.  ``pipeline_stages`` runs the curve chain as the paper walks it: the
 reverted stage is the Lagrange reversion of x*fraction,
-f = 1/(1 - x*reverted), and the last stage is the fundamental-theorem
-application of the Riordan array (1/(1+(a-1)x), -x/(1+(a-1)x)), where
-``riopi.elliptic.pipeline`` takes f and g in closed form and builds none
-of the earlier stages.
+f = 1/(1 - x*reverted), h = (f*(1 + (a-1)x) - 1) / (x*f*((a-1) + ax)),
+and the last stage is the fundamental-theorem application of the Riordan
+array (1/(1+(a-1)x), -x/(1+(a-1)x)) to h.  ``riopi.elliptic.pipeline``
+builds none of these stages: it takes f in closed form and g as the
+curve's family member, and this walk is the oracle both are checked
+against.
 """
 
 from fractions import Fraction

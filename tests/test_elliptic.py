@@ -101,7 +101,8 @@ class TestPipeline:
             assert is_pseudo_involution(pipeline(a, 10).g)
 
     def test_a1_degenerate_assembly_denominator(self):
-        # at a = 1 the final division is by a valuation-2 series
+        # at a = 1 the paper's h divides by a valuation-2 series; this pins
+        # pipeline's g to the b = 0 member there
         trace = pipeline(1, 14)
         assert trace.g.coeffs == g_family(FamilyParams.of(1, 0, 1), 14).coeffs
 
@@ -232,11 +233,11 @@ class TestCurveHankel:
 
 
 class TestMoebiusStage:
-    # pipeline takes f in closed form, and its last stage is the closed form
-    # of the Riordan array (1/(1+cx), -x/(1+cx)), c = a-1, acting on h; the
-    # oracle reaches f from the curve's branch by reverting the fraction
-    # stage and applies the array by the fundamental theorem (a Horner
-    # composition).
+    # pipeline takes f in closed form and g as the curve's family member;
+    # these tests pin both to the paper's walk, which reaches f from the
+    # curve's branch by reverting the fraction stage, forms h from f and
+    # applies the Riordan array (1/(1+cx), -x/(1+cx)), c = a-1, to h by the
+    # fundamental theorem (a Horner composition).
     def test_every_stage_equals_ftra_oracle(self, rng):
         params = [Fraction(1), Fraction(2), Fraction(-3), Fraction(-11, 2)]
         params += [rand_fraction(rng, 12, (1, 2, 3, 5, 7)) for _ in range(98)]
@@ -253,10 +254,12 @@ class TestMoebiusStage:
         want = [pipeline(a, n) for a, n in cases]
 
         def refuse(*args):
-            raise AssertionError("the pipeline must not revert or compose")
+            raise AssertionError("the pipeline must not revert, compose or divide")
 
-        # the certificate runs as well: it reads B off g and composes nothing
+        # the certificate runs as well: it reads B off g, and composes and
+        # divides nothing
         monkeypatch.setattr(Series, "revert", refuse)
         monkeypatch.setattr(Series, "compose", refuse)
+        monkeypatch.setattr(Series, "_divide", refuse)
         for (a, n), trace in zip(cases, want):
             assert pipeline(a, n) == trace
