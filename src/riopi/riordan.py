@@ -10,6 +10,14 @@ B-sequence decides both: is_pseudo_involution, b_extract and the
 production matrix of a Bell array share it, and it runs once per g: the
 last read-off is remembered for the next call on the same prefix.
 
+The read-off has two routes.  When g's first B terms fit a B of degree
+(1, 1), (a - cx)/(1 + bx) as for every family member and every curve, it
+checks g's quadratic num*g^2 - den*g + 1 = 0 with one self-convolution,
+O(N^2); otherwise it walks the table of powers g, ..., g^c, O(N^3), and
+only the walk names the first failing power of x.  The quadratic is the
+paper's B identity g = 1 + x*g*B(x^2*g) times the unit 1 + b*x^2*g, so
+both routes decide the same question and give the same terms.
+
 The group product and inverse, the fundamental-theorem action h -> g*h(f)
 and A from B are second routes to these answers, kept as test oracles in
 ``tests/riordan_oracle.py``.
@@ -333,11 +341,21 @@ def _b_read_off(g: Series) -> tuple[BSequence, int | None]:
     f + (-1)^m*e*x^m + ... one way round and f - e*x^m + ... the other, so
     g*g(f) - 1 = (f(f) - x)/x first fails at an even power.
 
+    Two routes decide it (``_read_off``): a g whose B has degree (1, 1) is
+    certified by its quadratic in O(c^2) products of ints (``_rational_b``),
+    which is this identity times the unit 1 + b*x^2*g; any other g, and
+    every g that fails, takes the walk over the table of powers above,
+    O(c^3), which alone names the failing n.
+
     Only g_0..g_2c are read, so g is cut to order 2c+1 and the read-off is
     keyed on that prefix's values: the last one is remembered, and the next
-    call on the same prefix returns it without walking again, whoever makes
-    it (``b_extract`` and ``production_matrix`` on the g that ``pipeline``
-    just certified, or a second ``pipeline`` on the same curve and c).
+    call on the same prefix returns it without reading g again, whoever
+    makes it (``b_extract`` and ``production_matrix`` on the g that
+    ``pipeline`` just certified, or a second ``pipeline`` on the same curve
+    and c).  A hit costs the hash and compare of the prefix: 5-16 us for
+    curve -3 and 14-230 us for curve -11/2 at orders 40-256, against
+    0.16-4.2 ms and 0.19-13 ms for the rational-B certificate (Python 3.11,
+    shared 2-vCPU Xeon, process time).
     """
     c = (g.order - 1) // 2
     head = g.truncate(2 * c + 1)
@@ -346,7 +364,70 @@ def _b_read_off(g: Series) -> tuple[BSequence, int | None]:
 
 @functools.lru_cache(maxsize=1)
 def _read_off(gs: tuple[int, ...], d: int) -> tuple[BSequence, int | None]:
-    """``_b_read_off`` of the series gs/d of odd order 2c+1."""
+    """``_b_read_off`` of the series gs/d of odd order 2c+1: the walk on
+    the first seven terms, then the rational-B certificate of
+    ``_rational_b`` when it holds, else the full walk."""
+    c = len(gs) // 2
+    if c > 3:
+        head = _walk(gs[:7], d)
+        if head[1] is not None:
+            return head  # the full walk reads the same terms and stops there
+        b = _rational_b(gs, d, head[0], c)
+        if b is not None:
+            return b, None
+    return _walk(gs, d)
+
+
+def _rational_b(gs: tuple[int, ...], d: int, head: BSequence,
+                terms: int) -> BSequence | None:
+    """The ``terms`` terms of B = (a - cx)/(1 + bx) if g = gs/d is that
+    B's member mod x^(2*terms+1), else None.
+
+    (a, b, c) is the only B of degree (1, 1) that starts with ``head``'s
+    three terms: a = b_0, b = -b_2/b_1 and c = -b_1 - a*b, or b = c = 0
+    when b_1 = 0 (which fails at x^5 unless b_2 = 0 too).  Its member is
+    the root of num*g^2 - den*g + 1 = 0, num = -b*x^2 - c*x^3 and
+    den = 1 - a*x - b*x^2.  That quadratic is
+    (1 + b*x^2*g)*(g - 1 - x*g*B(x^2*g)) and 1 + b*x^2*g is a unit, so it
+    holds mod x^(2*terms+1) exactly when the walk's identity does with B's
+    expansion, and as the walk solves for each b_k with pivot 1, it would
+    read off these very terms.
+    """
+    (b0, b1, b2), e = head._nums, head._den
+    # The quadratic times lead*d^2, lead = e*b1 (e when b1 = 0), is
+    # (n2*x^2 + n3*x^3)*gs^2 - d*(lead + d1*x + d2*x^2)*gs + lead*d^2 over
+    # ints.  Its x^0 term vanishes as gs[0] = d.
+    if b1:
+        n2, n3, lead, d1, d2 = e * b2, b1 * b1 - b0 * b2, e * b1, -b0 * b1, e * b2
+    else:
+        n2, n3, lead, d1, d2 = 0, 0, e, -b0, 0
+    sq = [0, d * d]  # sq[m + 1] = [x^m] gs^2, one running self-convolution
+    for n in range(1, 2 * terms + 1):
+        r = d * (lead * gs[n] + d1 * gs[n - 1])
+        m = n - 2
+        if m >= 0:
+            if m:
+                # twice the pairs i < m - i, plus the middle square
+                h = (m - 1) // 2
+                s = 2 * sum(map(mul, gs[:h + 1], gs[m:m - h - 1:-1]))
+                if not m & 1:
+                    s += gs[m >> 1] ** 2
+                sq.append(s)
+            r += d * d2 * gs[m] - n2 * sq[m + 1] - n3 * sq[m]
+        if r:
+            return None
+    if not b1:
+        return BSequence._from_ints([b0] + [0] * (terms - 1), e)
+    # b_k = -b*b_(k-1) for k >= 2, so b_k = b_2^(k-1)/(e*b_1^(k-2)) for k >= 1
+    top = terms - 1
+    return BSequence._from_ints(
+        [b0 * b1 ** (top - 2)] + [b2 ** (k - 1) * b1 ** (top - k) for k in range(1, terms)],
+        e * b1 ** (top - 2))
+
+
+def _walk(gs: tuple[int, ...], d: int) -> tuple[BSequence, int | None]:
+    """``_b_read_off`` of the series gs/d of odd order 2c+1 by the walk over
+    the table of powers g, g^2, ..., g^c."""
     c = len(gs) // 2
     if not c:
         return BSequence(()), None

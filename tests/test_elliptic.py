@@ -17,6 +17,7 @@ from riopi.riordan import b_extract, is_pseudo_involution
 from riopi.series import Series, cf_eval
 
 import composition_oracle
+import riordan_oracle
 from conftest import rand_fraction
 
 
@@ -44,13 +45,15 @@ class TestBranch:
 class TestPipeline:
     def test_a3_reaches_family_member(self):
         trace = pipeline(3, 16)
-        assert trace.g.coeffs == g_family(FamilyParams.of(-1, -2, -1), 16).coeffs
+        walk = composition_oracle.pipeline_stages(3, 16)[-1]
+        assert trace.g.coeffs == walk == g_family(FamilyParams.of(-1, -2, -1), 16).coeffs
         assert trace.g.integers()[:11] == [1, -1, 1, -2, 4, -9, 21, -50, 122, -302, 758]
 
     def test_a2_printed_sequence(self):
         got = pipeline(2, 16).g.integers()
         assert got == [1, 0, 0, -1, 0, -1, 2, -1, 5, -6, 9, -22, 28, -57, 104, -163]
-        assert pipeline(2, 16).g.coeffs == g_family(FamilyParams.of(0, -1, 1), 16).coeffs
+        walk = composition_oracle.pipeline_stages(2, 16)[-1]
+        assert pipeline(2, 16).g.coeffs == walk == g_family(FamilyParams.of(0, -1, 1), 16).coeffs
 
     def test_a_minus3_printed_sequence(self):
         got = pipeline(-3, 11).g.integers()
@@ -102,9 +105,10 @@ class TestPipeline:
 
     def test_a1_degenerate_assembly_denominator(self):
         # at a = 1 the paper's h divides by a valuation-2 series; this pins
-        # pipeline's g to the b = 0 member there
+        # pipeline's g to the paper's walk and the walk to the b = 0 member
         trace = pipeline(1, 14)
-        assert trace.g.coeffs == g_family(FamilyParams.of(1, 0, 1), 14).coeffs
+        walk = composition_oracle.pipeline_stages(1, 14)[-1]
+        assert trace.g.coeffs == walk == g_family(FamilyParams.of(1, 0, 1), 14).coeffs
 
 
 class TestIntermediateF:
@@ -151,11 +155,15 @@ class TestBSequence:
             assert all(values[n] == -((a - 1) ** (n - 1)) for n in range(1, 8))
 
     def test_matches_extraction_from_pipeline(self, rng):
+        # the closed form must hold on the paper's g by the Horner route,
+        # which shares no code with the read-off
         for a in (Fraction(-3), Fraction(4), Fraction(1, 2)):
             g = pipeline(a, 17).g
+            assert g.coeffs == composition_oracle.pipeline_stages(a, 17)[-1]
             extracted = b_extract(g)
             closed = b_from_curve(a, terms=extracted.certified)
             assert extracted.values == closed.prefix.values
+            assert riordan_oracle.b_identity_mismatch(g, closed.prefix.values) is None
 
 
 class TestFamilyCoordinates:
@@ -172,7 +180,8 @@ class TestFamilyCoordinates:
         for _ in range(20):
             a = rand_fraction(rng)
             params = family_params_from_curve(a)
-            assert pipeline(a, 24).g.coeffs == g_family(params, 24).coeffs
+            walk = composition_oracle.pipeline_stages(a, 24)[-1]
+            assert pipeline(a, 24).g.coeffs == walk == g_family(params, 24).coeffs
 
     def test_curve_weight_is_always_one(self, rng):
         # (2-a)(1-a) - (a^2 - 3a + 1) = 1, so alpha = (ab+c)^2 = 1

@@ -7,6 +7,7 @@ import riordan_oracle as oracle
 
 from riopi.elliptic import f_from_curve, pipeline
 from riopi.family import FamilyParams, g_ad, g_family
+import riopi.riordan
 from riopi.riordan import (
     NoBSequence,
     OutOfOrder,
@@ -14,6 +15,7 @@ from riopi.riordan import (
     RiordanArray,
     _b_read_off,
     _read_off,
+    _walk,
     a_from_g,
     b_extract,
     bell,
@@ -610,6 +612,124 @@ class TestReadOffMemo:
             for g, want in cases:
                 assert _b_read_off(g) == want
         assert memo_counts() == (misses + 6, hits)
+
+
+def g_of_b(b, order):
+    """The pseudo-involution g = 1/A(-x) whose B-sequence starts with b."""
+    a = oracle.a_from_b(Series(b, order), order)
+    return 1 / Series([(-1) ** n * c for n, c in enumerate(a.coeffs)])
+
+
+def degree_1_1(b):
+    """Do the terms b expand some (a - cx)/(1 + bx): b_k = b_(k-1)*r for
+    k >= 2, with r = b_2/b_1, or b_k = 0 for k >= 1?"""
+    if len(b) < 3:
+        return True
+    if not b[1]:
+        return not any(b[1:])
+    return all(b[k] * b[1] == b[k - 1] * b[2] for k in range(2, len(b)))
+
+
+def full_walks(monkeypatch):
+    """Count the walks over more than the first seven terms."""
+    lengths = []
+
+    def counted(gs, d):
+        if len(gs) > 7:
+            lengths.append(len(gs))
+        return _walk(gs, d)
+
+    monkeypatch.setattr(riopi.riordan, "_walk", counted)
+    return lengths
+
+
+class TestRationalB:
+    # the read-off certifies a B of degree (1, 1) by the member's quadratic
+    # and falls back to the walk over the table of powers; both must give
+    # the same failing n and the same BSequence, whose equality compares
+    # its ints and its denominator
+    def assert_same(self, g):
+        head = g.truncate(2 * ((g.order - 1) // 2) + 1)
+        got = _read_off.__wrapped__(head._nums, head._den)
+        assert got == _walk(head._nums, head._den), g
+        return got
+
+    def test_members_take_the_certificate(self, rng, monkeypatch):
+        walks = full_walks(monkeypatch)
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        params = [FamilyParams.of(*p) for p in [
+            (2, -1, 1), (1, 0, 3), (half, 0, -third),  # b = 0
+            (2, 3, -6), (-half, 4, 2), (1, 0, 0), (0, 0, 0),  # ab + c = 0
+            (0, -2, 5), (0, third, -5 * half)]]  # a = 0
+        for _ in range(40):
+            a, b, c = (rand_fraction(rng, 3) for _ in range(3))
+            params += [FamilyParams.of(a, b, c), FamilyParams.of(a, b, -a * b),
+                       FamilyParams.of(a, 0, c), FamilyParams.of(0, b, c)]
+        for p in params:
+            order = rng.randint(1, 60)
+            b, n = self.assert_same(g_family(p, order))
+            assert n is None
+            assert list(b.values) == b_expansion_oracle(p.a, p.b, p.c, b.certified)[:b.certified]
+        assert walks == []
+
+    def test_curves_take_the_certificate(self, rng, monkeypatch):
+        walks = full_walks(monkeypatch)
+        params = [Fraction(1), Fraction(2), Fraction(-3), Fraction(-11, 2)]
+        params += [rand_fraction(rng, 12, (1, 2, 3, 5, 7)) for _ in range(30)]
+        for a in params:
+            b, n = self.assert_same(pipeline(a, rng.randint(1, 60)).g)
+            assert n is None
+        assert walks == []
+
+    def test_other_b_falls_back_to_the_walk(self, rng, monkeypatch):
+        walks = full_walks(monkeypatch)
+        bs = [[1, 0, 2, 1], [Fraction(1, 2), 0, Fraction(-3, 4)],  # b_1 = 0 != b_2
+              [1] * 30]  # 1/(1 - x), of degree (0, 1) and so (1, 1)
+        while len(bs) < 23:
+            b = [rand_fraction(rng, 3) for _ in range(rng.randint(4, 8))]
+            if not degree_1_1(b[:4]):
+                bs.append(b)
+        fell_back = 0
+        for b in bs:
+            order = rng.randint(9, max(9, 2 * len(b) + 1))
+            got, n = self.assert_same(g_of_b(b, order))
+            assert n is None
+            assert list(got.values) == (list(b) + [0] * order)[:got.certified]
+            assert len(walks) == (not degree_1_1(got.values)), b
+            fell_back += len(walks)
+            del walks[:]
+        assert fell_back == len(bs) - 1  # 1/(1 - x) is of degree (1, 1)
+
+    def test_perturbed_members_name_the_same_failure(self, rng, monkeypatch):
+        walks = full_walks(monkeypatch)
+        failures = []
+        for _ in range(60):
+            c = rng.randint(4, 25)
+            p = FamilyParams.of(*(rand_fraction(rng, 3) for _ in range(3)))
+            g = perturbed(g_family(p, 2 * c + 1), rng.randint(7, 2 * c), rand_nonzero(rng))
+            failures.append(self.assert_same(g)[1])
+        # every case walks; a change at the last odd index may leave g a
+        # pseudo-involution, of another B
+        assert len(walks) == len(failures)
+        assert all(n is None or n >= 7 for n in failures)
+        assert sum(n is not None for n in failures) > 50
+
+    def test_prefix_failure_needs_no_full_walk(self, monkeypatch):
+        walks = full_walks(monkeypatch)
+        g = perturbed(g_family(FamilyParams.of(2, -1, 1), 41), 4, 1)
+        assert self.assert_same(g)[1] == 4
+        assert walks == [] and self.assert_same(catalan(41))[1] == 2
+
+    def test_order_201_member_never_walks(self, monkeypatch):
+        p = FamilyParams.of(Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3))
+        g = g_family(p, 201)
+        walks = full_walks(monkeypatch)
+        _read_off.cache_clear()
+        assert is_pseudo_involution(g)
+        b = b_extract(g)
+        assert b.certified == 100
+        assert list(b.values) == b_expansion_oracle(p.a, p.b, p.c, 100)
+        assert walks == []
 
 
 class TestASequence:
