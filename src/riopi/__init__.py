@@ -14,6 +14,7 @@ from .series import (
     NotRevertible,
     SqrtConstantTerm,
     NonConvergent,
+    Quadratic,
     catalan,
     cf_eval,
     rational,
@@ -37,10 +38,18 @@ from .family import (
     g_family,
     g_ad,
     companion,
+    equation,
+    companion_equation,
     binomial_transform,
     narayana,
 )
-from .hankel import HankelTransform, InsufficientTerms, hankel_det, hankel_transform
+from .hankel import (
+    HankelTransform,
+    InsufficientTerms,
+    hankel_det,
+    hankel_transform,
+    root_transform,
+)
 from .somos import (
     SomosParams,
     SomosReport,
@@ -58,6 +67,7 @@ from .elliptic import (
     curve_branch,
     pipeline,
     f_from_curve,
+    f_equation,
     b_from_curve,
     family_params_from_curve,
     curve_somos_check,

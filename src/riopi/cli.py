@@ -43,6 +43,13 @@ EXIT_VERIFY = 3
 # and a g the certificate does not take falls back to O(N^3) routes (the
 # walk over the powers of g, or the triangle of a_and_z); the cap bounds
 # those, and one past the index range would overflow in Series.
+# The hankel and somos commands expand their subject and run Bareiss
+# (hankel.py), whose cost grows 20-90x per doubling: `hankel family 1/2
+# -2/3 5/3` took 0.018 / 0.87 / 71 s of process time at --order 64 / 128 /
+# 256, `hankel curvef -11/2` 0.011 / 0.33 / 23 s and `hankel family 2 -2 3`
+# 0.009 / 0.035 / 0.77 s (same host).  At the cap a p/q subject would run
+# for days (extrapolated, not run); the cap is shared all the same, and
+# such an order is the caller's choice.
 MAX_ORDER = 1024
 DEFAULT_ORDER = 32
 
@@ -50,6 +57,12 @@ _SUBJECTS = sorted(kind for kind, gen in knowndata.GENERATORS.items()
                    if gen.somos_offset is not None)
 
 _NEGATIVE_RE = re.compile(r"^-\d")
+_DIGITS_RE = re.compile(r"\d+")
+
+# The longest integer or p/q part accepted in a parameter: Python's own
+# default limit for int <-> str conversion, which ``main`` lifts while a
+# command runs so that exact results of any size print.
+MAX_LITERAL_DIGITS = 4300
 
 
 class UsageError(ValueError):
@@ -90,6 +103,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_rational(text: str) -> Fraction:
+    digits = max(map(len, _DIGITS_RE.findall(text)), default=0)
+    if digits > MAX_LITERAL_DIGITS:
+        raise UsageError(f"a literal of {digits} digits: at most {MAX_LITERAL_DIGITS} "
+                         "are accepted")
     try:
         return rational(text)
     except ValueError as exc:
@@ -391,6 +408,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    # Exact values outgrow that limit well inside the --order cap (h_88 of
+    # companion -11/2 1/3 2/7 has more than 4300 digits), so it is lifted
+    # while the command runs and put back after, for callers that run main
+    # in-process.  Python before 3.10.7 has no limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -403,6 +427,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .family import FamilyParams, g_family
 from .hankel import hankel_transform
 from .riordan import BSequence, SelfCheckError, is_pseudo_involution
-from .series import Series, _quadratic_root, rational
+from .series import Quadratic, Series, _quadratic_root, rational
 from .somos import SomosReport, family_somos_params, somos4_check
 
 
@@ -43,7 +43,7 @@ def curve_branch(curve, order: int) -> Series:
     """Quadratic branch y with y(0) = 0, y'(0) = 1: the root y(0) = 0 of
     y^2 - (1 + ax)*y + x - x^3 = 0, the curve solved for y."""
     a = rational(curve)
-    return _quadratic_root((1,), (-1, -a), (0, 1, 0, -1), 0, order)
+    return _quadratic_root(Quadratic((1,), (-1, -a), (0, 1, 0, -1), 0), order)
 
 
 def pipeline(curve, order: int) -> PipelineTrace:
@@ -67,13 +67,18 @@ def pipeline(curve, order: int) -> PipelineTrace:
     return PipelineTrace(f=f_from_curve(a, order), g=g)
 
 
-def f_from_curve(curve, order: int) -> Series:
-    """Intermediate f of the paper's closed form
-    2x / (sqrt(1 + 2ax + a^2 x^2 - 4x^3 + 4(1-a)x^4) + (2-a)x - 1), built
-    as the root f(0) = 1 of P*f^2 - L*f - x = 0 with
+def f_equation(curve) -> Quadratic:
+    """f's quadratic P*f^2 - L*f - x = 0 with f(0) = 1, where
     P = 1 - (1-a)x - x^2 + (1-a)x^3 and L = 1 - (2-a)x."""
     a = rational(curve)
-    return _quadratic_root((1, a - 1, -1, 1 - a), (-1, 2 - a), (0, -1), 1, order)
+    return Quadratic((1, a - 1, -1, 1 - a), (-1, 2 - a), (0, -1), 1)
+
+
+def f_from_curve(curve, order: int) -> Series:
+    """Intermediate f of the paper's closed form
+    2x / (sqrt(1 + 2ax + a^2 x^2 - 4x^3 + 4(1-a)x^4) + (2-a)x - 1): the
+    root of ``f_equation(curve)``."""
+    return _quadratic_root(f_equation(curve), order)
 
 
 @dataclass(frozen=True)

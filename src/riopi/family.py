@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import Series, _packed, _quadratic_root, rational
+from .series import Quadratic, Series, _packed, _quadratic_root, rational
 
 # Where the Somos-4 tail of a member's Hankel transform starts: the paper
 # prints the family transforms from index 2 on (h_1 = g_2 - g_1^2 = 0 for
@@ -63,11 +63,16 @@ def binomial(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
+def equation(p: FamilyParams) -> Quadratic:
+    """The member's quadratic num*g^2 - den*g + 1 = 0 with g(0) = 1, where
+    den = 1 - ax - bx^2 and num = -bx^2 - cx^3."""
+    return Quadratic((0, 0, -p.b, -p.c), (-1, p.a, p.b), (1,), 1)
+
+
 def g_family(p: FamilyParams, order: int) -> Series:
-    """Involutory generating function of the family member: the root
-    g(0) = 1 of num*g^2 - den*g + 1 = 0, den = 1 - ax - bx^2 and
-    num = -bx^2 - cx^3."""
-    return _quadratic_root((0, 0, -p.b, -p.c), (-1, p.a, p.b), (1,), 1, order)
+    """Involutory generating function of the family member: the root of
+    ``equation(p)``."""
+    return _quadratic_root(equation(p), order)
 
 
 def g_ad(a, d, order: int) -> Series:
@@ -75,17 +80,23 @@ def g_ad(a, d, order: int) -> Series:
     return g_family(FamilyParams.from_ad(a, d), order)
 
 
+def companion_equation(p: FamilyParams) -> Quadratic:
+    """The companion's quadratic num*g^2 - den*g + 1 = 0 with g(0) = 1, where
+    den = 1 + ax + bx^2 and num = (ab+c)x^3."""
+    return Quadratic((0, 0, 0, p.somos_weight), (-1, -p.a, -p.b), (1,), 1)
+
+
 def companion(p: FamilyParams, order: int) -> Series:
     """Companion series 1/(1+ax+bx^2) * c((ab+c)x^3/(1+ax+bx^2)^2): the root
-    g(0) = 1 of num*g^2 - den*g + 1 = 0, den = 1 + ax + bx^2 and
-    num = (ab+c)x^3.  With k = ab + c and h the Hankel transform, it ties
-    the member's A-sequence and transform together (tests check both):
+    of ``companion_equation(p)``.  With k = ab + c and h the Hankel
+    transform, it ties the member's A-sequence and transform together
+    (tests check both):
 
         1/g(-x) = 1 + ax - k*x^3*companion(x),
         h(companion)_n = -h(g)_(n+3) / k^(2n+4)   (k != 0),
 
     so its transform carries the same Somos-4 structure as the family's."""
-    return _quadratic_root((0, 0, 0, p.somos_weight), (-1, -p.a, -p.b), (1,), 1, order)
+    return _quadratic_root(companion_equation(p), order)
 
 
 def binomial_transform(seq, c=1) -> list[Fraction]:

@@ -1,9 +1,24 @@
 """Exact Hankel-determinant transforms of rational sequences.
 
 Each transform value h_n is the determinant of the (n+1)x(n+1) matrix
-with entry (i,j) = s[i+j].  These matrices are nested, so one
-fraction-free (Bareiss) elimination of the largest yields every h_n as a
-leading principal minor.
+with entry (i,j) = s[i+j].  There are two routes, one for each kind of
+input, not two paths for the same input:
+
+- ``hankel_transform`` takes terms, a plain sequence or a Series, and
+  runs one Bareiss elimination (below).  Terms carry no equation, so
+  nothing shorter applies to them; the CLI subjects, the knowndata rows
+  and ``curve_somos_check`` hold Series and take this route.
+- ``root_transform`` takes a ``series.Quadratic``, the equation of an
+  algebraic root, and reads the transform off the root's H-fraction
+  (below) in O(N) steps on small integer quadratics, never expanding the
+  root.  ``somos.conjecture_family`` takes this route; tests check it
+  against Bareiss, which stays the oracle.
+
+Bareiss elimination
+-------------------
+The Hankel matrices are nested, so one fraction-free (Bareiss)
+elimination of the largest yields every h_n as a leading principal
+minor.
 
 After step k of Bareiss's elimination, working entry (i, j) is the minor
 on rows 0..k, i and columns 0..k, j, and the pivot of step k is h_k.  A
@@ -51,6 +66,67 @@ k ~ 0.4 * top, where the saving is about (k+1) * (bits(lcm) - bits(scale)
 - k * bits(lam)).  So lam is kept when
 5 * (bits(lcm) - bits(scale)) > 2 * top * bits(lam), and otherwise
 lam = 1 and scale is the lcm of every den_k.
+
+Han's H-fraction
+----------------
+Every power series F has one H-fraction (G.-N. Han, "Hankel continued
+fraction and its applications", Adv. Math. 303 (2016))
+
+    F = v_0*x^k_0 / (1 + u_1(x)*x - v_1*x^(k_0+k_1+2) / (1 + u_2(x)*x - ...)),
+
+with v_j != 0 and deg u_j <= k_(j-1).  Let s_j = k_0 + ... + k_(j-1) + j
+and H_n = h_(n-1), H_0 = 1.  Han's theorem: the nonzero H_n are exactly
+
+    H_(s_(j+1)) = (-1)^(k_j*(k_j+1)/2) * H_(s_j) * (v_0*...*v_j)^(k_j+1),
+
+and a fraction that ends after step j leaves every later H_n at 0.
+
+Tail step.  Let the tail T (F itself first) have first term v*x^k.  Then
+v*x^k/T = E - x^(k+2)*T', E = 1 + u(x)*x its first k + 2 terms and T' the
+next tail.  If q2*T^2 + q1*T + q0 = 0, then W = v*x^k/T solves
+q0*W^2 + v*q1*x^k*W + v^2*q2*x^(2k) = 0, and putting W = E - x^(k+2)*T'
+in it gives T' as a root of
+
+    Q2 = q0*x^(k+2),  Q1 = -(2*q0*E + v*q1*x^k),
+    Q0 = (q0*E^2 + v*q1*x^k*E + v^2*q2*x^(2k)) / x^(k+2)
+
+(the same step as Sulanke and Xin's quadratic transformation, Adv. Appl.
+Math. 40 (2008)).  Each tail is kept as int lists: the step is scaled to
+clear denominators, x^k is removed from all three (below), and one gcd
+divides out their content.
+
+No double root.  With c = q1(0) != 0 and val(q2) >= 1, the root T has
+val(T) = val(q0) = k and v = -q0_k/c.  Then [x^k]Q1 = -(2*q0_k + c*v) =
+-q0_k != 0 and Q1's lower terms vanish, so val(Q1) = k.  The numerator of
+Q0 is (E - W)*(q0*(E + W) + v*q1*x^k), of valuation at least 2k + 2, so
+x^k divides Q0 too, and Q2 has valuation 2k + 2.  With x^k removed,
+Q1(0) != 0 and val(Q2) = k + 2 >= 2: the next tail is again the only
+power-series root of its quadratic, and its terms divide only by Q1(0).
+The record's own root starts it: its pivot 2*p2(0)*y0 + p1(0) is +-1,
+[x^0]Q1 = y0 * pivot when y0 != 0, and when y0 = 0, p1(0) is the pivot
+and the argument above holds.  Q0 = 0 means T' = 0, the end of the
+fraction: on the family, ab + c = 0.
+
+Leading terms.  As val(q2) >= 2, q2*T^2 = O(x^(2k+2)), so
+T = -q0/q1 mod x^(2k+2) and E is one short int division.  Only the
+record's own root, whose p2 may have valuation below 2, reads its leading
+terms off ``series._quadratic_root``.
+
+Closed k = 0 step.  The family's quadratics, and every tail after them,
+have the shape q2 = x^2*(r0 + r1*x), q1 = a0 + a1*x + a2*x^2 and
+q0 = b0 + b1*x.  At k = 0, v = -b0/a0 and E = 1 + (m/d)*x with d = a0*b0
+and m = a1*b0 - a0*b1, and the next tail times d^2 is
+
+    r0' = d^2*b0,          r1' = d^2*b1,
+    a0' = -d*a0*b0^2,      a1' = -d*a1*b0^2,     a2' = d*(a2*b0^2 - 2*b1*m),
+    b0' = b0*(a0*(b1*m - a2*b0^2) + r0*b0^3),
+    b1' = m*(b1*m - a2*b0^2) + r1*b0^4,
+
+of the same shape, with a0' != 0 and nothing to remove: about 25 int
+products and one gcd of the 7 ints per step.  b0' = 0 starts a zero block,
+which takes the general step.  Each step's ints grow by O(n) bits, so
+step n costs products of O(n^2)-bit ints; the values h_n themselves have
+O(n^2) bits.
 """
 
 from __future__ import annotations
@@ -59,7 +135,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import Series, _packed, rational
+from .series import Quadratic, Series, _checked, _packed, _quadratic_root, rational
+
+
+_ZERO = Fraction(0)
 
 
 class InsufficientTerms(ValueError):
@@ -191,3 +270,150 @@ def hankel_transform(seq) -> HankelTransform:
     top = (len(nums) - 1) // 2
     return HankelTransform(values=tuple(_hankel_values(nums, den, top)),
                            source_length=len(nums))
+
+
+def _poly_mul(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def _primitive(*polys: list) -> tuple[list[int], ...]:
+    """Int polynomials divided by their common content, trailing zeros cut."""
+    g = math.gcd(*[c for p in polys for c in p])
+    out = []
+    for p in polys:
+        p = [c // g for c in p]
+        while p and not p[-1]:
+            p.pop()
+        out.append(p)
+    return tuple(out)
+
+
+def _add_scaled(acc: list, scale: int, p: list, shift: int) -> None:
+    """acc += scale * x^shift * p, growing acc as needed."""
+    acc.extend([0] * (len(p) + shift - len(acc)))
+    for j, t in enumerate(p, shift):
+        acc[j] += scale * t
+
+
+def _valuation(p: list) -> int | None:
+    return next((i for i, c in enumerate(p) if c), None)
+
+
+def _tail_step(q2: list, q1: list, q0: list, k: int, u: list, vn: int, vd: int):
+    """The quadratic of the tail after T, the root of q2*T^2 + q1*T + q0 = 0
+    whose first nonzero term is v*x^k, v = vn/vd, and whose terms
+    T_k .. T_(2k+1) are proportional to the ints u (module docstring):
+    primitive int lists with x^k removed."""
+    # E = u_0/u mod x^(k+2), with E_n = eps_n / u_0^n, over delta = u_0^(k+1)
+    u0 = u[0]
+    eps = [1]
+    for n in range(1, k + 2):
+        eps.append(-sum(u[i] * u0 ** (i - 1) * eps[n - i] for i in range(1, n + 1)))
+    delta = u0 ** (k + 1)
+    e = [t * u0 ** (k + 1 - n) for n, t in enumerate(eps)]
+    # Q2, Q1 and Q0 times (vd*delta)^2
+    q0e = _poly_mul(q0, e)
+    big_q1, big_q0 = [], []
+    _add_scaled(big_q1, -2 * vd * vd * delta, q0e, 0)
+    _add_scaled(big_q1, -vn * vd * delta * delta, q1, k)
+    _add_scaled(big_q0, vd * vd, _poly_mul(q0e, e), 0)
+    _add_scaled(big_q0, vn * vd * delta, _poly_mul(q1, e), k)
+    _add_scaled(big_q0, vn * vn * delta * delta, q2, 2 * k)
+    vv = vd * delta
+    return _primitive([0, 0] + [vv * vv * t for t in q0], big_q1[k:], big_q0[2 * k + 2:])
+
+
+def _h_fraction(eq: Quadratic):
+    """(k_j, vn_j, vd_j) for each step of the H-fraction of the root of
+    ``eq``, v_j = vn_j/vd_j, until a tail is 0 (module docstring)."""
+    polys, y0, _ = _checked(eq)
+    lam = math.lcm(*[c.denominator for p in polys for c in p])
+    q2, q1, q0 = _primitive(*[[(c * lam).numerator for c in p] for p in polys])
+    k = 0 if y0 else _valuation(q0)
+    if k is None:
+        return
+    if any(q2[:2]):
+        # q2*T^2 reaches T's terms k .. 2k+1: read them off the series
+        lead = _quadratic_root(eq, 2 * k + 2)
+        u = lead._nums[k:]
+        yield k, u[0], lead._den
+        q2, q1, q0 = _tail_step(q2, q1, q0, k, u, u[0], lead._den)
+        k = _valuation(q0)
+        if k is None:
+            return
+    while True:
+        if not k and len(q2) <= 4 and len(q1) <= 3 and len(q0) <= 2:
+            # the closed k = 0 step on the 7 ints of q2 = x^2*(r0 + r1*x),
+            # q1 = a0 + a1*x + a2*x^2 and q0 = b0 + b1*x
+            r0, r1 = (q2 + [0, 0, 0, 0])[2:4]
+            a0, a1, a2 = q1 + [0] * (3 - len(q1))
+            b0, b1 = q0 + [0] * (2 - len(q0))
+            while b0:
+                yield 0, -b0, a0
+                d = a0 * b0
+                m = a1 * b0 - a0 * b1
+                bb = b0 * b0
+                dd = d * d
+                r0, r1, a0, a1, a2, b0, b1 = (
+                    dd * b0, dd * b1, -d * a0 * bb, -d * a1 * bb, d * (a2 * bb - 2 * b1 * m),
+                    b0 * (a0 * (b1 * m - a2 * bb) + r0 * bb * b0),
+                    m * (b1 * m - a2 * bb) + r1 * bb * bb)
+                g = math.gcd(r0, r1, a0, a1, a2, b0, b1)
+                r0, r1, a0, a1, a2, b0, b1 = (
+                    r0 // g, r1 // g, a0 // g, a1 // g, a2 // g, b0 // g, b1 // g)
+            q2, q1, q0 = _primitive([0, 0, r0, r1], [a0, a1, a2], [b0, b1])
+        else:
+            # T = -q0/q1 mod x^(2k+2), so sigma_n = [x^n]((q0/x^k)/q1) * c^(n+1)
+            # over ints, and u_n = -T_(k+n) * c^(k+2)
+            c = q1[0]
+            yield k, -q0[k], c
+            sigma = []
+            for n in range(k + 2):
+                t = q0[k + n] * c ** n if k + n < len(q0) else 0
+                t -= sum(q1[j] * sigma[n - j] * c ** (j - 1)
+                         for j in range(1, min(n, len(q1) - 1) + 1))
+                sigma.append(t)
+            u = [t * c ** (k + 1 - n) for n, t in enumerate(sigma)]
+            q2, q1, q0 = _tail_step(q2, q1, q0, k, u, -q0[k], c)
+        k = _valuation(q0)
+        if k is None:
+            return
+
+
+def _times(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(an/ad) * (bn/bd) in lowest terms, both factors in lowest terms."""
+    g1, g2 = math.gcd(an, bd), math.gcd(bn, ad)
+    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+
+
+def root_transform(eq: Quadratic, order: int) -> HankelTransform:
+    """``hankel_transform`` of the root of ``eq`` at ``order``, read off its
+    H-fraction (module docstring): O(order) steps on the integer quadratics
+    of its tails, with no Series built."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    top = (order - 1) // 2
+    values = [_ZERO] * (top + 1)
+    # H_(s_(j+1)) = (-1)^(k_j(k_j+1)/2) * H_(s_j) * (v_0...v_j)^(k_j+1) with
+    # s_(j+1) = s_j + k_j + 1, and h_n = H_(n+1); H over hd and the running
+    # product over pd, both in lowest terms
+    s, h, hd, p, pd = 0, 1, 1, 1, 1
+    for k, vn, vd in _h_fraction(eq):
+        g = math.gcd(vn, vd)
+        if vd < 0:
+            g = -g
+        p, pd = _times(p, pd, vn // g, vd // g)
+        h, hd = _times(h, hd, p ** (k + 1), pd ** (k + 1))
+        if (k * (k + 1) // 2) & 1:
+            h = -h
+        s += k + 1
+        if s > top + 1:
+            break
+        values[s - 1] = Fraction(h, hd)
+        if s == top + 1:
+            break
+    return HankelTransform(values=tuple(values), source_length=order)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -388,40 +389,61 @@ class Series:
         return Series._reduced(rs, dr)
 
 
-def _quadratic_root(p2, p1, p0, y0, order: int) -> Series:
-    """The root y with y(0) = y0 of p2*y^2 + p1*y + p0 = 0, to ``order`` terms.
+@dataclass(frozen=True)
+class Quadratic:
+    """The equation p2*y^2 + p1*y + p0 = 0 and its root y with y(0) = y0.
 
     p2, p1 and p0 are short polynomials, nonempty coefficient lists of
     rationals with integer constant terms; y0 is an integer root of the
-    constant terms, and the pivot pi = 2*p2(0)*y0 + p1(0) is +1 or -1.
-
-    The root runs on the integer image Y(t) = y(lam*t), lam the lcm of
-    every coefficient denominator: Y solves the same equation with the
-    coefficients p_i[j]*lam**j, all ints.  Its t^n coefficient is
-    pi*Y_n + R_n = 0, with R_n the t^n coefficient of p2*Y^2 + p1*Y + p0
-    taken with Y_n = 0, so Y_n = -pi*R_n: one running convolution for Y^2,
-    and no division and no gcd per term.  Then y_n is
-    Y_n*lam**(order-1-n) over lam**(order-1).
+    constant terms, and the pivot 2*p2(0)*y0 + p1(0) is +1 or -1, so the
+    root is one power series, fixed term by term.  The quadratic alone
+    does not name it: f's equation has roots with f(0) = 0 and 1.
+    ``_quadratic_root`` expands the root and ``hankel.root_transform``
+    reads its Hankel transform off the same record.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    polys = [[rational(c) for c in p] for p in (p2, p1, p0)]
-    y0 = rational(y0)
-    c2, c1, c0 = (p[0] for p in polys)
-    if any(v.denominator != 1 for v in (c2, c1, c0, y0)):
+
+    p2: tuple
+    p1: tuple
+    p0: tuple
+    y0: int
+
+
+def _checked(eq: Quadratic) -> tuple[list[list[Fraction]], int, int]:
+    """The polynomials of ``eq`` as Fractions, y0 and the pivot, after
+    checking the conditions ``Quadratic`` states."""
+    polys = [[rational(c) for c in p] for p in (eq.p2, eq.p1, eq.p0)]
+    consts = [p[0] for p in polys] + [rational(eq.y0)]
+    if any(v.denominator != 1 for v in consts):
         raise ValueError("constant terms and y0 must be integers")
+    c2, c1, c0, y0 = [v.numerator for v in consts]
     pivot = 2 * c2 * y0 + c1
     if pivot not in (1, -1):
         raise ValueError(f"pivot 2*p2(0)*y0 + p1(0) is {pivot}, need +1 or -1")
     if c2 * y0 * y0 + c1 * y0 + c0:
         raise ValueError(f"y0 = {y0} is no root of the constant terms")
+    return polys, y0, pivot
+
+
+def _quadratic_root(eq: Quadratic, order: int) -> Series:
+    """The root of ``eq`` to ``order`` terms.
+
+    The root runs on the integer image Y(t) = y(lam*t), lam the lcm of
+    every coefficient denominator: Y solves the same equation with the
+    coefficients p_i[j]*lam**j, all ints.  Its t^n coefficient is
+    pi*Y_n + R_n = 0, with pi the pivot and R_n the t^n coefficient of
+    p2*Y^2 + p1*Y + p0 taken with Y_n = 0, so Y_n = -pi*R_n: one running
+    convolution for Y^2, and no division and no gcd per term.  Then y_n is
+    Y_n*lam**(order-1-n) over lam**(order-1).
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    polys, y0, pivot = _checked(eq)
     lam = math.lcm(*[c.denominator for p in polys for c in p])
     # the nonzero (j, p_i[j]*lam**j) of each polynomial, all ints
     t2, t1, t0 = ([(j, (c * lam ** j).numerator) for j, c in enumerate(p) if c]
                   for p in polys)
     t1 = [(j, c) for j, c in t1 if j]   # p1(0)*Y_n is the pivot's share
     t0 = dict(t0)
-    pivot, y0 = int(pivot), int(y0)
     ys = [y0]        # Y_0 .. Y_(n-1)
     sq = [y0 * y0]   # [t^m] Y^2 for m < n
     for n in range(1, order):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -66,6 +67,42 @@ class TestExpand:
         code, out, _ = run(capsys, "expand", "family", "1/2", "0", "0", "--order", "4")
         assert code == 0
         assert out.strip() == "1 1/2 1/4 1/8"
+
+
+def _int_digit_limit():
+    """Python's int <-> str digit limit, or None where it has none (< 3.10.7)."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+class TestLongValues:
+    """Exact values past Python's default int -> str limit of 4300 digits
+    print in full, and main puts the limit back when it returns."""
+
+    def test_printed_values_parse_back(self, capsys):
+        rng = random.Random(26)
+        p, q = (rng.randrange(10 ** 199, 10 ** 200) for _ in range(2))
+        limit = _int_digit_limit()
+        code, out, err = run(capsys, "expand", "family", f"{p}/{q}", "1", "1", "--order", "40")
+        assert (code, err) == (0, "")
+        assert _int_digit_limit() == limit
+        printed = out.split()
+        assert max(map(len, printed)) > 4300
+        want = riopi.g_family(riopi.FamilyParams.of(Fraction(p, q), 1, 1), 40)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert [Fraction(v) for v in printed] == list(want.coeffs)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+    def test_literal_past_the_limit_is_a_usage_error(self, capsys):
+        limit = _int_digit_limit()
+        for literal in ("7" * 4301, "1/" + "3" * 4301):
+            code, out, err = run(capsys, "expand", "family", literal, "1", "1", "--order", "4")
+            assert (code, out) == (1, "")
+            assert "a literal of 4301 digits: at most 4300 are accepted" in err
+            assert _int_digit_limit() == limit
 
 
 class TestHankel:

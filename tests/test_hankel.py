@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from riopi.family import FamilyParams, companion, g_ad, g_family
-from riopi.hankel import (InsufficientTerms, _leading_minors, _rescaling, hankel_det,
-                          hankel_transform)
-from riopi.series import Series
+from riopi.elliptic import f_equation, f_from_curve
+from riopi.family import (FamilyParams, companion, companion_equation, equation, g_ad,
+                          g_family)
+from riopi.hankel import (InsufficientTerms, _h_fraction, _leading_minors, _rescaling,
+                          hankel_det, hankel_transform, root_transform)
+from riopi.series import Quadratic, Series, _quadratic_root
 
 from conftest import rand_fraction
 from hankel_oracle import bareiss_det, gauss_det, hankel_matrix, per_n_det
@@ -558,3 +560,96 @@ class TestSymmetricElimination:
             assert [k for k, branch in kinds(steps).items() if branch != "pivot"] == zeros
             assert set(kinds(steps).values()) == {"pivot", "adjacent block"}
             assert minors == [per_n_det(ints, n) for n in range(33)]
+
+
+class TestRootTransform:
+    """root_transform reads the transform off the H-fraction of a root's
+    quadratic; Bareiss on the expanded root is the oracle."""
+
+    ORDERS = (1, 2, 3, 4, 5, 17, 41)
+
+    @staticmethod
+    def bareiss(build, arg, order):
+        return hankel_transform(build(arg, order))
+
+    def test_family_members_and_companions(self, rng):
+        # integer and p/q members; b = 0 in every eighth, ab + c = 0 (the
+        # fraction ends) in the next, and a = 1 in the one after that
+        for i in range(160):
+            ints = i % 2 == 0
+            a, b, c = (Fraction(rng.randint(-4, 4)) if ints else rand_fraction(rng)
+                       for _ in range(3))
+            if i % 8 == 0:
+                b = Fraction(0)
+            elif i % 8 == 1:
+                c = -a * b
+            elif i % 8 == 2:
+                a = Fraction(1)
+            p = FamilyParams(a, b, c)
+            for order in self.ORDERS:
+                assert root_transform(equation(p), order) == self.bareiss(g_family, p, order), \
+                    (p, order)
+                assert (root_transform(companion_equation(p), order)
+                        == self.bareiss(companion, p, order)), (p, order)
+
+    def test_ci_members(self):
+        # the rank-1 and rank-2 members of the degenerate smoke runs, and
+        # the members whose transforms have a zero every 6th and 4th index
+        for eq, build, p, order in (
+                (equation, g_family, FamilyParams.of(1, -1, 1), 33),
+                (companion_equation, companion, FamilyParams.of(2, -3, 6), 33),
+                (equation, g_family, FamilyParams.of(1, 3, 3), 64),
+                (companion_equation, companion, FamilyParams.of(3, -1, 0), 64)):
+            got = root_transform(eq(p), order)
+            assert got == self.bareiss(build, p, order), (build.__name__, p)
+            # the fraction ends at ab + c = 0; the others have zero blocks
+            assert not any(got.values[2:]) if p.somos_weight == 0 else 0 in got.values[2:]
+
+    def test_curvef_curves(self, rng):
+        curves = [Fraction(a) for a in range(-10, 12)]
+        curves += [rand_fraction(rng, span=12, dens=(2, 3, 5, 7)) for _ in range(22)]
+        assert len(curves) == 44
+        for a in curves:
+            for order in (1, 4, 17, 39):
+                assert (root_transform(f_equation(a), order)
+                        == self.bareiss(f_from_curve, a, order)), (a, order)
+
+    def test_zero_blocks_and_first_steps(self):
+        # zero blocks of length 1, 2 and 3, roots with y0 = 0 (first step
+        # with k > 0), p2(0) != 0 (first step off the series kernel), a
+        # polynomial root whose fraction ends, and the zero root
+        cases = {
+            Quadratic((0,), (1, 0, 0, -1), (-1,), 1): [0, 1],
+            Quadratic((0, 0, 0, -1), (1,), (-1,), 1): [0, 1, 0, 1, 0, 1],
+            Quadratic((0, 0, 0, 0, -1), (1, 0, -1), (-1,), 1): [0, 0, 0, 2, 0, 0],
+            Quadratic((0,), (1,), (0, 0, 0, -1, 0, 0, 2), 0): [3, 1, 0],
+            Quadratic((1,), (-1,), (0, 0, 1), 0): [2, 0, 0, 0, 0, 0],
+            Quadratic((2, 1), (-1, 3), (0, 0, 0, 1, Fraction(1, 2)), 0): [3, 0, 0, 0, 0, 0],
+            Quadratic((1,), (-1,), (0,), 1): [0],
+            Quadratic((0,), (1,), (0,), 0): [],
+        }
+        for eq, blocks in cases.items():
+            assert [step[0] for _, step in zip(range(6), _h_fraction(eq))] == blocks, eq
+            for order in range(1, 40):
+                want = hankel_transform(_quadratic_root(eq, order))
+                assert root_transform(eq, order) == want, (eq, order)
+
+    def test_random_quadratics(self, rng):
+        # random records of every shape the pivot rule allows: tails of
+        # higher degree than the family's take the general step throughout
+        def poly(constant):
+            return tuple([constant] + [rng.choice((0, rand_fraction(rng)))
+                                       for _ in range(rng.randint(0, 3))])
+        for _ in range(150):
+            y0, c2, pivot = rng.choice((-1, 0, 0, 1, 2)), rng.randint(-2, 2), rng.choice((1, -1))
+            c1 = pivot - 2 * c2 * y0
+            eq = Quadratic(poly(c2), poly(c1), poly(-c2 * y0 * y0 - c1 * y0), y0)
+            for order in (1, 2, 6, 13, 20):
+                want = hankel_transform(_quadratic_root(eq, order))
+                assert root_transform(eq, order) == want, (eq, order)
+
+    def test_rejects(self):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            root_transform(equation(FamilyParams.of(1, 2, 3)), 0)
+        with pytest.raises(ValueError, match="pivot"):
+            root_transform(Quadratic((1,), (0,), (-1,), 1), 8)

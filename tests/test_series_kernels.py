@@ -13,7 +13,7 @@ import family_oracle
 import series_oracle as oracle
 from riopi.elliptic import curve_branch, f_from_curve
 from riopi.family import FamilyParams, companion, g_family
-from riopi.series import Series, _quadratic_root
+from riopi.series import Quadratic, Series, _quadratic_root
 
 CASES = 200
 
@@ -161,8 +161,8 @@ def test_quadratic_root_rejects():
     # y^2 - 1 = 0 at y0 = 1, and y^2 + y - 2 = 0 at y0 = 1: pivots 2 and 3
     for p1, p0 in (((0,), (-1,)), ((1,), (-2,))):
         with pytest.raises(ValueError, match="pivot"):
-            _quadratic_root((1,), p1, p0, 1, 8)
+            _quadratic_root(Quadratic((1,), p1, p0, 1), 8)
     with pytest.raises(ValueError, match="no root"):
-        _quadratic_root((0,), (-1,), (2,), 1, 8)
+        _quadratic_root(Quadratic((0,), (-1,), (2,), 1), 8)
     with pytest.raises(ValueError, match="integers"):
-        _quadratic_root((0,), (-1,), (Fraction(1, 2),), Fraction(1, 2), 8)
+        _quadratic_root(Quadratic((0,), (-1,), (Fraction(1, 2),), Fraction(1, 2)), 8)

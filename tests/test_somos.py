@@ -2,20 +2,26 @@ from fractions import Fraction
 
 import pytest
 
+import riopi.family
+import riopi.hankel
 import riopi.somos
 from riopi import knowndata
 from riopi.family import SOMOS_OFFSET, FamilyParams, companion, g_family
 from riopi.hankel import hankel_transform
-from riopi.series import rational
+from riopi.series import Series, rational
 from riopi.somos import (
+    ConjectureReport,
     SomosReport,
     NoSomosFit,
     SomosParams,
     Underdetermined,
     conjecture_family,
+    family_somos_params,
     somos4_check,
     somos4_fit,
 )
+
+from conftest import rand_fraction
 
 
 def fraction_check(terms, params):
@@ -209,6 +215,34 @@ class TestConjecture:
         assert report.params.degenerate and report.family.degenerate
         assert not report.degenerate
         assert report.ok
+
+    def test_equals_the_bareiss_route(self, rng, monkeypatch):
+        # the report read off the quadratics equals the one built from the
+        # expanded g and companion by Bareiss, on integer and p/q members
+        def bareiss_report(p, order):
+            params = family_somos_params(p)
+            fam = hankel_transform(g_family(p, order)).values[SOMOS_OFFSET:]
+            comp = hankel_transform(companion(p, order)).values
+            return ConjectureReport(params=params, family=somos4_check(fam, params),
+                                    companion=somos4_check(comp, params),
+                                    degenerate=p.somos_weight == 0)
+
+        members = []
+        for i in range(200):
+            draw = (lambda: Fraction(rng.randint(-3, 3))) if i % 2 else (
+                lambda: rand_fraction(rng, span=6, dens=(1, 2, 3, 5)))
+            members.append(FamilyParams(draw(), draw(), draw()))
+        want = {(p, order): bareiss_report(p, order)
+                for p in members for order in (24, 28, 40)}
+
+        def forbidden(*args):
+            raise AssertionError("conjecture_family expanded a series")
+        for owner, name in ((riopi.hankel, "hankel_transform"), (riopi.family, "g_family"),
+                            (riopi.family, "companion"), (Series, "__init__"),
+                            (Series, "_raw")):
+            monkeypatch.setattr(owner, name, forbidden)
+        for (p, order), report in want.items():
+            assert conjecture_family(p, order) == report, (p, order)
 
     def test_random_small_integer_sweep(self, rng):
         # empirical support: a counterexample would be a finding, so surface
