@@ -43,13 +43,7 @@ from .family import (
     binomial_transform,
     narayana,
 )
-from .hankel import (
-    HankelTransform,
-    InsufficientTerms,
-    hankel_det,
-    hankel_transform,
-    root_transform,
-)
+from .hankel import HankelTransform, InsufficientTerms, hankel_det, hankel_transform
 from .somos import (
     SomosParams,
     SomosReport,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import knowndata
 from .elliptic import b_from_curve, curve_somos_check
 from .family import FamilyParams
-from .hankel import InsufficientTerms, hankel_transform
+from .hankel import HankelTransform, InsufficientTerms, hankel_transform
 from .riordan import NoBSequence, OutOfOrder, b_extract, bell
 from .series import Series, SeriesError, rational
 from .somos import (NoSomosFit, SomosParams, Underdetermined, conjecture_family,
@@ -43,12 +43,13 @@ EXIT_VERIFY = 3
 # and a g the certificate does not take falls back to O(N^3) routes (the
 # walk over the powers of g, or the triangle of a_and_z); the cap bounds
 # those, and one past the index range would overflow in Series.
-# The hankel and somos commands expand their subject and run Bareiss
-# (hankel.py), whose cost grows 20-90x per doubling: `hankel family 1/2
-# -2/3 5/3` took 0.018 / 0.87 / 71 s of process time at --order 64 / 128 /
-# 256, `hankel curvef -11/2` 0.011 / 0.33 / 23 s and `hankel family 2 -2 3`
-# 0.009 / 0.035 / 0.77 s (same host).  At the cap a p/q subject would run
-# for days (extrapolated, not run); the cap is shared all the same, and
+# The hankel and somos commands read the transform off their subject's
+# equation (the H-fraction of hankel.py), whose cost grows about 30x per
+# doubling: `hankel family 1/2 -2/3 5/3` took 0.004 / 0.025 / 0.63 / 19 s
+# of process time at --order 64 / 128 / 256 / 512, `hankel curvef -11/2`
+# 0.008 / 0.13 / 3.7 / 110 s and `hankel family 2 -2 3` 0.004 / 0.014 /
+# 0.27 / 7.7 s (same host).  At the cap a p/q subject would run for about
+# an hour (extrapolated, not run); the cap is shared all the same, and
 # such an order is the caller's choice.
 MAX_ORDER = 1024
 DEFAULT_ORDER = 32
@@ -57,12 +58,6 @@ _SUBJECTS = sorted(kind for kind, gen in knowndata.GENERATORS.items()
                    if gen.somos_offset is not None)
 
 _NEGATIVE_RE = re.compile(r"^-\d")
-_DIGITS_RE = re.compile(r"\d+")
-
-# The longest integer or p/q part accepted in a parameter: Python's own
-# default limit for int <-> str conversion, which ``main`` lifts while a
-# command runs so that exact results of any size print.
-MAX_LITERAL_DIGITS = 4300
 
 
 class UsageError(ValueError):
@@ -103,10 +98,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_rational(text: str) -> Fraction:
-    digits = max(map(len, _DIGITS_RE.findall(text)), default=0)
-    if digits > MAX_LITERAL_DIGITS:
-        raise UsageError(f"a literal of {digits} digits: at most {MAX_LITERAL_DIGITS} "
-                         "are accepted")
     try:
         return rational(text)
     except ValueError as exc:
@@ -128,14 +119,45 @@ def _int_at_least(low: int, most: int | None = None):
     return parse
 
 
-def _subject(args) -> tuple[list[Fraction], Series]:
-    """The subject's parameters and its series at --order."""
-    want, _, build = knowndata.GENERATORS[args.subject]
+def _params(args) -> tuple[Fraction, ...]:
+    """The subject's parameters."""
+    want = knowndata.GENERATORS[args.subject].arity
     if len(args.params) != want:
         raise UsageError(
             f"subject {args.subject!r} takes {want} parameter(s), got {len(args.params)}")
-    params = [parse_rational(p) for p in args.params]
-    return params, build(tuple(params), args.order)
+    return tuple(parse_rational(p) for p in args.params)
+
+
+def _subject(args) -> tuple[tuple[Fraction, ...], Series]:
+    """The subject's parameters and its series at --order."""
+    params = _params(args)
+    return params, knowndata.GENERATORS[args.subject].build(params, args.order)
+
+
+def _transform(args) -> HankelTransform:
+    """The subject's Hankel transform at --order, read off its equation."""
+    equation = knowndata.GENERATORS[args.subject].equation(_params(args))
+    return hankel_transform(equation, args.order)
+
+
+def _strs(values) -> list[str]:
+    """Exact values as decimal strings, of any length.
+
+    Python (from 3.10.7) limits int -> str conversion to 4300 digits by
+    default, and exact values pass that well inside the --order cap (h_88
+    of companion -11/2 1/3 2/7 has more).  The limit is lifted while the
+    values are written and put back after, for callers that run ``main``
+    in-process; parameters are read under it, so an over-long literal
+    stays a usage error.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return [str(v) for v in values]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(args, payload: dict, plain_lines: list[str], csv_rows: list[tuple]) -> None:
@@ -172,7 +194,7 @@ def _payload(args, values: list[str], report: dict) -> dict:
 
 def cmd_expand(args) -> int:
     _, g = _subject(args)
-    values = [str(v) for v in g]
+    values = _strs(g)
     _emit(args, _payload(args, values, {}),
           [" ".join(values)],
           [("n", "value"), *enumerate(values)])
@@ -180,13 +202,12 @@ def cmd_expand(args) -> int:
 
 
 def cmd_hankel(args) -> int:
-    _, g = _subject(args)
+    transform = _transform(args)
     offset = args.offset or 0
-    transform = hankel_transform(g)
     if offset >= len(transform.values):
         raise UsageError(f"--offset {offset} leaves none of the "
                          f"{len(transform.values)} transform values")
-    values = [str(v) for v in transform.values[offset:]]
+    values = _strs(transform.values[offset:])
     report = {"offset": str(offset), "source_length": str(transform.source_length)}
     _emit(args, _payload(args, values, report),
           [" ".join(values)],
@@ -208,26 +229,26 @@ def cmd_somos(args) -> int:
             raise UsageError("somos needs a subject or --terms")
         if args.order is None:
             args.order = DEFAULT_ORDER
-        _, g = _subject(args)
+        transform = _transform(args)
         default = knowndata.GENERATORS[args.subject].somos_offset
         offset = default if args.offset is None else args.offset
-        terms = list(hankel_transform(g).values[offset:])
+        terms = list(transform.values[offset:])
     if len(terms) < 6:
         raise UsageError(f"somos needs at least 6 terms after offset {offset}, "
                          f"got {len(terms)}")
     # somos4_fit raises NoSomosFit unless every checked index passes
     report_data = somos4_fit(terms)
-    fitted = report_data.params
+    alpha, beta = _strs([report_data.params.alpha, report_data.params.beta])
     report = {
-        "alpha": str(fitted.alpha),
-        "beta": str(fitted.beta),
+        "alpha": alpha,
+        "beta": beta,
         "checked_from": str(report_data.start),
         "checked_to": str(report_data.end),
         "failures": [],
         "degenerate": report_data.degenerate,
         "ok": report_data.ok,
     }
-    values = [str(v) for v in terms]
+    values = _strs(terms)
     plain = [f"alpha={report['alpha']} beta={report['beta']}",
              f"checked n={report_data.start}..{report_data.end}: "
              f"{report_data.end - report_data.start + 1} pass"]
@@ -241,7 +262,7 @@ def cmd_somos(args) -> int:
 def cmd_bseq(args) -> int:
     params, g = _subject(args)
     b = b_extract(g)
-    values = [str(v) for v in b.values]
+    values = _strs(b.values)
     report: dict = {"certified": str(b.certified)}
     plain = [" ".join(values)]
     if args.subject == "curve":
@@ -259,7 +280,7 @@ def cmd_bseq(args) -> int:
 def cmd_prodmat(args) -> int:
     _, g = _subject(args)
     matrix = bell(g).production_matrix(args.order - 2)
-    rows = [[str(v) for v in row] for row in matrix.rows]
+    rows = [_strs(row) for row in matrix.rows]
     report = {"rows": rows, "size": str(matrix.size)}
     _emit(args, _payload(args, [], report),
           [" ".join(row) for row in rows],
@@ -408,13 +429,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    # Exact values outgrow that limit well inside the --order cap (h_88 of
-    # companion -11/2 1/3 2/7 has more than 4300 digits), so it is lifted
-    # while the command runs and put back after, for callers that run main
-    # in-process.  Python before 3.10.7 has no limit.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -427,9 +441,6 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

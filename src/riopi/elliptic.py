@@ -117,5 +117,5 @@ def curve_somos_check(curve, order: int = 24) -> SomosReport:
     """Check the Hankel transform of f against the Somos-4 parameters of
     the curve's family member, ``family_somos_params``, which are (1, b)
     there since ab + c = 1."""
-    values = hankel_transform(f_from_curve(curve, order)).values
+    values = hankel_transform(f_equation(curve), order).values
     return somos4_check(values, family_somos_params(family_params_from_curve(curve)))

@@ -1,18 +1,19 @@
 """Exact Hankel-determinant transforms of rational sequences.
 
 Each transform value h_n is the determinant of the (n+1)x(n+1) matrix
-with entry (i,j) = s[i+j].  There are two routes, one for each kind of
-input, not two paths for the same input:
+with entry (i,j) = s[i+j].  ``hankel_transform`` takes two kinds of
+input, and each kind has one route:
 
-- ``hankel_transform`` takes terms, a plain sequence or a Series, and
-  runs one Bareiss elimination (below).  Terms carry no equation, so
-  nothing shorter applies to them; the CLI subjects, the knowndata rows
-  and ``curve_somos_check`` hold Series and take this route.
-- ``root_transform`` takes a ``series.Quadratic``, the equation of an
-  algebraic root, and reads the transform off the root's H-fraction
-  (below) in O(N) steps on small integer quadratics, never expanding the
-  root.  ``somos.conjecture_family`` takes this route; tests check it
-  against Bareiss, which stays the oracle.
+- A ``series.Quadratic``, the equation of an algebraic root, with an
+  order: the transform is read off the root's H-fraction (below) in O(N)
+  steps on small integer quadratics, never expanding the root
+  (``root_transform``).  Every caller that knows the equation of its root
+  passes it: ``somos.conjecture_family``, ``elliptic.curve_somos_check``,
+  the CLI's ``hankel`` and ``somos`` subjects and the Hankel rows of
+  ``knowndata``.
+- Terms, a plain sequence or a Series: one Bareiss elimination (below).
+  Terms carry no equation, so nothing shorter applies to them.  Tests
+  check the H-fraction against this route.
 
 Bareiss elimination
 -------------------
@@ -124,9 +125,13 @@ and m = a1*b0 - a0*b1, and the next tail times d^2 is
 
 of the same shape, with a0' != 0 and nothing to remove: about 25 int
 products and one gcd of the 7 ints per step.  b0' = 0 starts a zero block,
-which takes the general step.  Each step's ints grow by O(n) bits, so
-step n costs products of O(n^2)-bit ints; the values h_n themselves have
-O(n^2) bits.
+which takes the general step.  The general step handles this shape too,
+but it pays for lists, the series of E and a gcd over longer unreduced
+ints: with every step sent through it, conjecture_family at order 40 ran
+2.1x slower (bench/run.py's hankel_scan, 319 against 678 jobs/s in ten
+alternating pairs, Python 3.11 on a 2-vCPU Xeon).  Each step's ints grow
+by O(n) bits, so step n costs products of O(n^2)-bit ints; the values
+h_n themselves have O(n^2) bits.
 """
 
 from __future__ import annotations
@@ -255,12 +260,20 @@ def hankel_det(seq, n: int) -> Fraction:
     return hankel_transform(terms[:2 * n + 1]).values[n]
 
 
-def hankel_transform(seq) -> HankelTransform:
-    """All h_n determinable from the given terms: h_0 .. h_((len-1)//2).
+def hankel_transform(seq, order: int | None = None) -> HankelTransform:
+    """The Hankel transform of a root or of terms (module docstring).
 
-    ``seq`` is a Series, whose ints are read as they are, or a sequence
-    of rationals.
+    ``seq`` is a ``Quadratic``, whose root's transform at ``order`` is read
+    off its H-fraction (``root_transform``), or terms: a Series, whose ints
+    are read as they are, or a sequence of rationals, which give all h_n
+    they determine, h_0 .. h_((len-1)//2), and take no ``order``.
     """
+    if isinstance(seq, Quadratic):
+        if order is None:
+            raise TypeError("the transform of a root needs an order")
+        return root_transform(seq, order)
+    if order is not None:
+        raise TypeError("terms give their own order")
     if isinstance(seq, Series):
         nums, den = seq._nums, seq._den
     else:
@@ -391,7 +404,8 @@ def _times(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
 
 
 def root_transform(eq: Quadratic, order: int) -> HankelTransform:
-    """``hankel_transform`` of the root of ``eq`` at ``order``, read off its
+    """The Hankel transform of the root of ``eq`` at ``order``, equal to
+    ``hankel_transform`` of the root's first ``order`` terms, read off its
     H-fraction (module docstring): O(order) steps on the integer quadratics
     of its tails, with no Series built."""
     if order < 1:

@@ -13,9 +13,10 @@ printed tables, read as one flattened sequence: ``narayana`` and
 ``binomial_narayana`` (the Narayana triangle and its product with the
 binomial triangle, row by row, from ``family.narayana``) and ``curve_b``
 (the expansion of a curve's closed-form B-sequence, ``b_from_curve``).
-``verify`` builds each (kind, params) that an entry reads once
-(``build_sources``), recomputes every entry from that series and diffs
-exactly, which makes this table the regression corpus for the package.
+``verify`` builds each (kind, params) whose series an entry reads once
+(``build_sources``), recomputes every entry from that series, or a
+Hankel entry from its kind's equation, and diffs exactly, which makes
+this table the regression corpus for the package.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import elliptic, family, series
 from .family import FamilyParams, binomial_transform
 from .hankel import hankel_transform
 from .riordan import bell
-from .series import Series, rational
+from .series import Quadratic, Series, rational
 
 
 @dataclass(frozen=True)
@@ -192,20 +193,29 @@ class Generator(NamedTuple):
     arity: int
     somos_offset: int | None  # start of the printed Somos-4 tail in the Hankel transform
     build: Callable[[tuple, int], Series]
+    # the quadratic whose root build expands, where the kind has one: its
+    # Hankel transform is read off that (``hankel_transform``)
+    equation: Callable[[tuple], Quadratic] | None = None
 
 
-# The generator kinds; the CLI's subjects are those with a Somos offset.
-# Each build looks its function up at call time, so a patched module sees it.
+# The generator kinds; the CLI's subjects are those with a Somos offset,
+# and each of them has an equation.  Each build and equation looks its
+# function up at call time, so a patched module sees it.
 GENERATORS = {
     "catalan": Generator(0, None, lambda p, n: series.catalan(n)),
     "family": Generator(3, family.SOMOS_OFFSET,
-                        lambda p, n: family.g_family(FamilyParams.of(*p), n)),
-    "ad": Generator(2, family.SOMOS_OFFSET, lambda p, n: family.g_ad(*p, n)),
-    "companion": Generator(3, 0, lambda p, n: family.companion(FamilyParams.of(*p), n)),
+                        lambda p, n: family.g_family(FamilyParams.of(*p), n),
+                        lambda p: family.equation(FamilyParams.of(*p))),
+    "ad": Generator(2, family.SOMOS_OFFSET, lambda p, n: family.g_ad(*p, n),
+                    lambda p: family.equation(FamilyParams.from_ad(*p))),
+    "companion": Generator(3, 0, lambda p, n: family.companion(FamilyParams.of(*p), n),
+                           lambda p: family.companion_equation(FamilyParams.of(*p))),
     # a curve's g: pipeline builds the member family_params_from_curve names
     # and certifies it once
-    "curve": Generator(1, family.SOMOS_OFFSET, lambda p, n: elliptic.pipeline(*p, n).g),
-    "curvef": Generator(1, 0, lambda p, n: elliptic.f_from_curve(*p, n)),
+    "curve": Generator(1, family.SOMOS_OFFSET, lambda p, n: elliptic.pipeline(*p, n).g,
+                       lambda p: family.equation(elliptic.family_params_from_curve(*p))),
+    "curvef": Generator(1, 0, lambda p, n: elliptic.f_from_curve(*p, n),
+                        lambda p: elliptic.f_equation(*p)),
     "curve_branch": Generator(1, None, lambda p, n: elliptic.curve_branch(*p, n)),
     # the printed tables: two triangles flattened row by row, and a curve's B-sequence
     "narayana": Generator(0, None, lambda p, n: _triangle(family.narayana, n)),
@@ -215,8 +225,12 @@ GENERATORS = {
 }
 
 
+_HANKEL = ("hankel", "hankel_tail_neg")
+
+
 def source_length(entry: KnownSequence) -> int:
-    """How many terms of its generator's series an entry reads."""
+    """How many terms of its generator's series an entry reads: for a
+    Hankel entry, the order of the transform it reads."""
     want = len(entry.prefix)
     if entry.transform == "hankel":
         return 2 * want - 1
@@ -232,10 +246,13 @@ def source_length(entry: KnownSequence) -> int:
 
 
 def build_sources(entries) -> dict[tuple[str, tuple[str, ...]], Series]:
-    """Build each (kind, params) that ``entries`` read once, at the longest
-    prefix any of them reads."""
+    """Build each (kind, params) whose series ``entries`` read once, at the
+    longest prefix any of them reads.  A Hankel entry reads its kind's
+    equation instead."""
     lengths: dict[tuple[str, tuple[str, ...]], int] = {}
     for entry in entries:
+        if entry.transform in _HANKEL:
+            continue
         key = entry.kind, entry.params
         lengths[key] = max(lengths.get(key, 0), source_length(entry))
     return {key: GENERATORS[key[0]].build(key[1], n) for key, n in lengths.items()}
@@ -243,19 +260,22 @@ def build_sources(entries) -> dict[tuple[str, tuple[str, ...]], Series]:
 
 def computed_values(entry: KnownSequence, sources) -> list[Fraction]:
     """Recompute the values an entry's prefix claims, same length, from
-    its generator's series in ``sources`` (see ``build_sources``)."""
+    its generator's series in ``sources`` (see ``build_sources``), or for
+    a Hankel entry from its generator's equation."""
     want, n = len(entry.prefix), source_length(entry)
-    g = sources[entry.kind, entry.params]
     transform = entry.transform
+    if transform in _HANKEL:
+        gen = GENERATORS[entry.kind]
+        values = hankel_transform(gen.equation(entry.params), n).values
+        if transform == "hankel":
+            return list(values[:want])
+        offset = gen.somos_offset
+        return [-v for v in values[offset:offset + want]]
+    g = sources[entry.kind, entry.params]
     if transform == "triangle":
         return [v for row in bell(g).triangle(n).rows for v in row]
     if transform == "prodmat":
         return [v for row in bell(g).production_matrix(n - 1).rows for v in row]
-    if transform == "hankel":
-        return list(hankel_transform(g.truncate(n)).values[:want])
-    if transform == "hankel_tail_neg":
-        offset = GENERATORS[entry.kind].somos_offset
-        return [-v for v in hankel_transform(g.truncate(n)).values[offset:offset + want]]
     source = list(g[:n])
     if transform == "":
         return source

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import SOMOS_OFFSET, FamilyParams, companion_equation, equation
-from .hankel import root_transform
+from .hankel import hankel_transform
 from .series import rational
 
 
@@ -140,12 +140,12 @@ def conjecture_family(p: FamilyParams, order: int = 28) -> ConjectureReport:
     """Test that the family Hankel tail (from ``family.SOMOS_OFFSET``, where
     the printed transforms start) and the full companion Hankel transform are
     ``family_somos_params(p)`` Somos-4 sequences.  Both transforms at
-    ``order`` are read off the member's quadratics by
-    ``hankel.root_transform``.  Failures are report data, not errors: this
+    ``order`` are read off the member's quadratics (``hankel_transform`` of
+    a ``Quadratic``).  Failures are report data, not errors: this
     is a conjecture check."""
     params = family_somos_params(p)
-    family_tail = root_transform(equation(p), order).values[SOMOS_OFFSET:]
+    family_tail = hankel_transform(equation(p), order).values[SOMOS_OFFSET:]
     fam = somos4_check(family_tail, params)
-    comp = somos4_check(root_transform(companion_equation(p), order).values, params)
+    comp = somos4_check(hankel_transform(companion_equation(p), order).values, params)
     return ConjectureReport(params=params, family=fam, companion=comp,
                             degenerate=(p.somos_weight == 0))

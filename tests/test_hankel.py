@@ -648,6 +648,18 @@ class TestRootTransform:
                 want = hankel_transform(_quadratic_root(eq, order))
                 assert root_transform(eq, order) == want, (eq, order)
 
+    def test_hankel_transform_takes_a_quadratic(self, rng):
+        # hankel_transform sends a Quadratic down the H-fraction, with its
+        # order, and terms down Bareiss, without one
+        for _ in range(20):
+            p = FamilyParams(*(rand_fraction(rng) for _ in range(3)))
+            for order in (1, 24):
+                assert hankel_transform(equation(p), order) == root_transform(equation(p), order)
+        with pytest.raises(TypeError, match="needs an order"):
+            hankel_transform(equation(FamilyParams.of(1, 2, 3)))
+        with pytest.raises(TypeError, match="own order"):
+            hankel_transform([1, 2, 3], 3)
+
     def test_rejects(self):
         with pytest.raises(ValueError, match="^order must be at least 1$"):
             root_transform(equation(FamilyParams.of(1, 2, 3)), 0)
