@@ -12,6 +12,7 @@ which take no ``--order``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -140,8 +141,9 @@ def _transform(args) -> HankelTransform:
     return hankel_transform(equation, args.order)
 
 
-def _strs(values) -> list[str]:
-    """Exact values as decimal strings, of any length.
+@contextlib.contextmanager
+def _any_length():
+    """Write exact values of any length inside this block.
 
     Python (from 3.10.7) limits int -> str conversion to 4300 digits by
     default, and exact values pass that well inside the --order cap (h_88
@@ -151,13 +153,20 @@ def _strs(values) -> list[str]:
     stays a usage error.
     """
     if not hasattr(sys, "get_int_max_str_digits"):
-        return [str(v) for v in values]
+        yield
+        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return [str(v) for v in values]
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _strs(values) -> list[str]:
+    """Exact values as decimal strings, of any length."""
+    with _any_length():
+        return [str(v) for v in values]
 
 
 def _emit(args, payload: dict, plain_lines: list[str], csv_rows: list[tuple]) -> None:
@@ -268,9 +277,10 @@ def cmd_bseq(args) -> int:
     if args.subject == "curve":
         closed = b_from_curve(params[0], terms=max(b.certified, 1))
         match = closed.prefix.values[:b.certified] == b.values
-        report["closed_form"] = closed.closed_form()
+        with _any_length():
+            report["closed_form"] = closed.closed_form()
         report["closed_form_match"] = match
-        plain.append(f"closed form: {closed.closed_form()}")
+        plain.append(f"closed form: {report['closed_form']}")
         plain.append(f"match: {'yes' if match else 'NO'}")
     _emit(args, _payload(args, values, report), plain,
           [("n", "value"), *enumerate(values)])

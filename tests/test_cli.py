@@ -99,6 +99,26 @@ class TestLongValues:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
 
+    def test_closed_form_of_a_long_curve(self, capsys):
+        # the closed form's c = -(a^2 - 3a + 1) of a 3000-digit curve has
+        # about 6000 digits
+        a = "7" * 3000
+        limit = _int_digit_limit()
+        code, out, err = run(capsys, "bseq", "curve", a, "--order", "6", "--format", "json")
+        assert (code, err) == (0, "")
+        assert _int_digit_limit() == limit
+        report = json.loads(out)["report"]
+        assert report["closed_form_match"] is True
+        m = elliptic.family_params_from_curve(a)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            want = f"({m.a} + {-m.c}*x)/(1 + {m.b}*x)"
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert report["closed_form"] == want and len(want) > 6000
+
     @pytest.mark.skipif(_int_digit_limit() is None, reason="no int <-> str digit limit")
     def test_literal_past_the_limit_is_a_usage_error(self, capsys):
         # parameters are read under Python's limit, whose ValueError is a
