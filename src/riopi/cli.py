@@ -45,12 +45,13 @@ EXIT_VERIFY = 3
 # walk over the powers of g, or the triangle of a_and_z); the cap bounds
 # those, and one past the index range would overflow in Series.
 # The hankel and somos commands read the transform off their subject's
-# equation (the H-fraction of hankel.py), whose cost grows about 30x per
-# doubling: `hankel family 1/2 -2/3 5/3` took 0.004 / 0.025 / 0.63 / 19 s
-# of process time at --order 64 / 128 / 256 / 512, `hankel curvef -11/2`
-# 0.008 / 0.13 / 3.7 / 110 s and `hankel family 2 -2 3` 0.004 / 0.014 /
-# 0.27 / 7.7 s (same host).  At the cap a p/q subject would run for about
-# an hour (extrapolated, not run); the cap is shared all the same, and
+# equation (the H-fraction of hankel.py): `hankel family 1/2 -2/3 5/3`
+# took 0.003 / 0.006 / 0.056 / 1.3 s of process time at --order 64 / 128 /
+# 256 / 512, `hankel curvef -11/2` 0.005 / 0.009 / 0.15 / 4.8 s and
+# `hankel family 2 -2 3` 0.003 / 0.004 / 0.020 / 0.31 s (same host), and
+# at the cap the transforms alone took 33 s, 130 s and 8.5 s.  From 256
+# on each doubling costs 15-34x, mostly in gcds of the rationals each
+# step keeps (values of O(N^2) bits); the cap is shared all the same, and
 # such an order is the caller's choice.
 MAX_ORDER = 1024
 DEFAULT_ORDER = 32
@@ -99,6 +100,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_rational(text: str) -> Fraction:
+    # Python refuses to read an int of more digits than its limit (4300 by
+    # default); say so in riopi's terms rather than Python's
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    digits = max(map(len, re.findall(r"\d+", text)), default=0)
+    if limit and digits > limit:
+        raise UsageError(f"literal {text[:12]}... has an integer of {digits} digits; "
+                         f"at most {limit} digits are read")
     try:
         return rational(text)
     except ValueError as exc:

@@ -98,13 +98,22 @@ class CurveBSequence:
 
 def b_from_curve(curve, terms: int = 12) -> CurveBSequence:
     """Closed-form B-sequence of the curve's pseudo-involution: the
-    family's (a - cx)/(1 + bx) at ``family_params_from_curve(curve)``."""
+    family's (a - cx)/(1 + bx) at ``family_params_from_curve(curve)``,
+    expanded as b_0 = a, b_1 = -c - a*b and b_k = -b*b_(k-1)."""
+    if terms < 1:
+        raise ValueError("order must be at least 1")
     m = family_params_from_curve(curve)
-    numerator = (m.a, -m.c)
-    denominator = (Fraction(1), m.b)
-    expansion = Series(numerator, terms) / Series(denominator, terms)
-    return CurveBSequence(numerator=numerator, denominator=denominator,
-                          prefix=BSequence._from_ints(expansion._nums, expansion._den))
+    b1 = -m.c - m.a * m.b
+    # over ints, with den = a.den * b1.den * b.den^(terms-1)
+    qn, qd = -m.b.numerator, m.b.denominator
+    ad, pd = m.a.denominator, b1.denominator
+    nums = [m.a.numerator * pd * qd ** (terms - 1)]
+    t = b1.numerator * ad
+    for k in range(1, terms):
+        nums.append(t * qd ** (terms - k))
+        t *= qn
+    return CurveBSequence(numerator=(m.a, -m.c), denominator=(Fraction(1), m.b),
+                          prefix=BSequence._from_ints(nums, ad * pd * qd ** (terms - 1)))
 
 
 def family_params_from_curve(curve) -> FamilyParams:

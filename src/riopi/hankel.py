@@ -6,7 +6,7 @@ input, and each kind has one route:
 
 - A ``series.Quadratic``, the equation of an algebraic root, with an
   order: the transform is read off the root's H-fraction (below) in O(N)
-  steps on small integer quadratics, never expanding the root
+  steps on rationals and integer quadratics, never expanding the root
   (``root_transform``).  Every caller that knows the equation of its root
   passes it: ``somos.conjecture_family``, ``elliptic.curve_somos_check``,
   the CLI's ``hankel`` and ``somos`` subjects and the Hankel rows of
@@ -113,25 +113,54 @@ T = -q0/q1 mod x^(2k+2) and E is one short int division.  Only the
 record's own root, whose p2 may have valuation below 2, reads its leading
 terms off ``series._quadratic_root``.
 
-Closed k = 0 step.  The family's quadratics, and every tail after them,
-have the shape q2 = x^2*(r0 + r1*x), q1 = a0 + a1*x + a2*x^2 and
-q0 = b0 + b1*x.  At k = 0, v = -b0/a0 and E = 1 + (m/d)*x with d = a0*b0
-and m = a1*b0 - a0*b1, and the next tail times d^2 is
+Runs of k = 0 steps.  The family's quadratics, and every tail after
+them, have the shape q2 = x^2*(r0 + r1*x), q1 = a0 + a1*x + a2*x^2 and
+q0 = b0 + b1*x.  The tail step multiplies the discriminant q1^2 - 4*q2*q0
+by v^2*x^(2k), and removing x^k divides it by x^(2k), so every tail's
+discriminant is the record's D = p1^2 - 4*p2*p0 times a constant square,
+and D(0) = pivot^2 = 1.  With D = 1 + D1*x + D2*x^2 + D3*x^3 + ..., a tail
+has van der Poorten's fixed-discriminant form (A. J. van der Poorten,
+"Elliptic curves and continued fractions", J. Integer Seq. 8 (2005))
 
-    r0' = d^2*b0,          r1' = d^2*b1,
-    a0' = -d*a0*b0^2,      a1' = -d*a1*b0^2,     a2' = d*(a2*b0^2 - 2*b1*m),
-    b0' = b0*(a0*(b1*m - a2*b0^2) + r0*b0^3),
-    b1' = m*(b1*m - a2*b0^2) + r1*b0^4,
+    T = (P + sqrt(D))/Q = R/(P - sqrt(D)),   P^2 - D = Q*R,   P(0) = -1,
 
-of the same shape, with a0' != 0 and nothing to remove: about 25 int
-products and one gcd of the 7 ints per step.  b0' = 0 starts a zero block,
-which takes the general step.  The general step handles this shape too,
-but it pays for lists, the series of E and a gcd over longer unreduced
-ints: with every step sent through it, conjecture_family at order 40 ran
-2.1x slower (bench/run.py's hankel_scan, 319 against 678 jobs/s in ten
-alternating pairs, Python 3.11 on a 2-vCPU Xeon).  Each step's ints grow
-by O(n) bits, so step n costs products of O(n^2)-bit ints; the values
-h_n themselves have O(n^2) bits.
+the root of Q*T^2 - 2*P*T + R = 0.  A k = 0 step has v = T(0) = -R(0)/2
+and v/T = v*(P - sqrt(D))/R = E - x^2*T', so T' = (P' + sqrt(D))/Q' with
+
+    P' = E*R/v - P,   Q' = x^2*R/v,
+
+and R' = (P'^2 - D)/Q' = (E^2*R/v - 2*E*P + v*Q)/x^2, a polynomial because
+E is v/T to its x term.  So after a k = 0 step from a closed-shape tail,
+Q = x^2*(-2 + q3*x), P = -1 - (D1/2)*x + p2*x^2 and R = rho + rho1*x, and
+the x^2 and x^3 terms of P^2 - D = Q*R give rho = p2 + c0 and
+rho1 = (q3*rho + D1*p2 + D3)/2, with c0 = D2/2 - D1^2/8 the x^2 term of
+sqrt(D).  The tail is two rationals, rho and w = rho1/rho - D1/4: it has
+v = -rho/2 and E = 1 + (D1/4 - w)*x, and its next tail has
+
+    rho' = 2*w^2 + C - rho,   w' = K/rho' - w,
+
+with C = D2 - 3*D1^2/8 and K = (D3 - D1*c0)/2.  C and K are read off D
+alone, so they are fixed for the whole fraction, where the tails' ints
+carry a content that grows every step.  The code keeps v = -rho/2,
+t = w - K/rho and the fixed C/2 and K/2 as int pairs in lowest terms; a
+sum of two of them takes the gcd of their denominators and then of a
+divisor of it (Knuth), so a step takes two gcds on ints the size of v and
+w and a few with the fixed denominators.
+
+The map is entered from a closed-shape int tail, as T = R/(P - sqrt(D))
+with P = -q1/a0, Q = 2*q2/a0, R = 2*q0/a0 and D = (q1^2 - 4*q2*q0)/a0^2:
+D1 = 2*a1/a0, c0 = (a0*a2 - 2*r0*b0)/a0^2,
+C = (4*a0*a2 - 8*r0*b0 - a1^2)/(2*a0^2) and
+K = 2*(a1*r0*b0 - a0*r0*b1 - a0*r1*b0)/a0^3.  Its step yields v = -b0/a0,
+and with r = b1/b0 the next tail is rho = 2*r^2 - D1*r + a2/a0 + c0 and
+w = D1/4 - r + K/rho.  The map is left at rho = 0, a zero block: with
+r = w + D1/4 of the state before (or b1/b0 at entry), that tail is
+q2 = x^2*(-2 - 2*r*x), q1 = 2 + D1*x + 2*c0*x^2 and q0 = K*x, which goes
+over ints to the general step (K = 0 ends the fraction).  The general
+step with k >= 1 gives the closed shape again, and the map is entered
+afresh with the same C and K.  A record whose D has a higher degree never
+reaches the closed shape and takes the general step throughout.  The
+values h_n have O(n^2) bits, and so do rho and w at step n.
 """
 
 from __future__ import annotations
@@ -342,7 +371,8 @@ def _tail_step(q2: list, q1: list, q0: list, k: int, u: list, vn: int, vd: int):
 
 def _h_fraction(eq: Quadratic):
     """(k_j, vn_j, vd_j) for each step of the H-fraction of the root of
-    ``eq``, v_j = vn_j/vd_j, until a tail is 0 (module docstring)."""
+    ``eq``, v_j = vn_j/vd_j in lowest terms with vd_j > 0, until a tail is
+    0 (module docstring)."""
     polys, y0, _ = _checked(eq)
     lam = math.lcm(*[c.denominator for p in polys for c in p])
     q2, q1, q0 = _primitive(*[[(c * lam).numerator for c in p] for p in polys])
@@ -353,37 +383,48 @@ def _h_fraction(eq: Quadratic):
         # q2*T^2 reaches T's terms k .. 2k+1: read them off the series
         lead = _quadratic_root(eq, 2 * k + 2)
         u = lead._nums[k:]
-        yield k, u[0], lead._den
+        yield k, *_reduced(u[0], lead._den)
         q2, q1, q0 = _tail_step(q2, q1, q0, k, u, u[0], lead._den)
         k = _valuation(q0)
         if k is None:
             return
     while True:
         if not k and len(q2) <= 4 and len(q1) <= 3 and len(q0) <= 2:
-            # the closed k = 0 step on the 7 ints of q2 = x^2*(r0 + r1*x),
-            # q1 = a0 + a1*x + a2*x^2 and q0 = b0 + b1*x
+            # a run of k = 0 steps on the map over D, entered at the ints of
+            # q2 = x^2*(r0 + r1*x), q1 = a0 + a1*x + a2*x^2, q0 = b0 + b1*x;
+            # v = -rho/2, t = w - K/rho (D1/4 - b1/b0 at entry), C/2 and K/2
+            # are int pairs in lowest terms
             r0, r1 = (q2 + [0, 0, 0, 0])[2:4]
             a0, a1, a2 = q1 + [0] * (3 - len(q1))
             b0, b1 = q0 + [0] * (2 - len(q0))
-            while b0:
-                yield 0, -b0, a0
-                d = a0 * b0
-                m = a1 * b0 - a0 * b1
-                bb = b0 * b0
-                dd = d * d
-                r0, r1, a0, a1, a2, b0, b1 = (
-                    dd * b0, dd * b1, -d * a0 * bb, -d * a1 * bb, d * (a2 * bb - 2 * b1 * m),
-                    b0 * (a0 * (b1 * m - a2 * bb) + r0 * bb * b0),
-                    m * (b1 * m - a2 * bb) + r1 * bb * bb)
-                g = math.gcd(r0, r1, a0, a1, a2, b0, b1)
-                r0, r1, a0, a1, a2, b0, b1 = (
-                    r0 // g, r1 // g, a0 // g, a1 // g, a2 // g, b0 // g, b1 // g)
-            q2, q1, q0 = _primitive([0, 0, r0, r1], [a0, a1, a2], [b0, b1])
+            yield 0, *_reduced(-b0, a0)
+            m = a0 * a0
+            k3 = a1 * r0 * b0 - a0 * (r0 * b1 + r1 * b0)    # K * a0^3 / 2
+            cn, cd = _reduced(4 * a0 * a2 - 8 * r0 * b0 - a1 * a1, 4 * m)
+            kn, kd = _reduced(k3, m * a0)
+            vn, vd = _reduced(a0 * b1 * (a1 * b0 - a0 * b1) - (a0 * a2 - r0 * b0) * b0 * b0,
+                              m * b0 * b0)
+            tn, td = _reduced(a1 * b0 - 2 * a0 * b1, 2 * a0 * b0)
+            while vn:
+                yield 0, vn, vd
+                # w = t + K/rho; rho' = 2*w^2 + C - rho, so v' = -(w^2 + C/2 + v)
+                qn, qd = _times(kn, kd, vd, vn)
+                if qd < 0:
+                    qn, qd = -qn, -qd
+                wn, wd = _plus(tn, td, -qn, qd)
+                sn, sd = _plus(wn * wn, wd * wd, cn, cd)
+                vn, vd = _plus(-sn, sd, -vn, vd)
+                tn, td = -wn, wd
+            # the tail at rho = 0, with r = D1/4 - t, times a0^3*td
+            q2, q1, q0 = _primitive([0, 0, -2 * a0 * m * td, m * (2 * a0 * tn - a1 * td)],
+                                    [2 * a0 * m * td, 2 * a1 * m * td,
+                                     2 * a0 * (a0 * a2 - 2 * r0 * b0) * td],
+                                    [0, 2 * k3 * td])
         else:
             # T = -q0/q1 mod x^(2k+2), so sigma_n = [x^n]((q0/x^k)/q1) * c^(n+1)
             # over ints, and u_n = -T_(k+n) * c^(k+2)
             c = q1[0]
-            yield k, -q0[k], c
+            yield k, *_reduced(-q0[k], c)
             sigma = []
             for n in range(k + 2):
                 t = q0[k + n] * c ** n if k + n < len(q0) else 0
@@ -397,10 +438,28 @@ def _h_fraction(eq: Quadratic):
             return
 
 
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms with a positive denominator."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
 def _times(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
     """(an/ad) * (bn/bd) in lowest terms, both factors in lowest terms."""
     g1, g2 = math.gcd(an, bd), math.gcd(bn, ad)
     return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+
+
+def _plus(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad + bn/bd in lowest terms, both terms in lowest terms with
+    positive denominators: the content of the sum divides gcd(ad, bd)."""
+    g = math.gcd(ad, bd)
+    s = ad // g
+    n = an * (bd // g) + bn * s
+    g2 = math.gcd(n, g)
+    return n // g2, s * (bd // g2)
 
 
 def root_transform(eq: Quadratic, order: int) -> HankelTransform:
@@ -417,10 +476,7 @@ def root_transform(eq: Quadratic, order: int) -> HankelTransform:
     # product over pd, both in lowest terms
     s, h, hd, p, pd = 0, 1, 1, 1, 1
     for k, vn, vd in _h_fraction(eq):
-        g = math.gcd(vn, vd)
-        if vd < 0:
-            g = -g
-        p, pd = _times(p, pd, vn // g, vd // g)
+        p, pd = _times(p, pd, vn, vd)
         h, hd = _times(h, hd, p ** (k + 1), pd ** (k + 1))
         if (k * (k + 1) // 2) & 1:
             h = -h

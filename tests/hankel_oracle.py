@@ -2,7 +2,9 @@
 
 ``per_n_det`` is the former library route: each h_n from its own
 fraction-free (Bareiss) elimination with row pivoting.  ``gauss_det`` is
-plain Gaussian elimination over ``Fraction``.
+plain Gaussian elimination over ``Fraction``.  ``division_values`` gives
+the Hankel transform of a curve's f by another road: the division values
+of its elliptic curve.
 """
 
 import math
@@ -65,3 +67,20 @@ def gauss_det(matrix):
                 for j in range(k, n):
                     m[i][j] -= factor * m[k][j]
     return det
+
+
+def division_values(a, count):
+    """psi_0 .. psi_(count-1) of P = (0, 0) on y^2 - a*x*y - y = x^3 - x.
+
+    psi_1 = 1, psi_2 = -1, psi_3 = a - 1 and psi_4 = psi_2*((a - 2)(a - 1) - 1),
+    then Ward's recurrence psi_(m+2)*psi_(m-2) =
+    psi_(m+1)*psi_(m-1)*psi_2^2 - psi_3*psi_1*psi_m^2 (M. Ward, "Memoir on
+    elliptic divisibility sequences", Amer. J. Math. 70 (1948)), which
+    divides by psi_(m-2): no psi_n in range may be 0.
+    """
+    a = Fraction(a)
+    psi = [Fraction(0), Fraction(1), Fraction(-1), a - 1, -((a - 2) * (a - 1) - 1)]
+    for m in range(3, count - 2):
+        psi.append((psi[m + 1] * psi[m - 1] * psi[2] ** 2 - psi[3] * psi[1] * psi[m] ** 2)
+                   / psi[m - 2])
+    return psi[:count]

@@ -121,13 +121,15 @@ class TestLongValues:
 
     @pytest.mark.skipif(_int_digit_limit() is None, reason="no int <-> str digit limit")
     def test_literal_past_the_limit_is_a_usage_error(self, capsys):
-        # parameters are read under Python's limit, whose ValueError is a
-        # usage error like any other bad literal
+        # parameters are read under Python's limit; a literal past it is a
+        # usage error in riopi's words, naming its digits and the limit
         limit = _int_digit_limit()
-        for literal in ("7" * (limit + 1), "1/" + "3" * (limit + 1)):
+        for literal, shown, digits in (("7" * (limit + 1), "7" * 12, limit + 1),
+                                       ("1/" + "3" * (limit + 100), "1/" + "3" * 10, limit + 100)):
             code, out, err = run(capsys, "expand", "family", literal, "1", "1", "--order", "4")
             assert (code, out) == (1, "")
-            assert err.startswith("usage error: ") and "limit" in err
+            assert err == (f"usage error: literal {shown}... has an integer of {digits} digits; "
+                           f"at most {limit} digits are read\n")
             assert _int_digit_limit() == limit
 
 

@@ -7,12 +7,12 @@ import pytest
 from riopi.elliptic import f_equation, f_from_curve
 from riopi.family import (FamilyParams, companion, companion_equation, equation, g_ad,
                           g_family)
-from riopi.hankel import (InsufficientTerms, _h_fraction, _leading_minors, _rescaling,
-                          hankel_det, hankel_transform, root_transform)
+from riopi.hankel import (InsufficientTerms, _h_fraction, _leading_minors, _primitive,
+                          _rescaling, hankel_det, hankel_transform, root_transform)
 from riopi.series import Quadratic, Series, _quadratic_root
 
 from conftest import rand_fraction
-from hankel_oracle import bareiss_det, gauss_det, hankel_matrix, per_n_det
+from hankel_oracle import bareiss_det, division_values, gauss_det, hankel_matrix, per_n_det
 
 
 def cofactor_det(matrix):
@@ -613,6 +613,70 @@ class TestRootTransform:
             for order in (1, 4, 17, 39):
                 assert (root_transform(f_equation(a), order)
                         == self.bareiss(f_from_curve, a, order)), (a, order)
+
+    def test_zero_blocks_inside_runs(self):
+        # runs of k = 0 steps that end in a zero block inside the map (a
+        # zero every 6th and 4th index on 1 3 3 and 3 -1 0) or at its entry
+        # (b = 0): the map is left for the general step and entered again
+        for eq, build, p, ks in (
+                (equation, g_family, (1, 3, 3), "0100001"),
+                (companion_equation, companion, (1, 3, 3), "000010000"),
+                (equation, g_family, (3, -1, 0), "010010"),
+                (companion_equation, companion, (3, -1, 0), "001001"),
+                (equation, g_family, (2, 0, -3), "010101"),
+                (companion_equation, companion, (-1, 0, 1), "010101"),
+                (equation, g_family, (Fraction(1, 2), 0, Fraction(5, 3)), "010101")):
+            orders = (64, 128) if all(isinstance(v, int) for v in p) else (64,)
+            p = FamilyParams.of(*p)
+            assert "".join(str(step[0]) for _, step in zip(ks, _h_fraction(eq(p)))) == ks, p
+            for order in orders:
+                assert root_transform(eq(p), order) == self.bareiss(build, p, order), \
+                    (build.__name__, p, order)
+
+    def test_every_entry_reads_the_constants_of_d(self, monkeypatch):
+        # each tail's discriminant q1^2 - 4*q2*q0 is the record's D times a
+        # constant square, so the map's C and K, read off the ints of each
+        # closed-shape tail it is entered at, are the constants of D
+        tails = []
+
+        def spy(*polys):
+            tails.append(_primitive(*polys))
+            return tails[-1]
+
+        monkeypatch.setattr("riopi.hankel._primitive", spy)
+        for eq in (equation(FamilyParams.of(1, 3, 3)), companion_equation(FamilyParams.of(3, -1, 0)),
+                   equation(FamilyParams.of(Fraction(-2, 3), 0, Fraction(1, 2))),
+                   companion_equation(FamilyParams.of(Fraction(1, 2), Fraction(-2, 3), 0)),
+                   f_equation(1)):
+            tails.clear()
+            root_transform(eq, 64)
+            p2, p1, p0 = ([Fraction(c) for c in p] for p in (eq.p2, eq.p1, eq.p0))
+            d = [0] * 5
+            for i, u in enumerate(p1):
+                for j, w in enumerate(p1):
+                    d[i + j] += u * w
+            for i, u in enumerate(p2):
+                for j, w in enumerate(p0):
+                    d[i + j] -= 4 * u * w
+            assert d[0] == 1
+            c0 = d[2] / 2 - d[1] ** 2 / 8
+            want = (d[2] - 3 * d[1] ** 2 / 8, (d[3] - d[1] * c0) / 2)
+            entries = [(q2 + [0, 0, 0, 0], q1 + [0, 0, 0], q0 + [0, 0]) for q2, q1, q0 in tails
+                       if len(q2) <= 4 and not any(q2[:2]) and len(q1) <= 3
+                       and 1 <= len(q0) <= 2 and q0[0]]
+            assert len(entries) >= 5, eq
+            for (_, _, r0, r1, *_), (a0, a1, a2, *_), (b0, b1, *_) in entries:
+                got = (Fraction(4 * a0 * a2 - 8 * r0 * b0 - a1 * a1, 2 * a0 * a0),
+                       Fraction(2 * (a1 * r0 * b0 - a0 * r0 * b1 - a0 * r1 * b0), a0 ** 3))
+                assert got == want, eq
+
+    def test_curvef_division_values(self):
+        # h_n of f on E_a: y^2 - axy - y = x^3 - x is (-1)^n psi_(n+1), the
+        # division values at (0, 0), far past the orders Bareiss reaches
+        for a in (Fraction(-3), Fraction(3), Fraction(5), Fraction(-11, 2)):
+            psi = division_values(a, 102)
+            values = hankel_transform(f_equation(a), 201).values
+            assert list(values) == [(-1) ** n * psi[n + 1] for n in range(101)], a
 
     def test_zero_blocks_and_first_steps(self):
         # zero blocks of length 1, 2 and 3, roots with y0 = 0 (first step
