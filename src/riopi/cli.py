@@ -36,10 +36,10 @@ EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
 # The largest --order accepted.  Exact work grows 3-11x per doubling of
-# the order: pipeline(-3, N) in a fresh process takes 0.0025 s of process
-# time at 128, 0.0088 s at 256, 0.052 s at 512 and 0.57 s at 1024 (Python
-# 3.11 on a shared 2-vCPU Xeon; best of two).  The g build, the f build and
-# the rational-B certificate of g take about a third each, all O(N^2)
+# the order: pipeline(-3, N) in a fresh process takes 0.0014 s of process
+# time at 128, 0.0055 s at 256, 0.034 s at 512 and 0.34 s at 1024 (Python
+# 3.11 on a shared 2-vCPU Xeon; best of five).  The g build and the
+# rational-B certificate of g take about half each, both O(N^2)
 # operations on coefficients that grow with N.  A p/q curve costs more,
 # and a g the certificate does not take falls back to O(N^3) routes (the
 # walk over the powers of g, or the triangle of a_and_z); the cap bounds

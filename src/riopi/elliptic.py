@@ -2,9 +2,10 @@
 
 Each curve lands on one family member, ``family_params_from_curve``:
 ``pipeline`` builds the curve's g as that member (``family.g_family``)
-and the intermediate f in the paper's closed form, and certifies g once,
-by the pseudo-involution test.  The curve's B-sequence (``b_from_curve``)
-and Somos-4 parameters (``curve_somos_check``) come from the same member.
+and certifies it once, by the pseudo-involution test.  The curve's
+B-sequence (``b_from_curve``) and Somos-4 parameters
+(``curve_somos_check``) come from the same member.  The intermediate f
+of the paper's walk is ``f_from_curve``, in the paper's closed form.
 The branch y and f are roots of quadratics, and
 ``series._quadratic_root`` builds both term by term over ints, with no
 square root and no series division.  The paper's full walk (solve the
@@ -32,10 +33,9 @@ from .somos import SomosReport, family_somos_params, somos4_check
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    """The intermediate f and the pseudo-involution g, each at ``order``:
-    g is the curve's family member, certified once by ``pipeline``."""
+    """The pseudo-involution g at ``order``: the curve's family member,
+    certified once by ``pipeline``."""
 
-    f: Series
     g: Series
 
 
@@ -47,16 +47,17 @@ def curve_branch(curve, order: int) -> Series:
 
 
 def pipeline(curve, order: int) -> PipelineTrace:
-    """Build the curve's f and g and certify g.
+    """Build the curve's g and certify it.
 
-    f is the closed form ``f_from_curve`` and g is the family member
+    g is the family member
     ``g_family(family_params_from_curve(curve), order)``.  That g is the
     curve's at every order: g = 1 + x*g*B(x^2*g) fixes g term by term from
     its B-sequence, and the B read off the paper's g is ``b_from_curve``'s
     closed form, the member's (a - cx)/(1 + bx).  g is certified once, by
     the pseudo-involution test at ``order``.  The paper's walk through the
     branch, stripped, fraction, reverted and h stages is the test oracle
-    ``tests/composition_oracle.pipeline_stages``.
+    ``tests/composition_oracle.pipeline_stages``; its f is
+    ``f_from_curve``.
     """
     a = rational(curve)
     if order < 1:
@@ -64,7 +65,7 @@ def pipeline(curve, order: int) -> PipelineTrace:
     g = g_family(family_params_from_curve(a), order)
     if not is_pseudo_involution(g):
         raise SelfCheckError("pipeline output failed the pseudo-involution test")
-    return PipelineTrace(f=f_from_curve(a, order), g=g)
+    return PipelineTrace(g=g)
 
 
 def f_equation(curve) -> Quadratic:
@@ -101,7 +102,7 @@ def b_from_curve(curve, terms: int = 12) -> CurveBSequence:
     family's (a - cx)/(1 + bx) at ``family_params_from_curve(curve)``,
     expanded as b_0 = a, b_1 = -c - a*b and b_k = -b*b_(k-1)."""
     if terms < 1:
-        raise ValueError("order must be at least 1")
+        raise ValueError("terms must be at least 1")
     m = family_params_from_curve(curve)
     b1 = -m.c - m.a * m.b
     # over ints, with den = a.den * b1.den * b.den^(terms-1)

@@ -51,22 +51,11 @@ is the current pivot minor.  A zero pivot whose row has no nonzero entry
 left makes every later h_n 0.
 
 The input is ints over one denominator: a Series's own fields, or a
-plain sequence packed to them, nums_k / den with term k in lowest terms
-over den_k = den // gcd(nums_k, den).  Bareiss runs over integers:
-s'_k = s_k * lam**k * scale = nums_k * lam**k * scale // den.  The
-matrix of the s_k * lam**k is D H D with D = diag(lam**i), so
-det H'_n = scale**(n+1) * lam**(n(n+1)) * det H_n, exact for any lam.
-Integer input takes lam = scale = 1.  Otherwise lam grows term by term:
-for k >= 1 it is multiplied by den_k / gcd(den_k, lam**k), so every
-s_k * lam**k with k >= 1 is an integer and scale is left to clear den_0.
-The denominators of a p/q family member grow geometrically, and lam
-stays small: 6 for (1/2, -2/3, 5/3), 42 for (-11/2, 1/3, 2/7).
-lam pays only if the bits it takes off scale outweigh what
-lam**(n(n+1)) adds to the minors: Bareiss work is weighted toward step
-k ~ 0.4 * top, where the saving is about (k+1) * (bits(lcm) - bits(scale)
-- k * bits(lam)).  So lam is kept when
-5 * (bits(lcm) - bits(scale)) > 2 * top * bits(lam), and otherwise
-lam = 1 and scale is the lcm of every den_k.
+plain sequence packed to them.  The terms s_0 .. s_(2*top) that the
+largest matrix reads are reduced once to nums_k / den in lowest terms,
+so an unread last term cannot widen den, and Bareiss runs on the nums_k
+themselves: the leading minors of their Hankel matrix are
+den**(n+1) * h_n.
 
 Han's H-fraction
 ----------------
@@ -169,7 +158,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import Quadratic, Series, _checked, _packed, _quadratic_root, rational
+from .series import Quadratic, Series, _checked, _lowest, _packed, _quadratic_root, rational
 
 
 _ZERO = Fraction(0)
@@ -239,42 +228,15 @@ def _leading_minors(rows: list[list[int]]) -> list[int]:
     return minors
 
 
-def _rescaling(dens: list[int], top: int) -> tuple[int, int]:
-    """(lam, scale) such that term k, whose denominator is dens[k], times
-    lam**k * scale is an int.
-
-    The choice of lam and its cost rule are in the module docstring.
-    """
-    lcm = math.lcm(*dens)
-    if lcm == 1:
-        return 1, 1
-    lam = 1
-    for k, d in enumerate(dens[1:], 1):
-        lam *= d // math.gcd(d, pow(lam, k, d))
-    left = dens[0]
-    if 5 * (lcm.bit_length() - left.bit_length()) > 2 * top * lam.bit_length():
-        return lam, left
-    return 1, lcm
-
-
 def _hankel_values(nums, den: int, top: int) -> list[Fraction]:
-    """h_0 .. h_top of the terms nums[k]/den, k <= 2*top, from one elimination."""
-    window = nums[: 2 * top + 1]
-    # Bareiss runs over the ints s_k * lam**k * scale; rescale after by
-    # det H'_n = scale**(n+1) * lam**(n(n+1)) * det H_n.
-    lam, scale = _rescaling([den // math.gcd(c, den) for c in window], top)
-    ints = []
-    factor = scale
-    for c in window:
-        ints.append(c * factor // den)
-        factor *= lam
-    minors = _leading_minors([ints[2 * i:i + top + 1] for i in range(top + 1)])
-    values = []
-    power, step, lam2 = 1, scale, lam * lam
+    """h_0 .. h_top of the terms nums[k]/den, k <= 2*top, from one
+    elimination over the window's own ints: h_n = minor_n / den**(n+1)."""
+    window, den = _lowest(nums[: 2 * top + 1], den)
+    minors = _leading_minors([list(window[2 * i:i + top + 1]) for i in range(top + 1)])
+    values, power = [], 1
     for minor in minors:
-        power *= step
+        power *= den
         values.append(Fraction(minor, power))
-        step *= lam2
     return values
 
 

@@ -595,6 +595,23 @@ class TestVerify:
         assert "0 failed" in out
         assert "FAIL" not in out
 
+    def test_no_run_reaches_bareiss(self, capsys, monkeypatch):
+        # every Hankel transform of verify, hankel and somos is read off its
+        # subject's equation; Bareiss serves only terms
+        def refuse(rows):
+            raise AssertionError("a CLI run eliminated a Hankel matrix")
+
+        monkeypatch.setattr("riopi.hankel._leading_minors", refuse)
+        code, out, _ = run(capsys, "verify", "all", "--trials", "2")
+        assert code == 0 and "0 failed" in out
+        subjects = {"ad": ("1", "2"), "companion": ("-11/2", "1/3", "2/7"),
+                    "curve": ("-3",), "curvef": ("-11/2",), "family": ("1/2", "-2/3", "5/3")}
+        assert sorted(subjects) == cli._SUBJECTS
+        for kind, params in subjects.items():
+            for command in ("hankel", "somos"):
+                code, _, err = run(capsys, command, kind, *params)
+                assert (code, err) == (0, ""), (command, kind)
+
     def test_conjecture_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "conjecture", "--seed", "1", "--trials", "3")
         assert code == 0

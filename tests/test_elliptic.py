@@ -123,8 +123,11 @@ class TestIntermediateF:
             assert f_from_curve(rand_fraction(rng), 8)[0] == 1
 
     def test_agrees_with_pipeline(self, rng):
+        # f_from_curve is the walk's f stage, and pipeline's g its last stage
         for a in (Fraction(1), Fraction(-2), Fraction(2, 3)):
-            assert f_from_curve(a, 14).coeffs == pipeline(a, 14).f.coeffs
+            stages = composition_oracle.pipeline_stages(a, 14)
+            assert f_from_curve(a, 14).coeffs == stages[-2]
+            assert pipeline(a, 14).g.coeffs == stages[-1]
 
 
 class TestBSequence:
@@ -133,6 +136,11 @@ class TestBSequence:
         assert cb.numerator == (5, 19)
         assert cb.denominator == (1, 4)
         assert list(cb.prefix.values) == [5, -1, 4, -16, 64]
+
+    def test_rejects_no_terms(self):
+        for terms in (0, -1):
+            with pytest.raises(ValueError, match="^terms must be at least 1$"):
+                b_from_curve(-3, terms=terms)
 
     def test_table_rows(self):
         table = {
@@ -252,9 +260,9 @@ class TestMoebiusStage:
         params += [rand_fraction(rng, 12, (1, 2, 3, 5, 7)) for _ in range(98)]
         for a in params:
             order = rng.randint(1, 50)
-            trace = pipeline(a, order)
-            assert trace.f.order == trace.g.order == order
-            assert (trace.f.coeffs, trace.g.coeffs) == \
+            f, g = f_from_curve(a, order), pipeline(a, order).g
+            assert f.order == g.order == order
+            assert (f.coeffs, g.coeffs) == \
                 composition_oracle.pipeline_stages(a, order)[-2:], (a, order)
 
     def test_stage_never_composes(self, rng, monkeypatch):

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,7 @@ from riopi.elliptic import f_equation, f_from_curve
 from riopi.family import (FamilyParams, companion, companion_equation, equation, g_ad,
                           g_family)
 from riopi.hankel import (InsufficientTerms, _h_fraction, _leading_minors, _primitive,
-                          _rescaling, hankel_det, hankel_transform, root_transform)
+                          hankel_det, hankel_transform, root_transform)
 from riopi.series import Quadratic, Series, _quadratic_root
 
 from conftest import rand_fraction
@@ -315,7 +314,7 @@ class TestTransformProperties:
         assert forced * 5 >= cases * 2
 
 
-def rescaled_member(rng, make, dens=(2, 3, 5, 7)):
+def pq_member(rng, make, dens=(2, 3, 5, 7)):
     """A p/q family or companion member, parameters over ``dens``."""
     while True:
         params = FamilyParams.of(*(Fraction(rng.randint(-9, 9), rng.choice(dens))
@@ -324,39 +323,28 @@ def rescaled_member(rng, make, dens=(2, 3, 5, 7)):
             return list(make(params, rng.randint(1, 45)).coeffs)
 
 
-def rescaling(seq):
-    """(lam, scale) as hankel_transform picks them for seq."""
-    top = (len(seq) - 1) // 2
-    return _rescaling([Fraction(t).denominator for t in seq[:2 * top + 1]], top)
-
-
 def assert_matches_oracles(seq):
-    """Check the transform against both oracles; return the lam it used."""
+    """Check the transform against the per-n and Fraction Gauss oracles."""
     values = list(hankel_transform(seq).values)
     dets = range(len(values))
     assert values == [per_n_det(seq, n) for n in dets], seq
     assert values == [gauss_det(hankel_matrix(seq, n)) for n in dets], seq
-    return rescaling(seq)[0]
-
-
-# hankel_scan's p/q pool: every p/q with q in {2, 3}, |p/q| <= 3, q not dividing p
-SCAN_POOL = sorted({Fraction(p, q) for q in (2, 3) for p in range(-3 * q, 3 * q + 1) if p % q})
 
 
 class TestRescaledRoute:
-    """Bareiss over s_k * lam**k * scale, with lam > 1 only where it pays."""
+    """Bareiss on the ints of p/q terms over one denominator den, each
+    minor divided by den**(n+1)."""
 
     def test_pq_members_match_oracles(self, rng):
-        rescaled = 0
         for make in (g_family, companion):
             for _ in range(12):
-                rescaled += assert_matches_oracles(rescaled_member(rng, make)) > 1
-        assert rescaled >= 12
+                assert_matches_oracles(pq_member(rng, make))
 
     def test_constant_denominator(self, rng):
-        for den in (2, 6, 1024):
+        # den = 1 is integer input, whose minors are the values themselves
+        for den in (1, 2, 6, 1024):
             seq = [Fraction(rng.randint(-9, 9), den) for _ in range(rng.randint(1, 25))]
-            assert assert_matches_oracles(seq) == 1
+            assert_matches_oracles(seq)
 
     def test_single_large_denominator(self, rng):
         for _ in range(4):
@@ -365,85 +353,94 @@ class TestRescaledRoute:
             assert_matches_oracles(seq)
 
     def test_denominator_on_s0(self, rng):
-        rescaled = 0
         for make in (g_family, companion):
             for _ in range(3):
-                seq = rescaled_member(rng, make)
+                seq = pq_member(rng, make)
                 seq[0] = Fraction(rng.randint(1, 9), rng.choice((3, 4, 35)))
-                lam = assert_matches_oracles(seq)
-                if lam > 1:
-                    # lam clears every term but s_0, so scale is s_0's denominator
-                    assert rescaling(seq)[1] == seq[0].denominator
-                    rescaled += 1
-        assert rescaled >= 3
+                assert_matches_oracles(seq)
 
     def test_geometric_denominators_with_zero_pivots(self, rng):
         # random_sequence's zero shapes over s_k / mu**k: the shapes survive
-        # the scaling (h_1 = 0 is homogeneous), and lam recovers mu
-        forced = rescaled = 0
+        # the scaling (h_1 = 0 is homogeneous)
+        forced = 0
         for _ in range(60):
             mu = rng.choice((2, 3, 6, 10))
             seq = [v / mu ** k for k, v in enumerate(random_sequence(rng, rng.randint(1, 25)))]
-            rescaled += assert_matches_oracles(seq) > 1
+            assert_matches_oracles(seq)
             forced += 0 in hankel_transform(seq).values[:-1]
-        assert forced >= 20 and rescaled >= 20
+        assert forced >= 20
 
-    def test_scan_pool_members_take_lam(self):
-        # hankel_scan's p/q members at its order 40: after the rescaling no
-        # denominator is left
-        rng = random.Random(7)
-        for make in (g_family, companion):
-            for _ in range(15):
-                params = FamilyParams.of(*(rng.choice(SCAN_POOL) for _ in range(3)))
-                seq = make(params, 40).coeffs
-                lam, scale = rescaling(seq)
-                assert lam > 1 and scale == 1, params
-                assert all((t * lam ** k).denominator == 1 for k, t in enumerate(seq))
-
-    def test_printed_lams(self):
-        for params, lam in (((Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)), 6),
-                            ((Fraction(-11, 2), Fraction(1, 3), Fraction(2, 7)), 42)):
+    def test_printed_pq_members(self):
+        for params in ((Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)),
+                       (Fraction(-11, 2), Fraction(1, 3), Fraction(2, 7))):
             g = g_family(FamilyParams.of(*params), 81)
-            assert rescaling(g.coeffs) == (lam, 1)
             assert hankel_transform(g) == hankel_transform(g.coeffs)
 
-    def test_integer_input_skips_lam(self, rng):
+    def test_integer_input_skips_lam(self, rng, monkeypatch):
+        # den = 1: Bareiss runs on the terms themselves, with nothing scaled
+        eliminated = record_eliminations(monkeypatch)
         for _ in range(10):
             seq = [Fraction(rng.randint(-20, 20)) for _ in range(rng.randint(1, 41))]
-            assert rescaling(seq) == (1, 1)
+            assert_matches_oracles(seq)
+            top = (len(seq) - 1) // 2
+            assert eliminated[-1] == triangle([int(t) for t in seq], top), seq
         seq = g_family(FamilyParams.of(2, -2, 3), 41).coeffs
-        assert rescaling(seq) == (1, 1)
-
-    def test_lam_declined_where_it_does_not_pay(self):
-        # all denominators 1024, or one 3**40 at index 1: lam would be
-        # 1024 or 3**40 and add more bits than it takes off
-        seq = [Fraction(k % 7 - 3, 1024) for k in range(81)]
-        assert rescaling(seq) == (1, 1024)
         assert hankel_transform(Series(seq)) == hankel_transform(seq)
+        assert eliminated[-1] == triangle([int(t) for t in seq], 20)
+
+    def test_lam_declined_where_it_does_not_pay(self, monkeypatch):
+        # all denominators 1024, or one 3**40 at index 1: Bareiss runs on
+        # the numerators over that one denominator, with no k-dependent factor
+        eliminated = record_eliminations(monkeypatch)
+        seq = [Fraction(k % 7 - 3, 1024) for k in range(81)]
+        assert hankel_transform(Series(seq)) == hankel_transform(seq)
+        assert eliminated[-1] == triangle([k % 7 - 3 for k in range(81)], 40)
         seq = [Fraction(k % 7 - 3) for k in range(81)]
         seq[1] = Fraction(1, 3 ** 40)
-        assert rescaling(seq) == (1, 3 ** 40)
         assert hankel_transform(Series(seq)) == hankel_transform(seq)
+        assert eliminated[-1] == triangle([int(t * 3 ** 40) for t in seq], 40)
+
+
+def record_eliminations(monkeypatch):
+    """Patch hankel's Bareiss to log the rows of each elimination it runs."""
+    eliminated = []
+
+    def recording(rows):
+        eliminated.append([list(row) for row in rows])
+        return _leading_minors(rows)
+
+    monkeypatch.setattr("riopi.hankel._leading_minors", recording)
+    return eliminated
 
 
 class TestSeriesInput:
     """A Series is read as its own ints over one denominator: the same
-    transform as its Fraction coefficients on both sides of the lam rule
-    (and in TestRescaledRoute's printed and declined lams)."""
+    transform as its Fraction coefficients."""
 
     def test_series_equals_its_coefficients(self, rng):
-        kept = declined = 0
         for i in range(60):
             if i % 3:
-                s = Series(rescaled_member(rng, (g_family, companion)[i % 2]))
+                s = Series(pq_member(rng, (g_family, companion)[i % 2]))
             else:
                 s = Series(random_sequence(rng, rng.randint(1, 25)))
-            seq = s.coeffs
-            assert hankel_transform(s) == hankel_transform(seq), seq
-            lam, scale = rescaling(seq)
-            kept += lam > 1
-            declined += lam == 1 and scale > 1
-        assert kept >= 20 and declined >= 5
+            assert hankel_transform(s) == hankel_transform(s.coeffs), s.coeffs
+
+    def test_unread_last_term_leaves_the_ints(self, rng, monkeypatch):
+        # an even-order Series whose last term brings a new large
+        # denominator: the transform reads only its odd prefix, and
+        # Bareiss runs on that prefix's own ints
+        eliminated = record_eliminations(monkeypatch)
+        for make in (g_family, companion):
+            for _ in range(4):
+                seq = pq_member(rng, make)
+                if len(seq) % 2 == 0:
+                    seq.pop()
+                prefix = Series(seq)
+                s = Series(seq + [Fraction(rng.randint(1, 9), 11 ** 60)])
+                want = hankel_transform(prefix).values
+                assert hankel_transform(s).values == want == hankel_transform(s.coeffs).values
+                assert eliminated[-3] == eliminated[-2] == eliminated[-1]
+                assert_matches_oracles(list(s.coeffs))
 
     def test_hankel_det_takes_either(self, rng):
         for _ in range(20):
@@ -501,7 +498,7 @@ class TestSymmetricElimination:
                    enumerate(zero_dense(rng, rng.randint(1, 17), dens=(1, 2, 3, 5)))]
             values = list(hankel_transform(seq).values)
             assert values == [per_n_det(seq, n) for n in range(len(values))], seq
-            # a nonzero constant factor on every term, or lam**k on term k, keeps
+            # a nonzero constant factor on every term, or mu**k on term k, keeps
             # each minor zero or nonzero, so the lcm-scaled ints take the same steps
             scale = math.lcm(*[t.denominator for t in seq])
             seen.update(kinds(branches(hankel_matrix([int(t * scale) for t in seq],
