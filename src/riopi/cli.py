@@ -35,15 +35,16 @@ EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
-# The largest --order accepted.  Exact work grows 3-11x per doubling of
-# the order: pipeline(-3, N) in a fresh process takes 0.0014 s of process
-# time at 128, 0.0055 s at 256, 0.034 s at 512 and 0.34 s at 1024 (Python
-# 3.11 on a shared 2-vCPU Xeon; best of five).  The g build and the
-# rational-B certificate of g take about half each, both O(N^2)
-# operations on coefficients that grow with N.  A p/q curve costs more,
-# and a g the certificate does not take falls back to O(N^3) routes (the
-# walk over the powers of g, or the triangle of a_and_z); the cap bounds
-# those, and one past the index range would overflow in Series.
+# The largest --order accepted.  pipeline(-3, N) in a fresh process takes
+# 0.0005 s of process time at 128, 0.0008 s at 256, 0.0016 s at 512 and
+# 0.0042 s at 1024, and pipeline(-11/2, N) 0.0006 / 0.0011 / 0.0027 /
+# 0.0085 s (Python 3.11 on a shared 2-vCPU Xeon; best of five): 1.7-3.2x
+# per doubling.  The g build and the rational-B certificate of g take
+# about half each, both O(N) products of ints (the linear recurrence of
+# series._root_ints) on coefficients that grow with N.  A g the
+# certificate does not take falls back to O(N^3) routes (the walk over
+# the powers of g, or the triangle of a_and_z); the cap bounds those, and
+# one past the index range would overflow in Series.
 # The hankel and somos commands read the transform off their subject's
 # equation (the H-fraction of hankel.py): `hankel family 1/2 -2/3 5/3`
 # took 0.003 / 0.006 / 0.056 / 1.3 s of process time at --order 64 / 128 /

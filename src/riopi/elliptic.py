@@ -7,8 +7,10 @@ B-sequence (``b_from_curve``) and Somos-4 parameters
 (``curve_somos_check``) come from the same member.  The intermediate f
 of the paper's walk is ``f_from_curve``, in the paper's closed form.
 The branch y and f are roots of quadratics, and
-``series._quadratic_root`` builds both term by term over ints, with no
-square root and no series division.  The paper's full walk (solve the
+``series._quadratic_root`` builds both term by term over ints, by the
+linear recurrence of the square root of their discriminants, O(n)
+products of ints, with no square root of a series and no series
+division.  The paper's full walk (solve the
 quadratic for the branch with y = x + O(x^2), strip two terms, form a
 reciprocal fraction, revert it to reach f, form h from f and apply the
 Riordan array (1/(1+cx), -x/(1+cx)), c = a-1, by the fundamental

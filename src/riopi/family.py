@@ -11,8 +11,9 @@ g = (1/den)*c(num/den^2), is the root g(0) = 1 of the quadratic
 
     num*g^2 - den*g + 1 = 0,
 
-built term by term over ints by ``series._quadratic_root`` in O(n^2),
-with no square root and no series division.  The paper's other printed
+built term by term over ints by ``series._quadratic_root``: the linear
+recurrence of sqrt(den^2 - 4*num), O(n) products of ints, with no square
+root of a series and no series division.  The paper's other printed
 routes -- continued fractions, the c = 0 quadratic recurrence, the
 single/double/triple sums, the closed form 2/(den + sqrt(den^2 - 4*num))
 -- are test oracles in tests/family_oracle.py.

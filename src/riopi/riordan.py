@@ -12,11 +12,16 @@ last read-off is remembered for the next call on the same prefix.
 
 The read-off has two routes.  When g's first B terms fit a B of degree
 (1, 1), (a - cx)/(1 + bx) as for every family member and every curve, it
-checks g's quadratic num*g^2 - den*g + 1 = 0 with one self-convolution,
-O(N^2); otherwise it walks the table of powers g, ..., g^c, O(N^3), and
-only the walk names the first failing power of x.  The quadratic is the
-paper's B identity g = 1 + x*g*B(x^2*g) times the unit 1 + b*x^2*g, so
-both routes decide the same question and give the same terms.
+compares g with the root of that member's quadratic
+num*g^2 - den*g + 1 = 0, which the linear recurrence of
+``series._root_ints`` expands in O(N) products of ints; otherwise it
+walks the table of powers g, ..., g^c, O(N^3), and only the walk names
+the first failing power of x.  The quadratic is the paper's B identity
+g = 1 + x*g*B(x^2*g) times the unit 1 + b*x^2*g, so both routes decide
+the same question and give the same terms.  The certified member's
+A-sequence 1/g(-x) is the root of a quadratic too, so
+``production_matrix`` reads it off the same kernel; on the walk's route
+it divides by g(-x) (``a_from_g``).
 
 The group product and inverse, the fundamental-theorem action h -> g*h(f)
 and A from B are second routes to these answers, kept as test oracles in
@@ -31,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .series import (NotRevertible, Series, _append_ratio, _fractions, _lowest, _packed,
-                     rational)
+from .series import (NotRevertible, Series, _append_ratio, _fractions, _image_lam, _image_values,
+                     _lowest, _packed, _root_ints, rational)
 
 _ZERO = Fraction(0)
 
@@ -267,11 +272,14 @@ class RiordanArray:
 
         A Bell array (g, x*g) whose g passes the B-sequence read-off at
         order size+1 is a pseudo-involution there: g*g(-x*g) = 1 mod
-        x^(size+1).  Its A is 1/g(-x) (``a_from_g``) and Z = (A - 1)/x, and
-        the read-off is their only certificate: A(x*g) = 1/g(-x*g) = g is
-        f = x*A(f), and as x*g*Z(x*g) = A(x*g) - 1 it is g = 1 + x*g*Z(f)
-        too.  Every other array takes Z and A from ``a_and_z`` of its
-        truncation to order size+1, which solves both identities row by row.
+        x^(size+1).  Its A is 1/g(-x) and Z = (A - 1)/x, and the read-off
+        is their only certificate: A(x*g) = 1/g(-x*g) = g is f = x*A(f),
+        and as x*g*Z(x*g) = A(x*g) - 1 it is g = 1 + x*g*Z(f) too.  When
+        the read-off certified g as a member's root, A is the root of its
+        own quadratic (``_member_a``), O(size) products of ints; after the
+        walk it is ``a_from_g``, a Series division.  Every other array
+        takes Z and A from ``a_and_z`` of its truncation to order size+1,
+        which solves both identities row by row.
         """
         if size is None:
             size = self.order - 2
@@ -279,8 +287,10 @@ class RiordanArray:
             raise OutOfOrder(f"production size {size} outside 1..{self.order - 1}")
         if self.is_bell():
             g = self.g.truncate(size + 1)
-            if _b_read_off(g)[1] is None:
-                return ProductionMatrix._from_a(a_from_g(g))
+            _, n, member = _b_read_off(g)
+            if n is None:
+                return ProductionMatrix._from_a(
+                    a_from_g(g) if member is None else _member_a(member, g))
         return RiordanArray(self.g.truncate(size + 1), self.f.truncate(size + 1)).a_and_z()
 
     def is_bell(self) -> bool:
@@ -317,16 +327,18 @@ def b_extract(g: Series) -> BSequence:
     its order raises NoBSequence naming the first failing power of x."""
     if g[0] != 1:
         raise ValueError("g must have constant term 1")
-    b, n = _b_read_off(g)
+    b, n, _ = _b_read_off(g)
     if n is not None:
         raise NoBSequence("(g, x*g) is not a pseudo-involution: "
                           f"g = 1 + x*g*B(x^2*g) fails at x^{n}")
     return b
 
 
-def _b_read_off(g: Series) -> tuple[BSequence, int | None]:
-    """B terms read off g, and the first n at which g = 1 + x*g*B(x^2*g)
-    fails mod x^(2c+1), c = (order-1)//2, or None if it holds.
+def _b_read_off(g: Series) -> tuple[BSequence, int | None, tuple | None]:
+    """B terms read off g, the first n at which g = 1 + x*g*B(x^2*g)
+    fails mod x^(2c+1), c = (order-1)//2, or None if it holds, and the
+    member whose root g is there (``_member``), or None if the walk
+    decided.
 
     The identity is column 0 of the recurrence
     t[n+1][k] = t[n][k-1] + sum_j b_j*t[n-j][k+j], with
@@ -342,20 +354,21 @@ def _b_read_off(g: Series) -> tuple[BSequence, int | None]:
     g*g(f) - 1 = (f(f) - x)/x first fails at an even power.
 
     Two routes decide it (``_read_off``): a g whose B has degree (1, 1) is
-    certified by its quadratic in O(c^2) products of ints (``_rational_b``),
-    which is this identity times the unit 1 + b*x^2*g; any other g, and
-    every g that fails, takes the walk over the table of powers above,
-    O(c^3), which alone names the failing n.
+    certified as the root of its member's quadratic, which is this
+    identity times the unit 1 + b*x^2*g, in O(c) products of ints
+    (``_rational_b``); any other g, and every g that fails, takes the walk
+    over the table of powers above, O(c^3), which alone names the failing
+    n.
 
     Only g_0..g_2c are read, so g is cut to order 2c+1 and the read-off is
     keyed on that prefix's values: the last one is remembered, and the next
     call on the same prefix returns it without reading g again, whoever
     makes it (``b_extract`` and ``production_matrix`` on the g that
     ``pipeline`` just certified, or a second ``pipeline`` on the same curve
-    and c).  A hit costs the hash and compare of the prefix: 5-16 us for
-    curve -3 and 14-230 us for curve -11/2 at orders 40-256, against
-    0.16-4.2 ms and 0.19-13 ms for the rational-B certificate (Python 3.11,
-    shared 2-vCPU Xeon, process time).
+    and c).  A hit costs the hash and compare of the prefix: 1.5-9 us for
+    curve -3 and 6-80 us for curve -11/2 at orders 40-256, against
+    0.06-0.33 ms and 0.07-0.49 ms for the rational-B certificate (Python
+    3.11, shared 2-vCPU Xeon, process time, best of five).
     """
     c = (g.order - 1) // 2
     head = g.truncate(2 * c + 1)
@@ -363,59 +376,72 @@ def _b_read_off(g: Series) -> tuple[BSequence, int | None]:
 
 
 @functools.lru_cache(maxsize=1)
-def _read_off(gs: tuple[int, ...], d: int) -> tuple[BSequence, int | None]:
-    """``_b_read_off`` of the series gs/d of odd order 2c+1: the walk on
-    the first seven terms, then the rational-B certificate of
-    ``_rational_b`` when it holds, else the full walk."""
+def _read_off(gs: tuple[int, ...], d: int) -> tuple[BSequence, int | None, tuple | None]:
+    """``_b_read_off`` of the series gs/d of odd order 2c+1, plus the
+    member it certified: the walk on the first seven terms, then the
+    rational-B certificate of ``_rational_b`` when it holds, else the full
+    walk, which certifies no member (None)."""
     c = len(gs) // 2
     if c > 3:
         head = _walk(gs[:7], d)
         if head[1] is not None:
-            return head  # the full walk reads the same terms and stops there
-        b = _rational_b(gs, d, head[0], c)
+            return *head, None  # the full walk reads the same terms and stops there
+        member = _member(head[0])
+        b = _rational_b(gs, d, head[0], member, c)
         if b is not None:
-            return b, None
-    return _walk(gs, d)
+            return b, None, member
+    return *_walk(gs, d), None
 
 
-def _rational_b(gs: tuple[int, ...], d: int, head: BSequence,
+def _member(head: BSequence) -> tuple:
+    """The member of the only B = (a - cx)/(1 + bx) of degree (1, 1) that
+    starts with ``head``'s three terms, as (lam, p2, p1, p0): the int
+    coefficients of its quadratic num*g^2 - den*g + 1 = 0 at x = lam*t,
+    num = -b*x^2 - c*x^3 and den = 1 - a*x - b*x^2, with lam from
+    ``series._image_lam`` as for any root.
+
+    a = b_0, b = -b_2/b_1 and c = -b_1 - a*b = (b_0*b_2 - b_1^2)/b_1 over
+    head's denominator e, or b = c = 0 when b_1 = 0.
+    """
+    (b0, b1, b2), e = head._nums, head._den
+    if not b1:
+        lam = e // math.gcd(b0, e)
+        return lam, (0,), (-1, b0 * lam // e), (1,)
+    cn, cd = b0 * b2 - b1 * b1, e * b1
+    lam = _image_lam([(1, e // math.gcd(b0, e)), (2, abs(b1) // math.gcd(b2, b1)),
+                      (3, abs(cd) // math.gcd(cn, cd))])
+    bl = -b2 * lam * lam // b1
+    return lam, (0, 0, -bl, -cn * lam ** 3 // cd), (-1, b0 * lam // e, bl), (1,)
+
+
+def _rational_b(gs: tuple[int, ...], d: int, head: BSequence, member: tuple,
                 terms: int) -> BSequence | None:
     """The ``terms`` terms of B = (a - cx)/(1 + bx) if g = gs/d is that
     B's member mod x^(2*terms+1), else None.
 
     (a, b, c) is the only B of degree (1, 1) that starts with ``head``'s
-    three terms: a = b_0, b = -b_2/b_1 and c = -b_1 - a*b, or b = c = 0
-    when b_1 = 0 (which fails at x^5 unless b_2 = 0 too).  Its member is
-    the root of num*g^2 - den*g + 1 = 0, num = -b*x^2 - c*x^3 and
-    den = 1 - a*x - b*x^2.  That quadratic is
+    three terms (``_member``), and its member is the root g(0) = 1 of
+    num*g^2 - den*g + 1 = 0.  That quadratic is
     (1 + b*x^2*g)*(g - 1 - x*g*B(x^2*g)) and 1 + b*x^2*g is a unit, so it
     holds mod x^(2*terms+1) exactly when the walk's identity does with B's
     expansion, and as the walk solves for each b_k with pivot 1, it would
-    read off these very terms.
+    read off these very terms.  The quadratic's pivot is 1 too, so it
+    holds there exactly when g equals its root there: g is compared with
+    the root ``series._root_ints`` expands, in O(terms) products of ints.
     """
-    (b0, b1, b2), e = head._nums, head._den
-    # The quadratic times lead*d^2, lead = e*b1 (e when b1 = 0), is
-    # (n2*x^2 + n3*x^3)*gs^2 - d*(lead + d1*x + d2*x^2)*gs + lead*d^2 over
-    # ints.  Its x^0 term vanishes as gs[0] = d.
-    if b1:
-        n2, n3, lead, d1, d2 = e * b2, b1 * b1 - b0 * b2, e * b1, -b0 * b1, e * b2
-    else:
-        n2, n3, lead, d1, d2 = 0, 0, e, -b0, 0
-    sq = [0, d * d]  # sq[m + 1] = [x^m] gs^2, one running self-convolution
-    for n in range(1, 2 * terms + 1):
-        r = d * (lead * gs[n] + d1 * gs[n - 1])
-        m = n - 2
-        if m >= 0:
-            if m:
-                # twice the pairs i < m - i, plus the middle square
-                h = (m - 1) // 2
-                s = 2 * sum(map(mul, gs[:h + 1], gs[m:m - h - 1:-1]))
-                if not m & 1:
-                    s += gs[m >> 1] ** 2
-                sq.append(s)
-            r += d * d2 * gs[m] - n2 * sq[m + 1] - n3 * sq[m]
-        if r:
+    lam, p2, p1, p0 = member
+    # the root's terms Y_n/lam^n are Y_n*lam^(top-n) over lam^top, and d
+    # divides lam^top if g is the root: gs[n]*(lam^top/d) against them
+    top = len(gs) - 1
+    r, rem = divmod(lam ** top, d)
+    if rem:
+        return None
+    scale = 1
+    for c, y in zip(reversed(gs), reversed(_root_ints(p2, p1, p0, -1, len(gs)))):
+        if c * r != y * scale:
             return None
+        scale *= lam
+    (b0, b1, b2), e = head._nums, head._den
     if not b1:
         return BSequence._from_ints([b0] + [0] * (terms - 1), e)
     # b_k = -b*b_(k-1) for k >= 2, so b_k = b_2^(k-1)/(e*b_1^(k-2)) for k >= 1
@@ -450,6 +476,30 @@ def _walk(gs: tuple[int, ...], d: int) -> tuple[BSequence, int | None]:
         elif t * d != gs[n] * e * m:
             return BSequence._from_ints(bs, e), n
     return BSequence._from_ints(bs, e), None
+
+
+def _member_a(member: tuple, g: Series) -> Series:
+    """A = 1/g(-x) of a g that ``_read_off`` certified as the root of
+    ``member``'s quadratic p2*g^2 + p1*g + p0 = 0 mod x^(2c+1),
+    c = (g.order-1)//2.
+
+    With G = g(-x), dividing p2(-x)*G^2 + p1(-x)*G + p0(-x) = 0 by G^2
+    makes A the root A(0) = 1 of p0(-x)*A^2 + p1(-x)*A + p2(-x) = 0, of
+    pivot 2*p0(0) + p1(0) = 1, whose image at x = lam*t has member's lam.
+    That gives A mod x^(2c+1).  At even g.order, A's last term reads g's
+    last, which the read-off did not: it is
+    -sum_(i=1..2c+1) (-1)^i*g_i*A_(2c+1-i), from g itself.
+    """
+    lam, p2, p1, p0 = member
+    k = 2 * ((g.order - 1) // 2) + 1
+    nums, den = _image_values(
+        _root_ints(*[[-c if j & 1 else c for j, c in enumerate(p)] for p in (p0, p1, p2)],
+                   1, k), lam)
+    if k == g.order:
+        return Series._raw(nums, den)
+    ga = [-c if i & 1 else c for i, c in enumerate(g._nums[1:], 1)]
+    return Series._reduced(*_append_ratio(list(nums), den, -sum(map(mul, ga, reversed(nums))),
+                                          g._den))
 
 
 def a_from_g(g: Series) -> Series:

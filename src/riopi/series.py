@@ -57,7 +57,9 @@ def _packed(values) -> tuple[tuple[int, ...], int]:
 
 def _lowest(nums, den: int) -> tuple[tuple[int, ...], int]:
     """nums/den (den != 0) with den > 0 and gcd(den, *nums) = 1."""
-    g = math.gcd(den, *nums)
+    # the last terms first: they carry the largest denominators, so the
+    # running gcd drops to its final size within a few steps
+    g = math.gcd(den, *reversed(nums))
     if den < 0:
         g = -g
     if g != 1:
@@ -411,6 +413,9 @@ class Quadratic:
 def _checked(eq: Quadratic) -> tuple[list[list[Fraction]], int, int]:
     """The polynomials of ``eq`` as Fractions, y0 and the pivot, after
     checking the conditions ``Quadratic`` states."""
+    for name, p in (("p2", eq.p2), ("p1", eq.p1), ("p0", eq.p0)):
+        if not p:
+            raise ValueError(f"{name} is empty: each polynomial needs its constant term")
     polys = [[rational(c) for c in p] for p in (eq.p2, eq.p1, eq.p0)]
     consts = [p[0] for p in polys] + [rational(eq.y0)]
     if any(v.denominator != 1 for v in consts):
@@ -427,45 +432,97 @@ def _checked(eq: Quadratic) -> tuple[list[list[Fraction]], int, int]:
 def _quadratic_root(eq: Quadratic, order: int) -> Series:
     """The root of ``eq`` to ``order`` terms.
 
-    The root runs on the integer image Y(t) = y(lam*t), lam the lcm of
-    every coefficient denominator: Y solves the same equation with the
-    coefficients p_i[j]*lam**j, all ints.  Its t^n coefficient is
-    pi*Y_n + R_n = 0, with pi the pivot and R_n the t^n coefficient of
-    p2*Y^2 + p1*Y + p0 taken with Y_n = 0, so Y_n = -pi*R_n: one running
-    convolution for Y^2, and no division and no gcd per term.  Then y_n is
-    Y_n*lam**(order-1-n) over lam**(order-1).
+    The root runs on the integer image Y(t) = y(lam*t), lam an int that
+    makes every p_i[j]*lam**j an int (``_image_lam``): Y solves the same
+    equation with those coefficients, and ``_root_ints`` expands it.
+    Then y_n is Y_n*lam**(order-1-n) over lam**(order-1).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    polys, y0, pivot = _checked(eq)
-    lam = math.lcm(*[c.denominator for p in polys for c in p])
-    # the nonzero (j, p_i[j]*lam**j) of each polynomial, all ints
-    t2, t1, t0 = ([(j, (c * lam ** j).numerator) for j, c in enumerate(p) if c]
-                  for p in polys)
-    t1 = [(j, c) for j, c in t1 if j]   # p1(0)*Y_n is the pivot's share
-    t0 = dict(t0)
-    ys = [y0]        # Y_0 .. Y_(n-1)
-    sq = [y0 * y0]   # [t^m] Y^2 for m < n
-    for n in range(1, order):
-        # [t^n] Y^2 without its 2*Y_0*Y_n term, by the symmetry of the
-        # convolution: twice the pairs i < n - i, plus the middle square
-        h = (n - 1) // 2
-        s = 2 * sum(map(mul, ys[1:h + 1], ys[n - 1:n - 1 - h:-1]))
-        if not n & 1:
-            s += ys[n >> 1] ** 2
-        sq.append(s)
-        r = t0.get(n, 0)
-        for j, c in t2:
+    polys, _, pivot = _checked(eq)
+    lam = _image_lam([(j, c.denominator) for p in polys for j, c in enumerate(p)])
+    p2, p1, p0 = ([(c * lam ** j).numerator for j, c in enumerate(p)] for p in polys)
+    return Series._raw(*_image_values(_root_ints(p2, p1, p0, pivot, order), lam))
+
+
+def _image_lam(dens) -> int:
+    """An int lam with w | lam**j for every pair (j, w) in ``dens``: the
+    lcm of the w at j <= 1, grown by the lcm with a later w (in order of j)
+    only where its power does not cover it.  A smaller lam means shorter
+    image ints and less to reduce: curve -11/2's member takes lam = 2,
+    where the lcm of its denominators is 4."""
+    lam = 1
+    for j, w in sorted(dens):
+        if lam ** j % w:
+            lam = math.lcm(lam, w)
+    return lam
+
+
+def _root_ints(p2, p1, p0, pivot: int, order: int) -> list[int]:
+    """Y_0 .. Y_(order-1) of the root of p2*Y^2 + p1*Y + p0 = 0 whose pivot
+    2*p2[0]*Y_0 + p1[0] is ``pivot``, +-1, for int coefficient lists.
+
+    S = 2*p2*Y + p1 squares to D = p1^2 - 4*p2*p0, with S(0) = pivot and
+    D(0) = pivot^2 = 1, so 2*D*S' = D'*S: its x^(n-1) coefficient is
+    2n*S_n = sum_(i=1..deg D) (3i - 2n)*D_i*S_(n-i), one exact division
+    per term, as S is a combination of integral series.  Y is then
+    (S - p1)/(2*p2), again one exact division per term by the lowest
+    coefficient of 2*p2, or -p0/p1 when p2 = 0, where p1[0] = pivot.
+    O(order) products of ints, each of a coefficient by one of the
+    equation's fixed ints.
+    """
+    if not any(p2):
+        r1 = [(j, c) for j, c in enumerate(p1) if j and c]
+        ys = []
+        for n in range(order):
+            r = p0[n] if n < len(p0) else 0
+            for j, c in r1:
+                if j <= n:
+                    r += c * ys[n - j]
+            ys.append(-pivot * r)
+        return ys
+    v = next(j for j, c in enumerate(p2) if c)
+    dd = [0] * (max(2 * len(p1), len(p2) + len(p0)) - 1)
+    for i, c in enumerate(p1):
+        for j, e in enumerate(p1):
+            dd[i + j] += c * e
+    for i, c in enumerate(p2):
+        for j, e in enumerate(p0):
+            dd[i + j] -= 4 * c * e
+    ds = [(i, c) for i, c in enumerate(dd) if i and c]
+    ss = [pivot]
+    for n in range(1, order + v):
+        t = 0
+        for i, c in ds:
+            if i <= n:
+                t += (3 * i - 2 * n) * c * ss[n - i]
+        ss.append(t // (2 * n))
+    for j, c in enumerate(p1[:len(ss)]):
+        ss[j] -= c
+    lead = 2 * p2[v]
+    r2 = [(j - v, 2 * c) for j, c in enumerate(p2) if j > v and c]
+    ys = []
+    for n in range(order):
+        r = ss[n + v]
+        for j, c in r2:
             if j <= n:
-                r += c * sq[n - j]
-        for j, c in t1:
-            if j <= n:
-                r += c * ys[n - j]
-        y = -pivot * r
-        ys.append(y)
-        sq[n] = s + 2 * y0 * y
-    top = order - 1
-    return Series._reduced([y * lam ** (top - n) for n, y in enumerate(ys)], lam ** top)
+                r -= c * ys[n - j]
+        ys.append(r // lead)
+    return ys
+
+
+def _image_values(ys: list[int], lam: int) -> tuple[tuple[int, ...], int]:
+    """The coefficients y_n = ys[n]/lam**n of the root whose integer image
+    Y(t) = y(lam*t) has the coefficients ``ys``, as ints over one
+    denominator in lowest terms."""
+    if lam == 1:
+        return tuple(ys), 1
+    nums = [0] * len(ys)
+    scale = 1
+    for n in range(len(ys) - 1, -1, -1):
+        nums[n] = ys[n] * scale
+        scale *= lam
+    return _lowest(nums, scale // lam)
 
 
 def _horner(coeffs, inner: Series) -> Series:

@@ -726,3 +726,5 @@ class TestRootTransform:
             root_transform(equation(FamilyParams.of(1, 2, 3)), 0)
         with pytest.raises(ValueError, match="pivot"):
             root_transform(Quadratic((1,), (0,), (-1,), 1), 8)
+        with pytest.raises(ValueError, match="^p0 is empty"):
+            hankel_transform(Quadratic((0,), (1,), (), 0), 5)

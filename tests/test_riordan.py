@@ -5,7 +5,7 @@ import pytest
 
 import riordan_oracle as oracle
 
-from riopi.elliptic import f_from_curve, pipeline
+from riopi.elliptic import f_from_curve, family_params_from_curve, pipeline
 from riopi.family import FamilyParams, g_ad, g_family
 import riopi.riordan
 from riopi.riordan import (
@@ -504,7 +504,7 @@ class TestReadOff:
             assert oracle.signed_square_is_identity(g, size) == want, (g, size)
             assert is_pseudo_involution(g.truncate(size)) == want, (g, size)
             head = g.truncate(size)
-            b, n = _b_read_off(head)
+            b, n, _ = _b_read_off(head)
             if want:
                 got = b_extract(head)
                 assert got == b and got.certified == (size - 1) // 2
@@ -555,7 +555,7 @@ class TestReadOffMemo:
         p = bell(g).production_matrix()
         assert memo_counts() == (1, 2)
         head = g.truncate(39)
-        assert (b, None) == _read_off.__wrapped__(head._nums, head._den)
+        assert (b, None) == _read_off.__wrapped__(head._nums, head._den)[:2]
         assert p == bell(head).a_and_z()
         # the CLI rebuilds g from its values
         assert b_extract(Series(g.coeffs)) is b
@@ -650,8 +650,8 @@ class TestRationalB:
     # its ints and its denominator
     def assert_same(self, g):
         head = g.truncate(2 * ((g.order - 1) // 2) + 1)
-        got = _read_off.__wrapped__(head._nums, head._den)
-        assert got == _walk(head._nums, head._den), g
+        *got, _ = _read_off.__wrapped__(head._nums, head._den)
+        assert tuple(got) == _walk(head._nums, head._den), g
         return got
 
     def test_members_take_the_certificate(self, rng, monkeypatch):
@@ -730,6 +730,82 @@ class TestRationalB:
         assert b.certified == 100
         assert list(b.values) == b_expansion_oracle(p.a, p.b, p.c, 100)
         assert walks == []
+
+    def test_deep_members_and_perturbations_match_the_walk(self, rng, monkeypatch):
+        # the certificate compares g with the member's root: members and
+        # members changed at one read coefficient, at orders up to 129,
+        # give the walk's B and first failing n
+        walks = full_walks(monkeypatch)
+        failures = []
+        for case in range(32):
+            a, b, c = (rand_fraction(rng, 6, (1, 2, 3, 7)) for _ in range(3))
+            p = FamilyParams.of(*[(a, b, c), (a, 0, c), (a, b, -a * b), (a, b, c)][case % 4])
+            order = rng.choice((65, 96, 128, 129))
+            g = g_family(p, order)
+            if case & 4:
+                g = perturbed(g, rng.randint(7, 2 * ((order - 1) // 2)), rand_nonzero(rng))
+                failures.append(self.assert_same(g)[1])
+            else:
+                b_seq, n = self.assert_same(g)
+                assert n is None and b_seq.certified == (order - 1) // 2
+        assert len(walks) == len(failures)
+        assert all(n is None or n >= 7 for n in failures)
+        assert sum(n is not None for n in failures) >= 14
+
+
+class TestMemberA:
+    # production_matrix reads A = 1/g(-x) of a certified member off A's own
+    # quadratic, its last term at even g.order from g itself
+    def members(self, rng):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        ps = [FamilyParams.of(half, -2 * third, 5 * third), FamilyParams.of(2, -1, 1),
+              FamilyParams.of(-3, 0, half), FamilyParams.of(half, 4, -2)]
+        ps += [FamilyParams.of(*(rand_fraction(rng, 5, (1, 2, 3, 7)) for _ in range(3)))
+               for _ in range(4)]
+        return ps + [family_params_from_curve(a) for a in (-3, Fraction(-11, 2))]
+
+    def assert_a(self, g, size):
+        got = bell(g).production_matrix(size)
+        want = a_from_g(g.truncate(size + 1))
+        assert (got._a, got._a_den) == (want._nums, want._den), (g, size)
+
+    def test_matches_a_from_g_at_both_parities(self, rng, monkeypatch):
+        walks = full_walks(monkeypatch)
+        for p in self.members(rng):
+            g = g_family(p, 258)
+            for size in (8, 9, rng.randint(10, 60), 127, 128, 256, 257):
+                g_size = g.truncate(size + 1)
+                self.assert_a(g_size, size)
+                if size & 1:
+                    # g's last term is not read off, but A's last term,
+                    # Z's last, reads it
+                    bad = perturbed(g_size, size, rand_nonzero(rng))
+                    self.assert_a(bad, size)
+                    assert bell(bad).production_matrix(size).z[-1] != \
+                        bell(g_size).production_matrix(size).z[-1]
+        assert walks == []
+
+    def test_no_series_division(self, monkeypatch):
+        # the member route divides no Series: with Series._divide patched
+        # to raise, member and curve g's give a_from_g's A at odd and even
+        # sizes
+        gs = [g_family(FamilyParams.of(Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)), 42),
+              g_family(FamilyParams.of(2, -1, 1), 42),
+              pipeline(-3, 42).g, pipeline(Fraction(-11, 2), 42).g]
+        sizes = (9, 10, 40, 41)
+        want = [[a_from_g(g.truncate(size + 1)) for size in sizes] for g in gs]
+
+        def no_divide(self, other):
+            raise AssertionError("Series division")
+
+        monkeypatch.setattr(Series, "_divide", no_divide)
+        _read_off.cache_clear()
+        with pytest.raises(AssertionError):
+            a_from_g(gs[0])
+        for g, row in zip(gs, want):
+            for size, a in zip(sizes, row):
+                p = bell(g).production_matrix(size)
+                assert (p._a, p._a_den) == (a._nums, a._den), (g, size)
 
 
 class TestASequence:

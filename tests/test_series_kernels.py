@@ -1,7 +1,8 @@
 """The integer Series kernels against the Fraction oracle, on seeded
 random p/q series: orders 1..40, operands of different orders, divisor
 valuations 0..3, zero and large coefficients; and the quadratic-root
-kernel against the square-root forms of the series it builds."""
+kernel against the square-root forms of the series it builds and against
+a running self-convolution, on random records."""
 
 import random
 from fractions import Fraction
@@ -152,6 +153,66 @@ def test_quadratic_root_matches_sqrt_oracles():
         assert (got._nums, got._den) == (want._nums, want._den), case
 
 
+def test_quadratic_root_matches_sqrt_oracles_at_depth():
+    # the recurrence at orders past the CLI default, on both p2 shapes: a
+    # p2 of valuation 2 or 3 (members, companion) and p2(0) != 0 (curves)
+    third = Fraction(1, 3)
+    member = FamilyParams.of(Fraction(1, 2), -2 * third, 5 * third)
+    cases = ((g_family, family_oracle.g_family_sqrt, member),
+             (g_family, family_oracle.g_family_sqrt, FamilyParams.of(2, 0, -3)),
+             (companion, family_oracle.companion_sqrt,
+              FamilyParams.of(Fraction(-11, 2), third, Fraction(2, 7))),
+             (curve_branch, composition_oracle.curve_branch_sqrt, Fraction(-11, 2)),
+             (f_from_curve, composition_oracle.f_from_curve_sqrt, Fraction(-11, 2)),
+             (f_from_curve, composition_oracle.f_from_curve_sqrt, -3))
+    for build, oracle, arg in cases:
+        for order in (128, 257):
+            got, want = build(arg, order), oracle(arg, order)
+            assert (got._nums, got._den) == (want._nums, want._den), (build.__name__, arg, order)
+
+
+QUADRATIC_SHAPES = ("p2(0) != 0", "val(p2) >= 2", "p2 = 0", "y0 = 0")
+
+
+def random_quadratic(rng: random.Random, shape: str, pq: bool) -> Quadratic:
+    """A record of ``shape`` whose pivot is +-1, with integer or p/q tails."""
+    dens = (1, 2, 3, 7, 12) if pq else (1,)
+
+    def tail(terms):
+        return [rng.choice((0, Fraction(rng.randint(-9, 9), rng.choice(dens))))
+                for _ in range(terms)]
+
+    pivot = rng.choice((1, -1))
+    y0 = 0 if shape == "y0 = 0" else rng.randint(-2, 2)
+    if shape == "p2(0) != 0":
+        c2 = rng.choice((-2, -1, 1, 2, 3))
+        p2 = [c2] + tail(rng.randint(0, 3))
+    elif shape == "val(p2) >= 2":
+        c2 = 0
+        p2 = [0] * rng.randint(2, 3) + [Fraction(rng.choice((-5, -1, 1, 4)), rng.choice(dens))]
+        p2 += tail(rng.randint(0, 2))
+    elif shape == "p2 = 0":
+        c2 = 0
+        p2 = [0] * rng.randint(1, 3)
+    else:
+        c2 = rng.randint(-2, 2)
+        p2 = [c2] + tail(rng.randint(0, 3))
+    c1 = pivot - 2 * c2 * y0
+    c0 = -c2 * y0 * y0 - c1 * y0
+    return Quadratic(tuple(p2), tuple([c1] + tail(rng.randint(0, 3))),
+                     tuple([c0] + tail(rng.randint(0, 4))), y0)
+
+
+def test_quadratic_root_matches_convolution_oracle():
+    # the linear recurrence of sqrt(D) against the running self-convolution
+    # of Y^2, on seeded records of every shape, integer and p/q
+    rng = random.Random(110)
+    for case in range(400):
+        eq = random_quadratic(rng, QUADRATIC_SHAPES[case % 4], bool(case & 4))
+        order = rng.choice((1, 2, 3, 5, rng.randint(6, 60), 128)) if case % 16 else 257
+        assert_kernel(_quadratic_root(eq, order), oracle.quadratic_root(eq, order), (eq, order))
+
+
 def test_quadratic_root_rejects():
     for build, arg in ((g_family, FamilyParams(1, 2, 3)), (companion, FamilyParams.of(1, 2, 3)),
                        (curve_branch, Fraction(-11, 2)), (f_from_curve, 1)):
@@ -166,3 +227,7 @@ def test_quadratic_root_rejects():
         _quadratic_root(Quadratic((0,), (-1,), (2,), 1), 8)
     with pytest.raises(ValueError, match="integers"):
         _quadratic_root(Quadratic((0,), (-1,), (Fraction(1, 2),), Fraction(1, 2)), 8)
+    for eq, name in ((Quadratic((), (1,), (0,), 0), "p2"), (Quadratic((0,), (), (0,), 0), "p1"),
+                     (Quadratic((0,), (1,), (), 0), "p0")):
+        with pytest.raises(ValueError, match=f"^{name} is empty"):
+            _quadratic_root(eq, 5)
