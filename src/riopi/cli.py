@@ -56,6 +56,10 @@ EXIT_VERIFY = 3
 # such an order is the caller's choice.
 MAX_ORDER = 1024
 DEFAULT_ORDER = 32
+# `verify conjecture` checks each random family member's Hankel transforms
+# to this order, and each random curve's Somos-4 fit to the curve one.
+CONJECTURE_ORDER = 28
+CURVE_SOMOS_ORDER = 20
 
 _SUBJECTS = sorted(kind for kind, gen in knowndata.GENERATORS.items()
                    if gen.somos_offset is not None)
@@ -339,7 +343,7 @@ def run_paper_suite() -> list[dict]:
     return checks + somos_checks
 
 
-def run_conjecture_suite(seed: int, trials: int, order: int = 28) -> list[dict]:
+def run_conjecture_suite(seed: int, trials: int) -> list[dict]:
     rng = random.Random(seed)
     checks = []
     for _ in range(trials):
@@ -347,14 +351,14 @@ def run_conjecture_suite(seed: int, trials: int, order: int = 28) -> list[dict]:
             a, b, c = (rng.randint(-3, 3) for _ in range(3))
             if a * b + c != 0:
                 break
-        report = conjecture_family(FamilyParams.of(a, b, c), order)
+        report = conjecture_family(FamilyParams.of(a, b, c), CONJECTURE_ORDER)
         checks.append(_check(
             f"conjecture family({a},{b},{c})", report.ok, _product_form(report.params),
             f"family failures {list(report.family.failures)}, "
             f"companion failures {list(report.companion.failures)}"))
     for _ in range(max(1, trials // 3)):
         a = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
-        report = curve_somos_check(a, order=20)
+        report = curve_somos_check(a, order=CURVE_SOMOS_ORDER)
         checks.append(_check(f"curve somos a={a}", not report.failures,
                              _product_form(report.params), f"failures {list(report.failures)}"))
     return checks

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .family import FamilyParams, g_family
 from .hankel import hankel_transform
-from .riordan import BSequence, SelfCheckError, is_pseudo_involution
+from .riordan import BSequence, SelfCheckError, _b_expansion, is_pseudo_involution
 from .series import Quadratic, Series, _quadratic_root, rational
 from .somos import SomosReport, family_somos_params, somos4_check
 
@@ -102,21 +102,13 @@ class CurveBSequence:
 def b_from_curve(curve, terms: int = 12) -> CurveBSequence:
     """Closed-form B-sequence of the curve's pseudo-involution: the
     family's (a - cx)/(1 + bx) at ``family_params_from_curve(curve)``,
-    expanded as b_0 = a, b_1 = -c - a*b and b_k = -b*b_(k-1)."""
+    expanded as b_0 = a, b_1 = -c - a*b and b_k = -b*b_(k-1) by
+    ``riordan._b_expansion``."""
     if terms < 1:
         raise ValueError("terms must be at least 1")
     m = family_params_from_curve(curve)
-    b1 = -m.c - m.a * m.b
-    # over ints, with den = a.den * b1.den * b.den^(terms-1)
-    qn, qd = -m.b.numerator, m.b.denominator
-    ad, pd = m.a.denominator, b1.denominator
-    nums = [m.a.numerator * pd * qd ** (terms - 1)]
-    t = b1.numerator * ad
-    for k in range(1, terms):
-        nums.append(t * qd ** (terms - k))
-        t *= qn
     return CurveBSequence(numerator=(m.a, -m.c), denominator=(Fraction(1), m.b),
-                          prefix=BSequence._from_ints(nums, ad * pd * qd ** (terms - 1)))
+                          prefix=_b_expansion(m.a, -m.c - m.a * m.b, -m.b, terms))
 
 
 def family_params_from_curve(curve) -> FamilyParams:

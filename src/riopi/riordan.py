@@ -1,14 +1,16 @@
 """Riordan arrays as values: triangles, production matrices, A/Z/B-sequences
 and the pseudo-involution test.
 
-A Riordan array is a pair (g, f) with g(0) = 1 and f(0) = 0 acting as the
-lower-triangular matrix t[n][k] = [x^n] g*f^k.  The Bell subgroup is the
-f = x*g slice; a Bell array whose signed version (g, -x*g) squares to the
-identity is a pseudo-involution, and those are exactly the arrays that
+riopi's Riordan array is the Bell array (g, x*g) of a g with g(0) = 1: the
+lower-triangular matrix t[n][k] = [x^n] g*(x*g)^k = [x^(n-k)] g^(k+1),
+whose diagonal is 1.  Its production matrix is its A-sequence: f = x*A(f)
+with f = x*g gives A(x*g) = g, and then g = 1 + x*g*Z(f) gives
+Z = (A - 1)/x.  A Bell array whose signed version (g, -x*g) squares to
+the identity is a pseudo-involution, and those are exactly the arrays that
 admit a B-sequence recurrence along their rows.  One read-off of the
 B-sequence decides both: is_pseudo_involution, b_extract and the
-production matrix of a Bell array share it, and it runs once per g: the
-last read-off is remembered for the next call on the same prefix.
+production matrix share it, and it runs once per g: the last read-off is
+remembered for the next call on the same prefix.
 
 The read-off has two routes.  When g's first B terms fit a B of degree
 (1, 1), (a - cx)/(1 + bx) as for every family member and every curve, it
@@ -23,9 +25,10 @@ A-sequence 1/g(-x) is the root of a quadratic too, so
 ``production_matrix`` reads it off the same kernel; on the walk's route
 it divides by g(-x) (``a_from_g``).
 
-The group product and inverse, the fundamental-theorem action h -> g*h(f)
-and A from B are second routes to these answers, kept as test oracles in
-``tests/riordan_oracle.py``.
+The general array (g, f), whose Z is a column of its own, lives in
+``tests/riordan_oracle.py`` as a test record, beside the group product
+and inverse, the fundamental-theorem action h -> g*h(f) and A from B:
+second routes to these answers, kept as test oracles.
 """
 
 from __future__ import annotations
@@ -81,55 +84,48 @@ class TriangularMatrix:
 
 
 class ProductionMatrix:
-    """The size x size lower-Hessenberg production matrix, stored as its
-    Z- and A-sequences: column 0 is Z and column j >= 1 is A shifted down
-    j - 1 rows.  ``size`` is len(z), and A needs at least ``size`` terms
-    (ValueError otherwise) and is kept to its first ``size``.  Each
-    sequence is kept as ints over one denominator: ``z``, ``a`` and the
-    rows build Fractions on each read.  A matrix read off a
-    pseudo-involution keeps only A, with one term more, and reads Z as A's
-    tail, z_i = a_(i+1)."""
+    """The size x size lower-Hessenberg production matrix of a Bell array,
+    stored as its A-sequence: column j >= 1 is A shifted down j - 1 rows
+    and column 0 is Z = (A - 1)/x, read as A's tail, z_i = a_(i+1).
+    ``ProductionMatrix(a)`` takes A's first size + 1 terms (ValueError on
+    none) and keeps them as ints over one denominator; ``a`` (the first
+    ``size`` terms, as column 1 shows them), ``z`` and the rows build
+    Fractions on each read."""
 
-    __slots__ = ("_z", "_z_den", "_a", "_a_den")
+    __slots__ = ("_a", "_a_den")
 
-    def __init__(self, z, a):
-        if len(a) < len(z):
-            raise ValueError(f"A has {len(a)} terms, fewer than the {len(z)} of Z")
-        self._z, self._z_den = _packed([rational(v) for v in z])
-        self._a, self._a_den = _packed([rational(v) for v in a[:len(self._z)]])
+    def __init__(self, a):
+        values = [rational(v) for v in a]
+        if not values:
+            raise ValueError("A needs at least one term")
+        self._a, self._a_den = _packed(values)
 
     @classmethod
     def _from_a(cls, a: Series) -> "ProductionMatrix":
-        """The matrix with A = ``a`` and Z = (A - 1)/x, of size a.order - 1."""
+        """The matrix with A = ``a``, of size a.order - 1."""
         p = object.__new__(cls)
-        p._z, p._z_den = None, None
         p._a, p._a_den = a._nums, a._den
         return p
 
     @property
     def size(self) -> int:
-        return len(self._a) - 1 if self._z is None else len(self._z)
+        return len(self._a) - 1
 
     @property
     def z(self) -> tuple[Fraction, ...]:
-        if self._z is None:
-            return _fractions(self._a[1:], self._a_den)
-        return _fractions(self._z, self._z_den)
+        return _fractions(self._a[1:], self._a_den)
 
     @property
     def a(self) -> tuple[Fraction, ...]:
-        return _fractions(self._a[:self.size], self._a_den)
+        return _fractions(self._a[:-1], self._a_den)
 
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
         # builds only the Fractions row i shows
         size = self.size
         i = range(size)[i]  # negative rows and IndexError as for a tuple
-        if self._z is None:
-            z_i = Fraction(self._a[i + 1], self._a_den)
-        else:
-            z_i = Fraction(self._z[i], self._z_den)
         lo = _band_start(i, size)
-        return _row(z_i, _fractions(self._a[lo:i + 1], self._a_den)[::-1], size)
+        return _row(Fraction(self._a[i + 1], self._a_den),
+                    _fractions(self._a[lo:i + 1], self._a_den)[::-1], size)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -143,13 +139,13 @@ class ProductionMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProductionMatrix):
             return NotImplemented
-        return (self.z, self.a) == (other.z, other.a)
+        return self._a_den == other._a_den and self._a == other._a
 
     def __hash__(self) -> int:
-        return hash((self.z, self.a))
+        return hash((self._a, self._a_den))
 
     def __repr__(self) -> str:
-        return f"ProductionMatrix(z={self.z!r}, a={self.a!r})"
+        return f"ProductionMatrix({_fractions(self._a, self._a_den)!r})"
 
 
 def _band_start(i: int, size: int) -> int:
@@ -198,25 +194,39 @@ class BSequence:
         return f"BSequence(values={self.values!r})"
 
 
+def _b_expansion(b0: Fraction, b1: Fraction, ratio: Fraction, terms: int) -> BSequence:
+    """The first ``terms`` >= 1 terms of b0 + b1*x/(1 - ratio*x), the
+    B = (a - cx)/(1 + bx) of b0 = a, b1 = -c - a*b and ratio = -b:
+    b_k = b1*ratio^(k-1) for k >= 1, over ints."""
+    (n0, n1), den = _packed([b0, b1])
+    p, q = ratio.numerator, ratio.denominator
+    top = max(terms - 2, 0)  # b_k = n1*p^(k-1)*q^(terms-1-k) / (den*q^top)
+    return BSequence._from_ints(
+        [n0 * q ** top] + [n1 * p ** (k - 1) * q ** (terms - 1 - k) for k in range(1, terms)],
+        den * q ** top)
+
+
 class RiordanArray:
-    """Pair (g, f); g needs unit constant term, f zero constant term."""
+    """The Bell array (g, x*g) of a g with unit constant term: t[n][k] is
+    [x^n] g*f^k with f = x*g."""
 
-    __slots__ = ("g", "f")
+    __slots__ = ("g",)
 
-    def __init__(self, g: Series, f: Series):
+    def __init__(self, g: Series):
         if g[0] != 1:
             raise ValueError("g must have constant term 1")
-        if f[0] != 0:
-            raise ValueError("f must have zero constant term")
         self.g = g
-        self.f = f
+
+    @property
+    def f(self) -> Series:
+        return self.g.shift(1)
 
     @property
     def order(self) -> int:
-        return min(self.g.order, self.f.order)
+        return self.g.order
 
     def __repr__(self):
-        return f"RiordanArray(g={self.g!r}, f={self.f!r})"
+        return f"RiordanArray(g={self.g!r})"
 
     # -- matrix realisation ----------------------------------------------
 
@@ -225,7 +235,7 @@ class RiordanArray:
         if size < 1 or size > self.order:
             raise OutOfOrder(f"size {size} outside 1..{self.order}")
         g = self.g.truncate(size)
-        f = self.f.truncate(size)
+        f = g.shift(1).truncate(size)
         rows = [[_ZERO] * (n + 1) for n in range(size)]
         col = g
         for k in range(size):
@@ -239,70 +249,57 @@ class RiordanArray:
     # -- production structure ----------------------------------------------
 
     def a_and_z(self) -> ProductionMatrix:
-        """Z and A read off the triangle, as a production matrix of size
-        order - 1.
+        """The production matrix of size order - 1, its A read off the
+        triangle with no division; order < 2 raises NotRevertible.
 
-        Columns 0 and 1 of M*P = Mbar (M the array, Mbar M without its
-        first row) are t[n+1][0] = sum_(j<=n) t[n][j]*z_j and
-        t[n+1][1] = sum_(j<=n) t[n][j]*a_j, which are g = 1 + x*g*Z(f)
-        and f = x*A(f) at x^(n+1).  The pivot t[n][n] = f'(0)^n gives z_n
-        and a_n from the terms before them, so both identities hold by
-        construction.  f'(0) = 0 or order < 2 raises NotRevertible.
+        Column 1 of M*P = Mbar (M the array, Mbar M without its first row)
+        is t[n+1][1] = sum_(j<=n) t[n][j]*a_j, which is f = x*A(f) at
+        x^(n+1).  As t[n+1][1] = [x^n] g^2 and the pivot t[n][n] is 1,
+        a_n = [x^n] g^2 - sum_(j<n) t[n][j]*a_j, so the identity holds by
+        construction.  Column 0 holds with it: A(x*g) = g makes
+        Z = (A - 1)/x solve g = 1 + x*g*Z(f), and Z is A's tail.
         """
         order = self.order
-        if order < 2 or not self.f[1]:
-            raise NotRevertible("need f'(0) != 0 and order >= 2")
+        if order < 2:
+            raise NotRevertible("need order >= 2")
         t = self.triangle(order)
-        z: list[Fraction] = []
+        square = (self.g * self.g).coeffs
         a: list[Fraction] = []
-        for n in range(order - 1):
-            row, below = t[n], t[n + 1]
-            z.append((below[0] - sum(map(mul, z, row))) / row[n])
-            a.append((below[1] - sum(map(mul, a, row))) / row[n])
-        return ProductionMatrix(z, a)
+        for n in range(order):
+            a.append(square[n] - sum(map(mul, a, t[n])))
+        return ProductionMatrix(a)
 
     def production_matrix(self, size: int | None = None) -> ProductionMatrix:
-        """Lower-Hessenberg production matrix P with first column the
-        Z-sequence and shifted copies of the A-sequence in the other columns.
+        """Lower-Hessenberg production matrix P: Z = (A - 1)/x in column 0
+        and shifted copies of the A-sequence in the others, A certified
+        against A(x*g) = g, which is f = x*A(f) and, through Z,
+        g = 1 + x*g*Z(f), through x^size.  Together they say M*P = Mbar on
+        the truncation (M the array, Mbar M without its first row).
 
-        Defaults to size order-2.  Each route certifies Z and A against
-        their defining identities g = 1 + x*g*Z(f) and f = x*A(f) through
-        x^size, which together say M*P = Mbar on the truncation (M the
-        array, Mbar M without its first row).
-
-        A Bell array (g, x*g) whose g passes the B-sequence read-off at
-        order size+1 is a pseudo-involution there: g*g(-x*g) = 1 mod
-        x^(size+1).  Its A is 1/g(-x) and Z = (A - 1)/x, and the read-off
-        is their only certificate: A(x*g) = 1/g(-x*g) = g is f = x*A(f),
-        and as x*g*Z(x*g) = A(x*g) - 1 it is g = 1 + x*g*Z(f) too.  When
-        the read-off certified g as a member's root, A is the root of its
-        own quadratic (``_member_a``), O(size) products of ints; after the
-        walk it is ``a_from_g``, a Series division.  Every other array
-        takes Z and A from ``a_and_z`` of its truncation to order size+1,
-        which solves both identities row by row.
+        Defaults to size order-2.  A g that passes the B-sequence read-off
+        at order size+1 is a pseudo-involution there:
+        g*g(-x*g) = 1 mod x^(size+1).  Its A is 1/g(-x), and the read-off
+        is its only certificate, as A(x*g) = 1/g(-x*g) = g.  When the
+        read-off certified g as a member's root, A is the root of its own
+        quadratic (``_member_a``), O(size) products of ints; after the
+        walk it is ``a_from_g``, a Series division.  Any other g takes A
+        from ``a_and_z`` of its truncation to order size+1, which solves
+        the identity row by row.
         """
         if size is None:
             size = self.order - 2
         if size < 1 or size + 1 > self.order:
             raise OutOfOrder(f"production size {size} outside 1..{self.order - 1}")
-        if self.is_bell():
-            g = self.g.truncate(size + 1)
-            _, n, member = _b_read_off(g)
-            if n is None:
-                return ProductionMatrix._from_a(
-                    a_from_g(g) if member is None else _member_a(member, g))
-        return RiordanArray(self.g.truncate(size + 1), self.f.truncate(size + 1)).a_and_z()
-
-    def is_bell(self) -> bool:
-        """True iff f = x*g over the common order."""
-        g, f = self.g, self.f
-        top = min(f.order, g.order + 1)
-        return top < 2 or f.truncate(top) == g.truncate(top - 1).shift(1)
+        g = self.g.truncate(size + 1)
+        _, n, member = _b_read_off(g)
+        if n is not None:
+            return RiordanArray(g).a_and_z()
+        return ProductionMatrix._from_a(a_from_g(g) if member is None else _member_a(member, g))
 
 
 def bell(g: Series) -> RiordanArray:
-    """Bell-subgroup array (g, x*g)."""
-    return RiordanArray(g, g.shift(1))
+    """The Bell array (g, x*g)."""
+    return RiordanArray(g)
 
 
 # -- pseudo-involutions ----------------------------------------------------
@@ -365,10 +362,13 @@ def _b_read_off(g: Series) -> tuple[BSequence, int | None, tuple | None]:
     call on the same prefix returns it without reading g again, whoever
     makes it (``b_extract`` and ``production_matrix`` on the g that
     ``pipeline`` just certified, or a second ``pipeline`` on the same curve
-    and c).  A hit costs the hash and compare of the prefix: 1.5-9 us for
-    curve -3 and 6-80 us for curve -11/2 at orders 40-256, against
-    0.06-0.33 ms and 0.07-0.49 ms for the rational-B certificate (Python
-    3.11, shared 2-vCPU Xeon, process time, best of five).
+    and c).  For curves -3, -11/2 and 5/2 a hit, the cut to the prefix
+    and its hash and compare, costs 2-8 us at orders 40 and 129 and
+    23-51 us at 513, and up to 0.1 ms at 256, where the cut drops g's last
+    term and reduces the rest to lowest terms; a miss, the rational-B
+    certificate of ``_read_off``, costs 0.09-0.12 ms at order 40,
+    0.22-0.28 ms at 129 and 1.1-1.6 ms at 513 (Python 3.11, shared 2-vCPU
+    Xeon, process time, best of seven).
     """
     c = (g.order - 1) // 2
     head = g.truncate(2 * c + 1)
@@ -441,14 +441,8 @@ def _rational_b(gs: tuple[int, ...], d: int, head: BSequence, member: tuple,
         if c * r != y * scale:
             return None
         scale *= lam
-    (b0, b1, b2), e = head._nums, head._den
-    if not b1:
-        return BSequence._from_ints([b0] + [0] * (terms - 1), e)
-    # b_k = -b*b_(k-1) for k >= 2, so b_k = b_2^(k-1)/(e*b_1^(k-2)) for k >= 1
-    top = terms - 1
-    return BSequence._from_ints(
-        [b0 * b1 ** (top - 2)] + [b2 ** (k - 1) * b1 ** (top - k) for k in range(1, terms)],
-        e * b1 ** (top - 2))
+    b0, b1, b2 = head.values
+    return _b_expansion(b0, b1, b2 / b1 if b1 else _ZERO, terms)
 
 
 def _walk(gs: tuple[int, ...], d: int) -> tuple[BSequence, int | None]:

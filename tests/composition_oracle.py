@@ -19,9 +19,8 @@ against.
 from fractions import Fraction
 
 from riopi.elliptic import curve_branch
-from riopi.riordan import RiordanArray
 from riopi.series import Series, catalan
-from riordan_oracle import ftra_apply
+from riordan_oracle import Pair, ftra_apply
 
 
 def catalan_quotient(den: Series, num: Series, order: int) -> Series:
@@ -85,5 +84,5 @@ def pipeline_stages(a, order: int) -> tuple:
     denominator = (f * Series([a - 1, a], f.order)).shift(1)
     h = numerator / denominator
     outer_g = 1 / Series([1, a - 1], work)
-    g = ftra_apply(RiordanArray(outer_g, -(outer_g.shift(1))), h)
+    g = ftra_apply(Pair(outer_g, -(outer_g.shift(1))), h)
     return tuple(s.truncate(order).coeffs for s in (y, stripped, fraction, reverted, f, g))

@@ -14,18 +14,45 @@ from B, which ``riopi.riordan`` replaced by row recurrences.
 The Riordan group product and inverse, the fundamental-theorem action, a
 single entry [x^n] g*f^k and ``a_from_b`` (A from B through the Bell
 triangle B generates) are second routes to what ``riopi.riordan`` reads
-off once; they act on ``RiordanArray`` values by composition and
-reversion, or by the recurrence, and the tests hold the library to them.
+off once; they act by composition and reversion, or by the recurrence,
+and the tests hold the library to them.
+
+``riopi.riordan.RiordanArray`` is the Bell array (g, x*g).  The general
+array (g, f) is the record ``Pair`` here, with its Z-sequence, which on a
+Bell array is (A - 1)/x but in general is a column of its own
+(``z_and_a_by_rows``).  Every oracle that takes an array reads only its
+``g`` and ``f``, so it takes a ``Pair`` or a ``RiordanArray``.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from riopi.riordan import RiordanArray, a_from_g
+from riopi.riordan import a_from_g
 from riopi.series import Series, _horner
 from series_oracle import _convolve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+@dataclass(frozen=True)
+class Pair:
+    """A Riordan array (g, f), g(0) = 1 and f(0) = 0, that need not be
+    Bell: t[n][k] = [x^n] g*f^k."""
+
+    g: Series
+    f: Series
+
+    def __post_init__(self):
+        if self.g[0] != 1:
+            raise ValueError("g must have constant term 1")
+        if self.f[0] != 0:
+            raise ValueError("f must have zero constant term")
+
+    @property
+    def order(self) -> int:
+        return min(self.g.order, self.f.order)
 
 
 def triangle(g, f, size) -> list[list[Fraction]]:
@@ -115,6 +142,22 @@ def b_recurrence_holds(g, b) -> bool:
     return True
 
 
+def z_and_a_by_rows(array) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(Z, A), order - 1 terms each, read off the triangle by M*P = Mbar
+    row by row: columns 0 and 1 are t[n+1][0] = sum_(j<=n) t[n][j]*z_j and
+    t[n+1][1] = sum_(j<=n) t[n][j]*a_j, solved with the pivot
+    t[n][n] = f'(0)^n, which must not vanish."""
+    order = array.order
+    t = triangle(array.g, array.f, order)
+    z: list[Fraction] = []
+    a: list[Fraction] = []
+    for n in range(order - 1):
+        row, below = t[n], t[n + 1]
+        z.append((below[0] - sum(map(mul, z, row))) / row[n])
+        a.append((below[1] - sum(map(mul, a, row))) / row[n])
+    return tuple(z), tuple(a)
+
+
 def a_and_z_by_reversion(array) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """(Z, A) from A(x) = x/fbar and Z(x) = (1 - 1/g(fbar))/fbar, fbar the
     reversion of f: order - 1 terms each."""
@@ -153,15 +196,15 @@ def entry(array, n, k) -> Fraction:
     return col[n]
 
 
-def multiply(r, s) -> RiordanArray:
+def multiply(r, s) -> Pair:
     """(g, f) . (u, v) = (g * u(f), v(f))."""
-    return RiordanArray(r.g * s.g.compose(r.f), s.f.compose(r.f))
+    return Pair(r.g * s.g.compose(r.f), s.f.compose(r.f))
 
 
-def inverse(r) -> RiordanArray:
+def inverse(r) -> Pair:
     """(g, f)^-1 = (1 / g(fbar), fbar) with fbar the reversion of f."""
     fbar = r.f.revert()
-    return RiordanArray(1 / r.g.compose(fbar), fbar)
+    return Pair(1 / r.g.compose(fbar), fbar)
 
 
 def ftra_apply(r, h) -> Series:

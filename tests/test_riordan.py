@@ -6,7 +6,7 @@ import pytest
 import riordan_oracle as oracle
 
 from riopi.elliptic import f_from_curve, family_params_from_curve, pipeline
-from riopi.family import FamilyParams, g_ad, g_family
+from riopi.family import FamilyParams, companion, g_ad, g_family
 import riopi.riordan
 from riopi.riordan import (
     NoBSequence,
@@ -29,16 +29,15 @@ from family_oracle import a_family
 
 
 def pascal(order=12):
-    g = 1 / Series([1, -1], order)
-    return RiordanArray(g, Series.x(order) / Series([1, -1], order))
+    return bell(1 / Series([1, -1], order))  # f = x/(1-x)
 
 
 def identity_array(order=12):
-    return RiordanArray(Series.one(order), Series.x(order))
+    return bell(Series.one(order))
 
 
 def dense(array, size):
-    tri = array.triangle(size)
+    tri = oracle.triangle(array.g, array.f, size)
     return [[tri[n][k] if k <= n else Fraction(0) for k in range(size)]
             for n in range(size)]
 
@@ -61,9 +60,9 @@ def rand_nonzero(rng):
 
 
 def non_bell(rng, order):
-    """A random array (g, f) of order >= 2 with f'(0) != 0 whose f is
+    """A random pair (g, f) of order >= 2 with f'(0) != 0 whose f is
     almost surely not x*g."""
-    return RiordanArray(
+    return oracle.Pair(
         Series([1] + [rand_fraction(rng) for _ in range(order - 1)]),
         Series([0, rand_nonzero(rng)] + [rand_fraction(rng) for _ in range(order - 2)]))
 
@@ -175,7 +174,7 @@ class TestGroupOps:
     def test_inverse_identity(self):
         inv = oracle.inverse(identity_array())
         assert inv.g.coeffs == Series.one(12).coeffs
-        assert inv.f.coeffs == Series.x(12).coeffs
+        assert inv.f.coeffs == Series.x(13).coeffs  # f = x*g knows one term more than g
 
     def test_pascal_inverse(self):
         inv = oracle.inverse(pascal())
@@ -192,7 +191,7 @@ class TestGroupOps:
 
     def test_signed_bell_array_is_involution(self):
         g = g_family(FamilyParams.of(1, 1, 0), 10)
-        signed = RiordanArray(g, -(g.shift(1)))
+        signed = oracle.Pair(g, -(g.shift(1)))
         sq = dense(oracle.multiply(signed, signed), 9)
         assert sq == [[1 if i == j else 0 for j in range(9)] for i in range(9)]
 
@@ -207,7 +206,7 @@ class TestFTRA:
         # note the inner f has valuation 3, legal for FTRA use only.
         for a, d in [(1, 1), (2, 1), (1, 2)]:
             den = Series([1, -a], 14)
-            arr = RiordanArray(1 / den, Series([0, 0, 0, d], 14) / (den * den))
+            arr = oracle.Pair(1 / den, Series([0, 0, 0, d], 14) / (den * den))
             got = oracle.ftra_apply(arr, catalan(14))
             assert got.coeffs == g_ad(a, d, 14).coeffs
 
@@ -219,7 +218,7 @@ class TestFTRA:
         den = (f * Series([2, 3], 20)).shift(1)
         h = num / den
         outer_g = 1 / Series([1, 2], 19)
-        arr = RiordanArray(outer_g, -(outer_g.shift(1)))
+        arr = oracle.Pair(outer_g, -(outer_g.shift(1)))
         got = oracle.ftra_apply(arr, h)
         assert got.coeffs[:18] == g_family(FamilyParams.of(-1, -2, -1), 18).coeffs
 
@@ -262,10 +261,10 @@ class TestProduction:
             assert arr.production_matrix(6).rows == oracle.production_dense(arr, 6)
 
     def test_matches_dense_oracle_at_every_size(self, rng):
-        # pseudo-involutions take the read-off route; Bell arrays that are
-        # none (curvef, a family g perturbed at its last term) and arrays
-        # that are not Bell take a_and_z, and a perturbed g hands over
-        # between the routes as the size reaches its perturbed term
+        # pseudo-involutions take the read-off route; arrays that are none
+        # (curvef, a family g perturbed at its last term) take a_and_z, and
+        # a perturbed g hands over between the routes as the size reaches
+        # its perturbed term
         arrays = [pascal(), identity_array(), random_member(rng)]
         arrays += [bell(g) for _, g in family_cases(rng, 8, 3, 14)]
         arrays += [bell(pipeline(rand_fraction(rng, 12, (2, 3, 5, 7)), rng.randint(3, 14)).g)
@@ -277,17 +276,15 @@ class TestProduction:
             assert is_pseudo_involution(bad.truncate(order - 1))
             assert is_pseudo_involution(bad) == (order % 2 == 0)
             arrays.append(bell(bad))
-        arrays += [non_bell(rng, rng.randint(3, 12)) for _ in range(3)]
         for arr in arrays:
             for size in range(1, arr.order):
                 assert arr.production_matrix(size).rows == oracle.production_dense(arr, size), \
                     (arr, size)
 
     def test_general_route_neither_reverts_nor_composes(self, rng, monkeypatch):
-        # arrays that are not Bell, or Bell but no pseudo-involution from
-        # some size on, take a_and_z's row recurrence
-        arrays = [non_bell(rng, rng.randint(3, 12)) for _ in range(3)]
-        arrays += [bell(f_from_curve(a, 12)) for a in (3, Fraction(-11, 2))]
+        # arrays that are no pseudo-involution from some size on take
+        # a_and_z's row recurrence
+        arrays = [bell(f_from_curve(a, 12)) for a in (3, Fraction(-11, 2))]
         for order in (6, 9, 13):
             g = random_member(rng, order).g
             arrays.append(bell(perturbed(g, rng.randint(1, order - 1), rand_nonzero(rng))))
@@ -306,7 +303,8 @@ class TestProduction:
             assert [arr.production_matrix(size).rows for size in range(1, arr.order)] == matrices
         assert oracle.a_from_b(b, 20) == want_a
         with pytest.raises(NotRevertible):
-            RiordanArray(Series.one(6), Series([0, 0, 1], 6)).a_and_z()
+            bell(Series.one(1)).a_and_z()
+        assert bell(Series([1, 2])).a_and_z().rows == ((2,),)
 
     def test_involution_route_neither_reverts_nor_composes(self, rng, monkeypatch):
         arrays = [pascal(), identity_array(), bell(pipeline(Fraction(-11, 2), 40).g)]
@@ -326,24 +324,51 @@ class TestProduction:
         with pytest.raises(AssertionError):
             bell(f_from_curve(3, 8)).production_matrix()
 
+    def test_bell_arrays_off_the_involutions_match_the_oracles(self, rng):
+        # companions, curvef, members changed at one term and random g's
+        # are no pseudo-involutions (but by chance at small sizes), so
+        # a_and_z solves their A by column 1 alone and reads Z as its tail
+        gs = []
+        for _ in range(6):
+            order = rng.randint(2, 24)
+            p = FamilyParams.of(*(rand_fraction(rng, 3) for _ in range(3)))
+            gs.append(companion(p, order))
+            gs.append(perturbed(g_family(p, order), rng.randint(1, order - 1), rand_nonzero(rng)))
+            gs.append(f_from_curve(rand_fraction(rng, 6, (1, 2, 3)), rng.randint(2, 24)))
+            gs.append(Series([1] + [rand_fraction(rng, 3) for _ in range(rng.randint(1, 23))]))
+        assert sum(not is_pseudo_involution(g) for g in gs) >= 20
+        for g in gs:
+            arr = bell(g)
+            got = arr.a_and_z()
+            want_z, want_a = oracle.a_and_z_by_reversion(arr)
+            assert (got.a, got.z) == (want_a, want_z), g
+            for size in range(1, g.order):
+                assert arr.production_matrix(size).rows == oracle.production_dense(arr, size), \
+                    (g, size)
+
     def test_matrix_view_of_z_and_a(self):
-        p = ProductionMatrix(z=(Fraction(1, 2), Fraction(0), Fraction(3)),
-                             a=(Fraction(1), Fraction(2), Fraction(5)))
+        # A's size + 1 terms make the matrix: Z = (A - 1)/x in column 0
+        p = ProductionMatrix((1, Fraction(1, 2), 0, 3))
         assert p.size == 3
-        assert p.rows == ((Fraction(1, 2), 1, 0), (0, 2, 1), (3, 5, 2))
-        assert p[-1] == p[2] == (3, 5, 2)
+        assert (p.a, p.z) == ((1, Fraction(1, 2), 0), (Fraction(1, 2), 0, 3))
+        assert p.rows == ((Fraction(1, 2), 1, 0), (0, Fraction(1, 2), 1), (3, 0, Fraction(1, 2)))
+        assert p[-1] == p[2] == (3, 0, Fraction(1, 2))
         with pytest.raises(IndexError):
             p[3]
         with pytest.raises(ValueError, match="non-integer matrix entry"):
             p.integers()
-        # a size-1 matrix shows only z[0]
-        assert ProductionMatrix(z=(Fraction(3),), a=(Fraction(1, 2),)).integers() == [[3]]
-        # A needs a term for every row
-        with pytest.raises(ValueError, match="fewer than the 3 of Z"):
-            ProductionMatrix(z=(1, 2, 3), a=(1,))
-        # a matrix read off a pseudo-involution shows the same rows by index
+        # a size-1 matrix shows only z[0] = a[1]; one term makes no rows
+        assert ProductionMatrix((Fraction(1, 2), 3)).integers() == [[3]]
+        assert ProductionMatrix([Fraction(1, 2)]).rows == ()
+        with pytest.raises(ValueError, match="A needs at least one term"):
+            ProductionMatrix(())
+        # a matrix read off a pseudo-involution shows the same rows by index,
+        # and is the matrix of its A's terms
         q = bell(pipeline(Fraction(-11, 2), 9).g).production_matrix(6)
         assert tuple(q[i] for i in range(-6, 6)) == q.rows * 2
+        same = ProductionMatrix(q.a + q.z[-1:])
+        assert same == q and hash(same) == hash(q) and repr(same) == repr(q)
+        assert same != ProductionMatrix(q.a + (q.z[-1] + 1,)) and same != p
 
     def test_matrix_round_trips_to_z_and_a(self, rng):
         # column 0 is the Z-sequence and column 1 the A-sequence
@@ -357,15 +382,14 @@ class TestProduction:
 
 
 class TestBell:
-    def test_is_bell(self):
-        c = catalan(10)
-        assert bell(c).is_bell()
-        assert pascal().is_bell()  # f = x/(1-x) is x*g
-        assert not RiordanArray(1 / Series([1, -1], 10), Series.x(10)).is_bell()
-
-    def test_family_members_are_bell(self, rng):
-        for _ in range(4):
-            assert random_member(rng).is_bell()
+    def test_array_is_g_and_x_times_g(self, rng):
+        for g in (catalan(10), Series.one(1), random_member(rng).g):
+            arr = bell(g)
+            assert type(arr) is RiordanArray and arr.g is g and arr.order == g.order
+            assert arr.f == g.shift(1) and arr.f.order == g.order + 1
+            assert all(row[-1] == 1 for row in arr.triangle(g.order).rows)
+        with pytest.raises(ValueError, match="constant term 1"):
+            RiordanArray(Series([2, 1]))
 
 
 class TestPseudoInvolution:
@@ -856,14 +880,21 @@ class TestASequence:
             arrays = [bell(g_family(p, order)) for p in params]
             arrays.append(bell(f_from_curve(rand_fraction(rng, 6, (1, 2, 3)), order)))
             if order > 1:
-                arrays.append(non_bell(rng, order))
+                # a pair that is not Bell has a Z of its own: the oracles'
+                # row recurrence against their reversion and dense routes
+                pair = non_bell(rng, order)
+                z_and_a = oracle.z_and_a_by_rows(pair)
+                assert z_and_a == oracle.a_and_z_by_reversion(pair), pair
+                columns = list(zip(*oracle.production_dense(pair, order - 1)))
+                assert columns[:2] == list(z_and_a)[:len(columns)], pair
             for arr in arrays:
                 if order == 1:
                     with pytest.raises(NotRevertible):
                         arr.a_and_z()
                     continue
                 got = arr.a_and_z()
-                assert (got.z, got.a) == oracle.a_and_z_by_reversion(arr), arr
+                assert (got.z, got.a) == oracle.a_and_z_by_reversion(arr) == \
+                    oracle.z_and_a_by_rows(arr), arr
             bs = [Series(b_expansion_oracle(p.a, p.b, p.c, order // 2 + 1)) for p in params]
             bs.append(Series([rand_fraction(rng, 3) for _ in range(order // 2 + 1)]))
             for b in bs:

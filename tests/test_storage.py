@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from riopi.elliptic import pipeline
-from riopi.riordan import b_extract, bell
+from riopi.elliptic import f_from_curve, pipeline
+from riopi.riordan import b_extract, bell, is_pseudo_involution
 from riopi.series import Series
 
 
@@ -37,6 +37,18 @@ def test_curve_results_store_no_fractions(a):
         kinds = {type(o) for o in stored(result)} - {type(result)}
         assert kinds <= {tuple, int, type(None)}, (result, kinds)
     # the read-off matrix reads Z as A's tail: one tuple of terms
+    assert sum(type(o) is tuple for o in gc.get_referents(p)) == 1
+
+
+@pytest.mark.parametrize("route, g", [("a_and_z", f_from_curve(Fraction(-11, 2), 40)),
+                                      ("walk", pipeline(-3, 8).g)])
+def test_every_route_stores_one_tuple_of_ints(route, g):
+    # curvef is no pseudo-involution and takes a_and_z; a g of order 8 is
+    # too short for the rational-B certificate and takes the walk's 1/g(-x)
+    assert is_pseudo_involution(g) == (route == "walk")
+    p = bell(g).production_matrix()
+    assert p.size == g.order - 2
+    assert {type(o) for o in stored(p)} - {type(p)} <= {tuple, int}
     assert sum(type(o) is tuple for o in gc.get_referents(p)) == 1
 
 
