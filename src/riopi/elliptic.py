@@ -30,7 +30,7 @@ from .family import FamilyParams, g_family
 from .hankel import hankel_transform
 from .riordan import BSequence, SelfCheckError, _b_expansion, is_pseudo_involution
 from .series import Quadratic, Series, _quadratic_root, rational
-from .somos import SomosReport, family_somos_params, somos4_check
+from .somos import SomosReport, _check_ints, family_somos_params
 
 
 @dataclass(frozen=True)
@@ -121,5 +121,5 @@ def curve_somos_check(curve, order: int = 24) -> SomosReport:
     """Check the Hankel transform of f against the Somos-4 parameters of
     the curve's family member, ``family_somos_params``, which are (1, b)
     there since ab + c = 1."""
-    values = hankel_transform(f_equation(curve), order).values
-    return somos4_check(values, family_somos_params(family_params_from_curve(curve)))
+    h = hankel_transform(f_equation(curve), order)
+    return _check_ints(h.nums, h.dens, family_somos_params(family_params_from_curve(curve)))

@@ -142,14 +142,27 @@ D1 = 2*a1/a0, c0 = (a0*a2 - 2*r0*b0)/a0^2,
 C = (4*a0*a2 - 8*r0*b0 - a1^2)/(2*a0^2) and
 K = 2*(a1*r0*b0 - a0*r0*b1 - a0*r1*b0)/a0^3.  Its step yields v = -b0/a0,
 and with r = b1/b0 the next tail is rho = 2*r^2 - D1*r + a2/a0 + c0 and
-w = D1/4 - r + K/rho.  The map is left at rho = 0, a zero block: with
-r = w + D1/4 of the state before (or b1/b0 at entry), that tail is
-q2 = x^2*(-2 - 2*r*x), q1 = 2 + D1*x + 2*c0*x^2 and q0 = K*x, which goes
-over ints to the general step (K = 0 ends the fraction).  The general
-step with k >= 1 gives the closed shape again, and the map is entered
-afresh with the same C and K.  A record whose D has a higher degree never
-reaches the closed shape and takes the general step throughout.  The
-values h_n have O(n^2) bits, and so do rho and w at step n.
+w = D1/4 - r + K/rho.
+
+Zero blocks.  At rho = 0, p2 = rho - c0 = -c0 and rho1 = (D1*p2 + D3)/2
+= K, so T = K*x/(P - sqrt(D)): a step with k = 1 and v = -K/2, and K = 0
+makes T = 0, the end of the fraction.  With r = w + D1/4 of the tail
+before (b1/b0 at entry), Q = x^2*(-2 - 2*r*x).  Then v*x/T =
+(sqrt(D) - P)/2, whose first three terms are E = 1 + (D1/2)*x + c0*x^2
+= -P, so x^3*T' = (2*E + P - sqrt(D))/2 and
+
+    T' = (P + sqrt(D))/(-2*x^3),   R' = K*(1 + r*x),
+
+on the same P.  T' has v = -K/2 again, now at k = 0, and w = r - D1/4,
+the w of the tail before the zero block.  For any tail of the map, the
+x^2 term of P' = E*R/v - P gives rho' = 2*w^2 - D1^2/8 + c0 - p2: that is
+2*w^2 + C - rho where p2 = rho - c0, and 2*w^2 + C after T', where
+p2 = -c0.  In the code's terms a zero block yields -K/2 at k = 1 and at
+k = 0, keeps t and goes on with v = -(t^2 + C/2), so the map, once
+entered, runs to the end of the fraction.  A record whose D has a higher
+degree never reaches the closed shape and takes the general step
+throughout.  The values h_n have O(n^2) bits, and so do rho and w at
+step n.
 """
 
 from __future__ import annotations
@@ -157,11 +170,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .series import Quadratic, Series, _checked, _lowest, _packed, _quadratic_root, rational
-
-
-_ZERO = Fraction(0)
 
 
 class InsufficientTerms(ValueError):
@@ -170,8 +181,17 @@ class InsufficientTerms(ValueError):
 
 @dataclass(frozen=True)
 class HankelTransform:
-    values: tuple[Fraction, ...]
+    """h_0 .. h_top, each h_n = nums[n]/dens[n] in lowest terms with
+    dens[n] > 0, as both routes compute them; ``values`` makes them
+    Fractions on first read."""
+
+    nums: tuple[int, ...]
+    dens: tuple[int, ...]
     source_length: int
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.nums, self.dens))
 
 
 def _leading_minors(rows: list[list[int]]) -> list[int]:
@@ -228,16 +248,19 @@ def _leading_minors(rows: list[list[int]]) -> list[int]:
     return minors
 
 
-def _hankel_values(nums, den: int, top: int) -> list[Fraction]:
+def _hankel_values(nums, den: int, top: int) -> tuple[list[int], list[int]]:
     """h_0 .. h_top of the terms nums[k]/den, k <= 2*top, from one
-    elimination over the window's own ints: h_n = minor_n / den**(n+1)."""
+    elimination over the window's own ints: h_n = minor_n / den**(n+1),
+    as int pairs in lowest terms."""
     window, den = _lowest(nums[: 2 * top + 1], den)
     minors = _leading_minors([list(window[2 * i:i + top + 1]) for i in range(top + 1)])
-    values, power = [], 1
+    hn, hd, power = [], [], 1
     for minor in minors:
         power *= den
-        values.append(Fraction(minor, power))
-    return values
+        n, d = _reduced(minor, power)
+        hn.append(n)
+        hd.append(d)
+    return hn, hd
 
 
 def hankel_det(seq, n: int) -> Fraction:
@@ -271,9 +294,8 @@ def hankel_transform(seq, order: int | None = None) -> HankelTransform:
         nums, den = _packed([rational(v) for v in seq])
     if not nums:
         raise InsufficientTerms("need at least one term")
-    top = (len(nums) - 1) // 2
-    return HankelTransform(values=tuple(_hankel_values(nums, den, top)),
-                           source_length=len(nums))
+    hn, hd = _hankel_values(nums, den, (len(nums) - 1) // 2)
+    return HankelTransform(nums=tuple(hn), dens=tuple(hd), source_length=len(nums))
 
 
 def _poly_mul(p: list, q: list) -> list:
@@ -350,54 +372,54 @@ def _h_fraction(eq: Quadratic):
         k = _valuation(q0)
         if k is None:
             return
-    while True:
-        if not k and len(q2) <= 4 and len(q1) <= 3 and len(q0) <= 2:
-            # a run of k = 0 steps on the map over D, entered at the ints of
-            # q2 = x^2*(r0 + r1*x), q1 = a0 + a1*x + a2*x^2, q0 = b0 + b1*x;
-            # v = -rho/2, t = w - K/rho (D1/4 - b1/b0 at entry), C/2 and K/2
-            # are int pairs in lowest terms
-            r0, r1 = (q2 + [0, 0, 0, 0])[2:4]
-            a0, a1, a2 = q1 + [0] * (3 - len(q1))
-            b0, b1 = q0 + [0] * (2 - len(q0))
-            yield 0, *_reduced(-b0, a0)
-            m = a0 * a0
-            k3 = a1 * r0 * b0 - a0 * (r0 * b1 + r1 * b0)    # K * a0^3 / 2
-            cn, cd = _reduced(4 * a0 * a2 - 8 * r0 * b0 - a1 * a1, 4 * m)
-            kn, kd = _reduced(k3, m * a0)
-            vn, vd = _reduced(a0 * b1 * (a1 * b0 - a0 * b1) - (a0 * a2 - r0 * b0) * b0 * b0,
-                              m * b0 * b0)
-            tn, td = _reduced(a1 * b0 - 2 * a0 * b1, 2 * a0 * b0)
-            while vn:
-                yield 0, vn, vd
-                # w = t + K/rho; rho' = 2*w^2 + C - rho, so v' = -(w^2 + C/2 + v)
-                qn, qd = _times(kn, kd, vd, vn)
-                if qd < 0:
-                    qn, qd = -qn, -qd
-                wn, wd = _plus(tn, td, -qn, qd)
-                sn, sd = _plus(wn * wn, wd * wd, cn, cd)
-                vn, vd = _plus(-sn, sd, -vn, vd)
-                tn, td = -wn, wd
-            # the tail at rho = 0, with r = D1/4 - t, times a0^3*td
-            q2, q1, q0 = _primitive([0, 0, -2 * a0 * m * td, m * (2 * a0 * tn - a1 * td)],
-                                    [2 * a0 * m * td, 2 * a1 * m * td,
-                                     2 * a0 * (a0 * a2 - 2 * r0 * b0) * td],
-                                    [0, 2 * k3 * td])
-        else:
-            # T = -q0/q1 mod x^(2k+2), so sigma_n = [x^n]((q0/x^k)/q1) * c^(n+1)
-            # over ints, and u_n = -T_(k+n) * c^(k+2)
-            c = q1[0]
-            yield k, *_reduced(-q0[k], c)
-            sigma = []
-            for n in range(k + 2):
-                t = q0[k + n] * c ** n if k + n < len(q0) else 0
-                t -= sum(q1[j] * sigma[n - j] * c ** (j - 1)
-                         for j in range(1, min(n, len(q1) - 1) + 1))
-                sigma.append(t)
-            u = [t * c ** (k + 1 - n) for n, t in enumerate(sigma)]
-            q2, q1, q0 = _tail_step(q2, q1, q0, k, u, -q0[k], c)
+    while k or len(q2) > 4 or len(q1) > 3 or len(q0) > 2:
+        # T = -q0/q1 mod x^(2k+2), so sigma_n = [x^n]((q0/x^k)/q1) * c^(n+1)
+        # over ints, and u_n = -T_(k+n) * c^(k+2)
+        c = q1[0]
+        yield k, *_reduced(-q0[k], c)
+        sigma = []
+        for n in range(k + 2):
+            t = q0[k + n] * c ** n if k + n < len(q0) else 0
+            t -= sum(q1[j] * sigma[n - j] * c ** (j - 1)
+                     for j in range(1, min(n, len(q1) - 1) + 1))
+            sigma.append(t)
+        u = [t * c ** (k + 1 - n) for n, t in enumerate(sigma)]
+        q2, q1, q0 = _tail_step(q2, q1, q0, k, u, -q0[k], c)
         k = _valuation(q0)
         if k is None:
             return
+    # the rest of the fraction on the map over D, entered at the ints of
+    # q2 = x^2*(r0 + r1*x), q1 = a0 + a1*x + a2*x^2, q0 = b0 + b1*x;
+    # v = -rho/2, t = w - K/rho (D1/4 - b1/b0 at entry), C/2 and K/2 are int
+    # pairs in lowest terms
+    r0, r1 = (q2 + [0, 0, 0, 0])[2:4]
+    a0, a1, a2 = q1 + [0] * (3 - len(q1))
+    b0, b1 = q0 + [0] * (2 - len(q0))
+    yield 0, *_reduced(-b0, a0)
+    m = a0 * a0
+    cn, cd = _reduced(4 * a0 * a2 - 8 * r0 * b0 - a1 * a1, 4 * m)
+    kn, kd = _reduced(a1 * r0 * b0 - a0 * (r0 * b1 + r1 * b0), m * a0)
+    vn, vd = _reduced(a0 * b1 * (a1 * b0 - a0 * b1) - (a0 * a2 - r0 * b0) * b0 * b0,
+                      m * b0 * b0)
+    tn, td = _reduced(a1 * b0 - 2 * a0 * b1, 2 * a0 * b0)
+    while True:
+        while vn:
+            yield 0, vn, vd
+            # w = t + K/rho; rho' = 2*w^2 + C - rho, so v' = -(w^2 + C/2 + v)
+            qn, qd = _times(kn, kd, vd, vn)
+            if qd < 0:
+                qn, qd = -qn, -qd
+            wn, wd = _plus(tn, td, -qn, qd)
+            sn, sd = _plus(wn * wn, wd * wd, cn, cd)
+            vn, vd = _plus(-sn, sd, -vn, vd)
+            tn, td = -wn, wd
+        # a zero block: the tail at rho = 0 and the one after it both start
+        # with -K/2, and the next has v = -(t^2 + C/2) with the same t
+        if not kn:
+            return
+        yield 1, -kn, kd
+        yield 0, -kn, kd
+        vn, vd = _plus(-tn * tn, td * td, -cn, cd)
 
 
 def _reduced(n: int, d: int) -> tuple[int, int]:
@@ -428,11 +450,11 @@ def root_transform(eq: Quadratic, order: int) -> HankelTransform:
     """The Hankel transform of the root of ``eq`` at ``order``, equal to
     ``hankel_transform`` of the root's first ``order`` terms, read off its
     H-fraction (module docstring): O(order) steps on the integer quadratics
-    of its tails, with no Series built."""
+    of its tails, with no Series and no Fraction built."""
     if order < 1:
         raise ValueError("order must be at least 1")
     top = (order - 1) // 2
-    values = [_ZERO] * (top + 1)
+    nums, dens = [0] * (top + 1), [1] * (top + 1)
     # H_(s_(j+1)) = (-1)^(k_j(k_j+1)/2) * H_(s_j) * (v_0...v_j)^(k_j+1) with
     # s_(j+1) = s_j + k_j + 1, and h_n = H_(n+1); H over hd and the running
     # product over pd, both in lowest terms
@@ -445,7 +467,7 @@ def root_transform(eq: Quadratic, order: int) -> HankelTransform:
         s += k + 1
         if s > top + 1:
             break
-        values[s - 1] = Fraction(h, hd)
+        nums[s - 1], dens[s - 1] = h, hd
         if s == top + 1:
             break
-    return HankelTransform(values=tuple(values), source_length=order)
+    return HankelTransform(nums=tuple(nums), dens=tuple(dens), source_length=order)

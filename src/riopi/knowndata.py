@@ -13,10 +13,10 @@ printed tables, read as one flattened sequence: ``narayana`` and
 ``binomial_narayana`` (the Narayana triangle and its product with the
 binomial triangle, row by row, from ``family.narayana``) and ``curve_b``
 (the expansion of a curve's closed-form B-sequence, ``b_from_curve``).
-``verify`` builds each (kind, params) whose series an entry reads once
-(``build_sources``), recomputes every entry from that series, or a
-Hankel entry from its kind's equation, and diffs exactly, which makes
-this table the regression corpus for the package.
+``verify`` builds each source the entries read once (``build_sources``):
+a (kind, params) series, or for the Hankel entries the transform of that
+kind's equation.  It recomputes every entry from its source and diffs
+exactly, which makes this table the regression corpus for the package.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 from . import elliptic, family, series
 from .family import FamilyParams, binomial_transform
-from .hankel import hankel_transform
+from .hankel import HankelTransform, hankel_transform
 from .riordan import bell
 from .series import Quadratic, Series, rational
 
@@ -245,33 +245,38 @@ def source_length(entry: KnownSequence) -> int:
     return want
 
 
-def build_sources(entries) -> dict[tuple[str, tuple[str, ...]], Series]:
-    """Build each (kind, params) whose series ``entries`` read once, at the
-    longest prefix any of them reads.  A Hankel entry reads its kind's
-    equation instead."""
-    lengths: dict[tuple[str, tuple[str, ...]], int] = {}
+def _source_key(entry: KnownSequence) -> tuple[str, tuple[str, ...], bool]:
+    """What an entry reads: its kind's series at its params, or for a
+    Hankel entry (True) the transform of its kind's equation."""
+    return entry.kind, entry.params, entry.transform in _HANKEL
+
+
+def build_sources(entries) -> dict[tuple[str, tuple[str, ...], bool], Series | HankelTransform]:
+    """Build each source ``entries`` read (``_source_key``) once, at the
+    longest prefix or order any of them reads: a (kind, params) series, or
+    the Hankel transform of that kind's equation."""
+    lengths: dict[tuple[str, tuple[str, ...], bool], int] = {}
     for entry in entries:
-        if entry.transform in _HANKEL:
-            continue
-        key = entry.kind, entry.params
+        key = _source_key(entry)
         lengths[key] = max(lengths.get(key, 0), source_length(entry))
-    return {key: GENERATORS[key[0]].build(key[1], n) for key, n in lengths.items()}
+    return {(kind, params, hankel): (
+        hankel_transform(GENERATORS[kind].equation(params), n) if hankel
+        else GENERATORS[kind].build(params, n))
+        for (kind, params, hankel), n in lengths.items()}
 
 
 def computed_values(entry: KnownSequence, sources) -> list[Fraction]:
     """Recompute the values an entry's prefix claims, same length, from
-    its generator's series in ``sources`` (see ``build_sources``), or for
-    a Hankel entry from its generator's equation."""
+    its source in ``sources`` (see ``build_sources``)."""
     want, n = len(entry.prefix), source_length(entry)
     transform = entry.transform
     if transform in _HANKEL:
-        gen = GENERATORS[entry.kind]
-        values = hankel_transform(gen.equation(entry.params), n).values
+        values = sources[_source_key(entry)].values
         if transform == "hankel":
             return list(values[:want])
-        offset = gen.somos_offset
+        offset = GENERATORS[entry.kind].somos_offset
         return [-v for v in values[offset:offset + want]]
-    g = sources[entry.kind, entry.params]
+    g = sources[_source_key(entry)]
     if transform == "triangle":
         return [v for row in bell(g).triangle(n).rows for v in row]
     if transform == "prodmat":

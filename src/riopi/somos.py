@@ -17,7 +17,10 @@ gives
          * q[n]*q[n-4]
 
 which holds exactly when the product form does.  No Fraction is built
-and no gcd taken.
+and no gcd taken.  That is one kernel, ``_check_ints(p, q, params)``:
+``somos4_check`` splits its terms into p and q for it, and
+``conjecture_family`` and ``elliptic.curve_somos_check`` pass it the int
+pairs of their Hankel transforms as they are.
 """
 
 from __future__ import annotations
@@ -64,18 +67,20 @@ class SomosReport:
 def somos4_check(terms, params: SomosParams) -> SomosReport:
     """Verify the product form at every index n in 4..len(terms)-1."""
     t = [rational(v) for v in terms]
-    if len(t) < 5:
+    return _check_ints([v.numerator for v in t], [v.denominator for v in t], params)
+
+
+def _check_ints(p, q, params: SomosParams) -> SomosReport:
+    """``somos4_check`` of the terms p[n]/q[n], q[n] > 0: the product form
+    cross-multiplied by positive denominators (module docstring)."""
+    if len(p) < 5:
         raise ValueError("need at least 5 terms to check a Somos-4 relation")
-    # the product form cross-multiplied by positive denominators (module
-    # docstring)
-    p = [v.numerator for v in t]
-    q = [v.denominator for v in t]
     alpha, beta = params.alpha, params.beta
     d = alpha.denominator * beta.denominator
     a = alpha.numerator * beta.denominator
     b = beta.numerator * alpha.denominator
     failures = []
-    for n in range(4, len(t)):
+    for n in range(4, len(p)):
         ld = q[n] * q[n - 4]
         ad = q[n - 1] * q[n - 3]
         bd = q[n - 2] * q[n - 2]
@@ -83,7 +88,7 @@ def somos4_check(terms, params: SomosParams) -> SomosReport:
         right = (a * p[n - 1] * p[n - 3] * bd + b * p[n - 2] * p[n - 2] * ad) * ld
         if left != right:
             failures.append(n)
-    return SomosReport(params=params, start=4, end=len(t) - 1,
+    return SomosReport(params=params, start=4, end=len(p) - 1,
                        failures=tuple(failures), degenerate=params.degenerate)
 
 
@@ -141,11 +146,14 @@ def conjecture_family(p: FamilyParams, order: int = 28) -> ConjectureReport:
     the printed transforms start) and the full companion Hankel transform are
     ``family_somos_params(p)`` Somos-4 sequences.  Both transforms at
     ``order`` are read off the member's quadratics (``hankel_transform`` of
-    a ``Quadratic``).  Failures are report data, not errors: this
-    is a conjecture check."""
+    a ``Quadratic``), and their int pairs go to the check as they are, with
+    no Fraction built.  Failures are report data, not errors: this is a
+    conjecture check."""
     params = family_somos_params(p)
-    family_tail = hankel_transform(equation(p), order).values[SOMOS_OFFSET:]
-    fam = somos4_check(family_tail, params)
-    comp = somos4_check(hankel_transform(companion_equation(p), order).values, params)
-    return ConjectureReport(params=params, family=fam, companion=comp,
-                            degenerate=(p.somos_weight == 0))
+    fam = hankel_transform(equation(p), order)
+    comp = hankel_transform(companion_equation(p), order)
+    return ConjectureReport(
+        params=params,
+        family=_check_ints(fam.nums[SOMOS_OFFSET:], fam.dens[SOMOS_OFFSET:], params),
+        companion=_check_ints(comp.nums, comp.dens, params),
+        degenerate=(p.somos_weight == 0))

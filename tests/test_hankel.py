@@ -1,8 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+import riopi.hankel
 from riopi.elliptic import f_equation, f_from_curve
 from riopi.family import (FamilyParams, companion, companion_equation, equation, g_ad,
                           g_family)
@@ -614,7 +617,7 @@ class TestRootTransform:
     def test_zero_blocks_inside_runs(self):
         # runs of k = 0 steps that end in a zero block inside the map (a
         # zero every 6th and 4th index on 1 3 3 and 3 -1 0) or at its entry
-        # (b = 0): the map is left for the general step and entered again
+        # (b = 0): the map takes each zero block in its closed step
         for eq, build, p, ks in (
                 (equation, g_family, (1, 3, 3), "0100001"),
                 (companion_equation, companion, (1, 3, 3), "000010000"),
@@ -632,8 +635,11 @@ class TestRootTransform:
 
     def test_every_entry_reads_the_constants_of_d(self, monkeypatch):
         # each tail's discriminant q1^2 - 4*q2*q0 is the record's D times a
-        # constant square, so the map's C and K, read off the ints of each
-        # closed-shape tail it is entered at, are the constants of D
+        # constant square, so the map's C and K, read off the ints of the
+        # closed-shape tail it is entered at, are the constants of D.  The
+        # map is entered once, at the last int tail, and runs to the end of
+        # the fraction: each of its zero blocks yields -K/2 at k = 1 and
+        # again at the k = 0 step after it
         tails = []
 
         def spy(*polys):
@@ -646,7 +652,7 @@ class TestRootTransform:
                    companion_equation(FamilyParams.of(Fraction(1, 2), Fraction(-2, 3), 0)),
                    f_equation(1)):
             tails.clear()
-            root_transform(eq, 64)
+            steps = list(islice(_h_fraction(eq), 64))
             p2, p1, p0 = ([Fraction(c) for c in p] for p in (eq.p2, eq.p1, eq.p0))
             d = [0] * 5
             for i, u in enumerate(p1):
@@ -658,14 +664,61 @@ class TestRootTransform:
             assert d[0] == 1
             c0 = d[2] / 2 - d[1] ** 2 / 8
             want = (d[2] - 3 * d[1] ** 2 / 8, (d[3] - d[1] * c0) / 2)
-            entries = [(q2 + [0, 0, 0, 0], q1 + [0, 0, 0], q0 + [0, 0]) for q2, q1, q0 in tails
+            entries = [i for i, (q2, q1, q0) in enumerate(tails)
                        if len(q2) <= 4 and not any(q2[:2]) and len(q1) <= 3
                        and 1 <= len(q0) <= 2 and q0[0]]
-            assert len(entries) >= 5, eq
-            for (_, _, r0, r1, *_), (a0, a1, a2, *_), (b0, b1, *_) in entries:
-                got = (Fraction(4 * a0 * a2 - 8 * r0 * b0 - a1 * a1, 2 * a0 * a0),
-                       Fraction(2 * (a1 * r0 * b0 - a0 * r0 * b1 - a0 * r1 * b0), a0 ** 3))
-                assert got == want, eq
+            assert entries == [len(tails) - 1], eq
+            q2, q1, q0 = tails[-1]
+            r0, r1 = (q2 + [0, 0])[2:4]
+            a0, a1, a2 = q1 + [0] * (3 - len(q1))
+            b0, b1 = q0 + [0] * (2 - len(q0))
+            got = (Fraction(4 * a0 * a2 - 8 * r0 * b0 - a1 * a1, 2 * a0 * a0),
+                   Fraction(2 * (a1 * r0 * b0 - a0 * r0 * b1 - a0 * r1 * b0), a0 ** 3))
+            assert got == want, eq
+            v = -want[1] / 2
+            blocks = [j for j in range(len(steps) - 1) if steps[j][0]]
+            assert len(blocks) >= 5, eq
+            for j in blocks:
+                assert steps[j:j + 2] == [(1, v.numerator, v.denominator),
+                                          (0, v.numerator, v.denominator)], (eq, j)
+
+    # sha256 of " ".join(map(str, values)), first 16 hex digits, at orders
+    # 64 and 128: the values the general int step gives when it takes each
+    # zero block itself
+    PINNED = (
+        (equation, (1, 3, 3), "dac84f353c7155fa", "3b5ecf196b665dda"),
+        (companion_equation, (1, 3, 3), "e0ed73b8199dbec7", "c63045b901205903"),
+        (equation, (3, -1, 0), "da0f4bdc529ddc3c", "01aa40ce8179d8a4"),
+        (companion_equation, (3, -1, 0), "cc159c50b019131a", "31cc52ebc739ed47"),
+        (equation, (2, 0, -3), "66807b9717a57016", "d05ebbf581b53e4b"),
+        (companion_equation, (-1, 0, 1), "73149866296e162c", "c815ac393e57b813"),
+        (equation, (Fraction(1, 2), 0, Fraction(5, 3)), "87ba8bb348ed60b1", "35a0022cd41c0e47"),
+        (equation, (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)),
+         "fc7dd70ef83a35f6", "86fe6c0990699194"),
+        (companion_equation, (Fraction(-11, 2), Fraction(1, 3), Fraction(2, 7)),
+         "9abed1facd23ffa0", "339e309e635e5281"),
+        (lambda p: f_equation(p.a), (1,), "195746278e6f75ff", "9e45bc68179abdb5"),
+        (lambda p: f_equation(p.a), (Fraction(-11, 2),), "92d3bc3a2758baa6", "c4b68d9385ea151a"),
+    )
+
+    def test_no_tail_step_after_the_lead_step(self, monkeypatch):
+        # a closed-shape record stays on the map from its entry on: the only
+        # general step it may take is the lead step off its own root (whose
+        # q2 has valuation below 2), and its values are the pinned ones
+        tail_step = riopi.hankel._tail_step
+
+        def lead_only(q2, *args):
+            if not any(q2[:2]):
+                raise AssertionError("a general step after the lead step")
+            return tail_step(q2, *args)
+
+        monkeypatch.setattr(riopi.hankel, "_tail_step", lead_only)
+        for eq, p, *digests in self.PINNED:
+            p = FamilyParams.of(*p, *[0] * (3 - len(p)))
+            for order, digest in zip((64, 128), digests):
+                values = root_transform(eq(p), order).values
+                got = hashlib.sha256(" ".join(map(str, values)).encode()).hexdigest()[:16]
+                assert got == digest, (eq, p, order)
 
     def test_curvef_division_values(self):
         # h_n of f on E_a: y^2 - axy - y = x^3 - x is (-1)^n psi_(n+1), the

@@ -6,7 +6,9 @@ import riopi.family
 import riopi.hankel
 import riopi.somos
 from riopi import knowndata
-from riopi.family import SOMOS_OFFSET, FamilyParams, companion, g_family
+from riopi.elliptic import curve_somos_check, f_equation, family_params_from_curve
+from riopi.family import (SOMOS_OFFSET, FamilyParams, companion, companion_equation, equation,
+                          g_family)
 from riopi.hankel import hankel_transform
 from riopi.series import Series, rational
 from riopi.somos import (
@@ -15,6 +17,7 @@ from riopi.somos import (
     NoSomosFit,
     SomosParams,
     Underdetermined,
+    _check_ints,
     conjecture_family,
     family_somos_params,
     somos4_check,
@@ -81,6 +84,34 @@ class TestIntegerCheck:
             for _ in range(20):
                 terms = near_somos(rng, params, 10)
                 assert somos4_check(terms, params) == fraction_check(terms, params)
+
+    def test_int_kernel_matches_the_fraction_check(self, rng):
+        # _check_ints on int pairs p[n]/q[n] with any q[n] > 0 (here scaled
+        # out of lowest terms) reports what somos4_check and the Fraction
+        # oracle report on the Fractions, before and after one term moves
+        moved = 0
+        for i in range(300):
+            params = SomosParams(*(rng.choice((Fraction(0), random_rational(rng)))
+                                   for _ in range(2)))
+            if i % 10 == 0:
+                params = SomosParams(Fraction(0), params.beta)
+            elif i % 10 == 1:
+                params = SomosParams(params.alpha, Fraction(0))
+            terms = near_somos(rng, params, rng.randint(5, 14))
+            if rng.randrange(2):
+                terms = [-t for t in terms]
+            reports = []
+            for _ in range(2):
+                scale = [rng.randint(1, 9) for _ in terms]
+                got = _check_ints([t.numerator * m for t, m in zip(terms, scale)],
+                                  [t.denominator * m for t, m in zip(terms, scale)], params)
+                assert got == somos4_check(terms, params) == fraction_check(terms, params), \
+                    (terms, params)
+                reports.append(got)
+                n = rng.randrange(len(terms))
+                terms[n] += rng.choice((1, Fraction(-1, 3), terms[n] or 1))
+            moved += reports[0].failures != reports[1].failures
+        assert moved >= 100
 
     def test_fit_params_unchanged_on_verify_subjects(self, monkeypatch):
         # the embedded Somos claims: the fit equals the claim, and equals the
@@ -243,6 +274,43 @@ class TestConjecture:
             monkeypatch.setattr(owner, name, forbidden)
         for (p, order), report in want.items():
             assert conjecture_family(p, order) == report, (p, order)
+
+    def test_reports_equal_the_fraction_check(self, rng):
+        # conjecture_family and curve_somos_check pass the transforms' int
+        # pairs to the kernel; somos4_check of the transforms' Fraction
+        # values gives the same reports
+        for i in range(200):
+            order = rng.randint(13, 64)
+            if i % 4 == 3:
+                a = rand_fraction(rng, span=9, dens=(1, 2, 3, 7))
+                want = somos4_check(hankel_transform(f_equation(a), order).values,
+                                    family_somos_params(family_params_from_curve(a)))
+                assert curve_somos_check(a, order) == want, (a, order)
+                continue
+            draw = (lambda: Fraction(rng.randint(-4, 4))) if i % 2 else (
+                lambda: rand_fraction(rng, span=6, dens=(1, 2, 3, 5)))
+            p = FamilyParams(draw(), Fraction(0) if i % 8 == 0 else draw(), draw())
+            params = family_somos_params(p)
+            want = ConjectureReport(
+                params=params,
+                family=somos4_check(hankel_transform(equation(p), order).values[SOMOS_OFFSET:],
+                                    params),
+                companion=somos4_check(hankel_transform(companion_equation(p), order).values,
+                                       params),
+                degenerate=p.somos_weight == 0)
+            assert conjecture_family(p, order) == want, (p, order)
+
+    def test_short_orders_raise(self):
+        # the family's tail from SOMOS_OFFSET has 5 values from order 13 on,
+        # and curve f's transform from order 9 on
+        p = FamilyParams.of(2, -2, 3)
+        assert conjecture_family(p, 13).family.end == 4
+        assert curve_somos_check(-3, 9).end == 4
+        for check, order in ((lambda n: conjecture_family(p, n), 12),
+                             (lambda n: curve_somos_check(-3, n), 8)):
+            for n in range(1, order + 1):
+                with pytest.raises(ValueError, match="need at least 5 terms"):
+                    check(n)
 
     def test_random_small_integer_sweep(self, rng):
         # empirical support: a counterexample would be a finding, so surface
