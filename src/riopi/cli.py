@@ -48,13 +48,14 @@ EXIT_VERIFY = 3
 # The hankel and somos commands read the transform off their subject's
 # equation (the H-fraction of hankel.py): `hankel family 1/2 -2/3 5/3`
 # took 0.004 / 0.007 / 0.051 / 1.2 s of process time at --order 64 / 128 /
-# 256 / 512, `hankel curvef -11/2` 0.005 / 0.010 / 0.13 / 3.6 s and
+# 256 / 512, `hankel curvef -11/2` 0.005 / 0.012 / 0.16 / 4.1-4.9 s and
 # `hankel family 2 -2 3` 0.004 / 0.005 / 0.016 / 0.26 s (same host, in
-# one fresh process each, best of three, two at 512), and at the cap the
-# transforms alone (root_transform, no Fraction built) took 23 s, 118 s
-# and 7.1 s.  From 256 on each doubling costs 16-33x, mostly in gcds of
-# the rationals each step keeps (values of O(N^2) bits); the cap is
-# shared all the same, and such an order is the caller's choice.
+# one fresh process each, best of three, four runs at 512 for curvef and
+# two for the others), and at the cap the transforms alone
+# (root_transform, no Fraction built) took 23 s, 126 s and 7.1 s.  From
+# 256 on each doubling costs 16-33x, mostly in gcds of the rationals each
+# step keeps (values of O(N^2) bits); the cap is shared all the same, and
+# such an order is the caller's choice.
 MAX_ORDER = 1024
 DEFAULT_ORDER = 32
 # `verify conjecture` checks each random family member's Hankel transforms

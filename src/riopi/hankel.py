@@ -6,11 +6,13 @@ input, and each kind has one route:
 
 - A ``series.Quadratic``, the equation of an algebraic root, with an
   order: the transform is read off the root's H-fraction (below) in O(N)
-  steps on rationals and integer quadratics, never expanding the root
-  (``root_transform``).  Every caller that knows the equation of its root
-  passes it: ``somos.conjecture_family``, ``elliptic.curve_somos_check``,
-  the CLI's ``hankel`` and ``somos`` subjects and the Hankel rows of
-  ``knowndata``.
+  steps on rationals, never expanding the root (``root_transform``).
+  Every caller that knows the equation of its root passes it:
+  ``somos.conjecture_family``, ``elliptic.curve_somos_check``, the CLI's
+  ``hankel`` and ``somos`` subjects and the Hankel rows of ``knowndata``.
+  A root whose record takes neither entry to the H-fraction's map
+  (Entry, below) is expanded and takes Bareiss; no record the library
+  builds is one.
 - Terms, a plain sequence or a Series: one Bareiss elimination (below).
   Terms carry no equation, so nothing shorter applies to them.  Tests
   check the H-fraction against this route.
@@ -69,80 +71,48 @@ and H_n = h_(n-1), H_0 = 1.  Han's theorem: the nonzero H_n are exactly
 
     H_(s_(j+1)) = (-1)^(k_j*(k_j+1)/2) * H_(s_j) * (v_0*...*v_j)^(k_j+1),
 
-and a fraction that ends after step j leaves every later H_n at 0.
+and a fraction that ends after step j leaves every later H_n at 0.  A
+tail T (F itself first) whose first term is v*x^k gives the next tail T'
+by v*x^k/T = E - x^(k+2)*T', E = 1 + u(x)*x the first k + 2 terms of
+v*x^k/T.
 
-Tail step.  Let the tail T (F itself first) have first term v*x^k.  Then
-v*x^k/T = E - x^(k+2)*T', E = 1 + u(x)*x its first k + 2 terms and T' the
-next tail.  If q2*T^2 + q1*T + q0 = 0, then W = v*x^k/T solves
-q0*W^2 + v*q1*x^k*W + v^2*q2*x^(2k) = 0, and putting W = E - x^(k+2)*T'
-in it gives T' as a root of
+Tails over one discriminant.  The root y of p2*y^2 + p1*y + p0 = 0 has
+S = 2*p2*y + p1 with S^2 = D = p1^2 - 4*p2*p0, S(0) = pivot and D(0) =
+pivot^2 = 1.  With sqrt(D) the root of D with constant term 1, P =
+-pivot*p1, Q = 2*pivot*p2 and R = 2*pivot*p0, y has van der Poorten's
+fixed-discriminant form (A. J. van der Poorten, "Elliptic curves and
+continued fractions", J. Integer Seq. 8 (2005))
 
-    Q2 = q0*x^(k+2),  Q1 = -(2*q0*E + v*q1*x^k),
-    Q0 = (q0*E^2 + v*q1*x^k*E + v^2*q2*x^(2k)) / x^(k+2)
+    T = (P + sqrt(D))/Q = R/(P - sqrt(D)),   P^2 - D = Q*R,
 
-(the same step as Sulanke and Xin's quadratic transformation, Adv. Appl.
-Math. 40 (2008)).  Each tail is kept as int lists: the step is scaled to
-clear denominators, x^k is removed from all three (below), and one gcd
-divides out their content.
-
-No double root.  With c = q1(0) != 0 and val(q2) >= 1, the root T has
-val(T) = val(q0) = k and v = -q0_k/c.  Then [x^k]Q1 = -(2*q0_k + c*v) =
--q0_k != 0 and Q1's lower terms vanish, so val(Q1) = k.  The numerator of
-Q0 is (E - W)*(q0*(E + W) + v*q1*x^k), of valuation at least 2k + 2, so
-x^k divides Q0 too, and Q2 has valuation 2k + 2.  With x^k removed,
-Q1(0) != 0 and val(Q2) = k + 2 >= 2: the next tail is again the only
-power-series root of its quadratic, and its terms divide only by Q1(0).
-The record's own root starts it: its pivot 2*p2(0)*y0 + p1(0) is +-1,
-[x^0]Q1 = y0 * pivot when y0 != 0, and when y0 = 0, p1(0) is the pivot
-and the argument above holds.  Q0 = 0 means T' = 0, the end of the
-fraction: on the family, ab + c = 0.
-
-Leading terms.  As val(q2) >= 2, q2*T^2 = O(x^(2k+2)), so
-T = -q0/q1 mod x^(2k+2) and E is one short int division.  Only the
-record's own root, whose p2 may have valuation below 2, reads its leading
-terms off ``series._quadratic_root``.
-
-Runs of k = 0 steps.  The family's quadratics, and every tail after
-them, have the shape q2 = x^2*(r0 + r1*x), q1 = a0 + a1*x + a2*x^2 and
-q0 = b0 + b1*x.  The tail step multiplies the discriminant q1^2 - 4*q2*q0
-by v^2*x^(2k), and removing x^k divides it by x^(2k), so every tail's
-discriminant is the record's D = p1^2 - 4*p2*p0 times a constant square,
-and D(0) = pivot^2 = 1.  With D = 1 + D1*x + D2*x^2 + D3*x^3 + ..., a tail
-has van der Poorten's fixed-discriminant form (A. J. van der Poorten,
-"Elliptic curves and continued fractions", J. Integer Seq. 8 (2005))
-
-    T = (P + sqrt(D))/Q = R/(P - sqrt(D)),   P^2 - D = Q*R,   P(0) = -1,
-
-the root of Q*T^2 - 2*P*T + R = 0.  A k = 0 step has v = T(0) = -R(0)/2
-and v/T = v*(P - sqrt(D))/R = E - x^2*T', so T' = (P' + sqrt(D))/Q' with
+the root of Q*T^2 - 2*P*T + R = 0, and every tail keeps the record's D.
+A k = 0 step has v = T(0) and v/T = v*(P - sqrt(D))/R = E - x^2*T', so
+T' = (P' + sqrt(D))/Q' with
 
     P' = E*R/v - P,   Q' = x^2*R/v,
 
 and R' = (P'^2 - D)/Q' = (E^2*R/v - 2*E*P + v*Q)/x^2, a polynomial because
-E is v/T to its x term.  So after a k = 0 step from a closed-shape tail,
-Q = x^2*(-2 + q3*x), P = -1 - (D1/2)*x + p2*x^2 and R = rho + rho1*x, and
-the x^2 and x^3 terms of P^2 - D = Q*R give rho = p2 + c0 and
-rho1 = (q3*rho + D1*p2 + D3)/2, with c0 = D2/2 - D1^2/8 the x^2 term of
-sqrt(D).  The tail is two rationals, rho and w = rho1/rho - D1/4: it has
-v = -rho/2 and E = 1 + (D1/4 - w)*x, and its next tail has
+E is v/T to its x term.
+
+Runs of k = 0 steps.  Let D = 1 + D1*x + D2*x^2 + D3*x^3 + D4*x^4.  A
+tail with P(0) = -1 has v = -R(0)/2.  After a k = 0 step from a tail
+with P(0) = -1, deg P <= 2, deg Q <= 3 and deg R <= 1, the next tail has
+the same (when R is constant, the x^4 term of P^2 - D = Q*R keeps
+deg R' <= 1), with Q = x^2*(-2 + q3*x), P = -1 - (D1/2)*x + p2*x^2 and
+R = rho + rho1*x.  The x^2 and x^3 terms of P^2 - D = Q*R give
+rho = p2 + c0 and rho1 = (q3*rho + D1*p2 + D3)/2, with c0 = D2/2 - D1^2/8
+the x^2 term of sqrt(D).  The tail is two rationals, rho and
+w = rho1/rho - D1/4: it has v = -rho/2 and E = 1 + (D1/4 - w)*x, and its
+next tail has
 
     rho' = 2*w^2 + C - rho,   w' = K/rho' - w,
 
-with C = D2 - 3*D1^2/8 and K = (D3 - D1*c0)/2.  C and K are read off D
-alone, so they are fixed for the whole fraction, where the tails' ints
-carry a content that grows every step.  The code keeps v = -rho/2,
-t = w - K/rho and the fixed C/2 and K/2 as int pairs in lowest terms; a
-sum of two of them takes the gcd of their denominators and then of a
-divisor of it (Knuth), so a step takes two gcds on ints the size of v and
-w and a few with the fixed denominators.
-
-The map is entered from a closed-shape int tail, as T = R/(P - sqrt(D))
-with P = -q1/a0, Q = 2*q2/a0, R = 2*q0/a0 and D = (q1^2 - 4*q2*q0)/a0^2:
-D1 = 2*a1/a0, c0 = (a0*a2 - 2*r0*b0)/a0^2,
-C = (4*a0*a2 - 8*r0*b0 - a1^2)/(2*a0^2) and
-K = 2*(a1*r0*b0 - a0*r0*b1 - a0*r1*b0)/a0^3.  Its step yields v = -b0/a0,
-and with r = b1/b0 the next tail is rho = 2*r^2 - D1*r + a2/a0 + c0 and
-w = D1/4 - r + K/rho.
+with C = D2 - 3*D1^2/8 and K = (D3 - D1*c0)/2, the x^3 term of sqrt(D).
+C and K are read off D alone, so they are fixed for the whole fraction.
+The code keeps v = -rho/2, t = w - K/rho and the fixed C/2 and K/2 as int
+pairs in lowest terms; a sum of two of them takes the gcd of their
+denominators and then of a divisor of it (Knuth), so a step takes two
+gcds on ints the size of v and w and a few with the fixed denominators.
 
 Zero blocks.  At rho = 0, p2 = rho - c0 = -c0 and rho1 = (D1*p2 + D3)/2
 = K, so T = K*x/(P - sqrt(D)): a step with k = 1 and v = -K/2, and K = 0
@@ -159,10 +129,45 @@ x^2 term of P' = E*R/v - P gives rho' = 2*w^2 - D1^2/8 + c0 - p2: that is
 2*w^2 + C - rho where p2 = rho - c0, and 2*w^2 + C after T', where
 p2 = -c0.  In the code's terms a zero block yields -K/2 at k = 1 and at
 k = 0, keeps t and goes on with v = -(t^2 + C/2), so the map, once
-entered, runs to the end of the fraction.  A record whose D has a higher
-degree never reaches the closed shape and takes the general step
-throughout.  The values h_n have O(n^2) bits, and so do rho and w at
-step n.
+entered, runs to the end of the fraction.  The values h_n have O(n^2)
+bits, and so do rho and w at step n.
+
+Entry.  ``_h_fraction`` reads the record once, as ints q2, q1, q0: its
+polynomials times the lcm of their denominators, which changes neither
+the root, D nor any v.  It enters the map in closed form from one of two
+shapes, each with deg q2 <= 3 and deg q1 <= 2, so deg D <= 4.
+
+Shape A: val(q2) >= 2, deg q0 <= 1 and y0 != 0 (the family, ad,
+companion and curve records), q2 = x^2*(r0 + r1*x), q1 = a0 + a1*x +
+a2*x^2 and q0 = b0 + b1*x.  As p2(0) = 0, a0 is the pivot times the lcm
+and b0 = -a0*y0 != 0.  The record is T = R/(P - sqrt(D)) with P =
+-q1/a0, Q = 2*q2/a0, R = 2*q0/a0 and D = (q1^2 - 4*q2*q0)/a0^2: D1 =
+2*a1/a0, c0 = (a0*a2 - 2*r0*b0)/a0^2, C = (4*a0*a2 - 8*r0*b0 -
+a1^2)/(2*a0^2) and K = 2*(a1*r0*b0 - a0*r0*b1 - a0*r1*b0)/a0^3.  Its step
+yields v = -b0/a0 = y0, and with r = b1/b0 the next tail is rho = 2*r^2 -
+D1*r + a2/a0 + c0 and w = D1/4 - r + K/rho, the map's state read off the
+ints with no D built.
+
+Shape B: p2(0) != 0 and p0 = c*x with c != 0 (the curvef record).  Then
+y0 != 0 is a root of p2(0)*y^2 + p1(0)*y, so p2(0)*y0 = pivot and p1(0) =
+-pivot: P(0) = 1 = sqrt(D)(0) and R = 2*pivot*c*x.  Step 0 yields y0, and
+its next tail is (P' + sqrt(D))/Q' with Q' = x^2*R/y0 = 2*p2(0)*c*x^3.
+P' = E*R/y0 - P has degree at most 2, and the tail is a power series, so
+P' + sqrt(D) = O(x^3): P' = -(sqrt(D) mod x^3) = -1 - (D1/2)*x - c0*x^2
+for every such record.  So that tail is mu*Z, with mu = -1/(p2(0)*c) and
+Z = (P' + sqrt(D))/(-2*x^3) the tail after a zero block on the same D.
+The x^3 and x^4 terms of P'^2 - D are -2*K and c0^2 - D4, so Z has R =
+K*(1 + r*x) with r = (D4 - c0^2)/(2*K), and yields -K/2 at k = 0: step 1
+yields mu*(-K/2) = K/(2*p2(0)*c).  A tail scaled by mu has its v scaled
+by mu and the same next tail, so the map goes on as after a zero block,
+from w = r - D1/4 with v = -(w^2 + C/2) and t = -w.  With the ints'
+D = (d0 + d1*x + ... + d4*x^4)/d0, d0 = q1(0)^2 is the square of the lcm,
+so K/(2*p2(0)*c) = K*d0/(2*q2(0)*q0(1)).  K = 0 takes no entry.
+
+Any other record takes no entry: y0 = 0 (a first step with k > 0),
+val(p2) = 1, p2(0) != 0 with p0 not c*x, deg D > 4, or shape B with
+K = 0.  ``root_transform`` reads its transform by Bareiss off the
+expanded root, in O(N^3) where the map takes O(N).
 """
 
 from __future__ import annotations
@@ -172,7 +177,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .series import Quadratic, Series, _checked, _lowest, _packed, _quadratic_root, rational
+from .series import (Quadratic, Series, _checked, _discriminant, _lowest, _packed,
+                     _quadratic_root, rational)
 
 
 class InsufficientTerms(ValueError):
@@ -278,9 +284,11 @@ def hankel_transform(seq, order: int | None = None) -> HankelTransform:
     """The Hankel transform of a root or of terms (module docstring).
 
     ``seq`` is a ``Quadratic``, whose root's transform at ``order`` is read
-    off its H-fraction (``root_transform``), or terms: a Series, whose ints
-    are read as they are, or a sequence of rationals, which give all h_n
-    they determine, h_0 .. h_((len-1)//2), and take no ``order``.
+    off its H-fraction, or by Bareiss off the expanded root when the record
+    takes neither entry to the map (``root_transform``), or terms: a
+    Series, whose ints are read as they are, or a sequence of rationals,
+    which give all h_n they determine, h_0 .. h_((len-1)//2), and take no
+    ``order``.
     """
     if isinstance(seq, Quadratic):
         if order is None:
@@ -298,110 +306,51 @@ def hankel_transform(seq, order: int | None = None) -> HankelTransform:
     return HankelTransform(nums=tuple(hn), dens=tuple(hd), source_length=len(nums))
 
 
-def _poly_mul(p: list, q: list) -> list:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        for j, d in enumerate(q):
-            out[i + j] += c * d
-    return out
-
-
-def _primitive(*polys: list) -> tuple[list[int], ...]:
-    """Int polynomials divided by their common content, trailing zeros cut."""
-    g = math.gcd(*[c for p in polys for c in p])
-    out = []
-    for p in polys:
-        p = [c // g for c in p]
-        while p and not p[-1]:
-            p.pop()
-        out.append(p)
-    return tuple(out)
-
-
-def _add_scaled(acc: list, scale: int, p: list, shift: int) -> None:
-    """acc += scale * x^shift * p, growing acc as needed."""
-    acc.extend([0] * (len(p) + shift - len(acc)))
-    for j, t in enumerate(p, shift):
-        acc[j] += scale * t
-
-
-def _valuation(p: list) -> int | None:
-    return next((i for i, c in enumerate(p) if c), None)
-
-
-def _tail_step(q2: list, q1: list, q0: list, k: int, u: list, vn: int, vd: int):
-    """The quadratic of the tail after T, the root of q2*T^2 + q1*T + q0 = 0
-    whose first nonzero term is v*x^k, v = vn/vd, and whose terms
-    T_k .. T_(2k+1) are proportional to the ints u (module docstring):
-    primitive int lists with x^k removed."""
-    # E = u_0/u mod x^(k+2), with E_n = eps_n / u_0^n, over delta = u_0^(k+1)
-    u0 = u[0]
-    eps = [1]
-    for n in range(1, k + 2):
-        eps.append(-sum(u[i] * u0 ** (i - 1) * eps[n - i] for i in range(1, n + 1)))
-    delta = u0 ** (k + 1)
-    e = [t * u0 ** (k + 1 - n) for n, t in enumerate(eps)]
-    # Q2, Q1 and Q0 times (vd*delta)^2
-    q0e = _poly_mul(q0, e)
-    big_q1, big_q0 = [], []
-    _add_scaled(big_q1, -2 * vd * vd * delta, q0e, 0)
-    _add_scaled(big_q1, -vn * vd * delta * delta, q1, k)
-    _add_scaled(big_q0, vd * vd, _poly_mul(q0e, e), 0)
-    _add_scaled(big_q0, vn * vd * delta, _poly_mul(q1, e), k)
-    _add_scaled(big_q0, vn * vn * delta * delta, q2, 2 * k)
-    vv = vd * delta
-    return _primitive([0, 0] + [vv * vv * t for t in q0], big_q1[k:], big_q0[2 * k + 2:])
-
-
 def _h_fraction(eq: Quadratic):
-    """(k_j, vn_j, vd_j) for each step of the H-fraction of the root of
-    ``eq``, v_j = vn_j/vd_j in lowest terms with vd_j > 0, until a tail is
-    0 (module docstring)."""
+    """The steps (k_j, vn_j, vd_j) of the H-fraction of the root of ``eq``,
+    v_j = vn_j/vd_j in lowest terms with vd_j > 0, until a tail is 0, or
+    None when the record takes neither entry to the map (module docstring)."""
     polys, y0, _ = _checked(eq)
     lam = math.lcm(*[c.denominator for p in polys for c in p])
-    q2, q1, q0 = _primitive(*[[(c * lam).numerator for c in p] for p in polys])
-    k = 0 if y0 else _valuation(q0)
-    if k is None:
-        return
-    if any(q2[:2]):
-        # q2*T^2 reaches T's terms k .. 2k+1: read them off the series
-        lead = _quadratic_root(eq, 2 * k + 2)
-        u = lead._nums[k:]
-        yield k, *_reduced(u[0], lead._den)
-        q2, q1, q0 = _tail_step(q2, q1, q0, k, u, u[0], lead._den)
-        k = _valuation(q0)
-        if k is None:
-            return
-    while k or len(q2) > 4 or len(q1) > 3 or len(q0) > 2:
-        # T = -q0/q1 mod x^(2k+2), so sigma_n = [x^n]((q0/x^k)/q1) * c^(n+1)
-        # over ints, and u_n = -T_(k+n) * c^(k+2)
-        c = q1[0]
-        yield k, *_reduced(-q0[k], c)
-        sigma = []
-        for n in range(k + 2):
-            t = q0[k + n] * c ** n if k + n < len(q0) else 0
-            t -= sum(q1[j] * sigma[n - j] * c ** (j - 1)
-                     for j in range(1, min(n, len(q1) - 1) + 1))
-            sigma.append(t)
-        u = [t * c ** (k + 1 - n) for n, t in enumerate(sigma)]
-        q2, q1, q0 = _tail_step(q2, q1, q0, k, u, -q0[k], c)
-        k = _valuation(q0)
-        if k is None:
-            return
-    # the rest of the fraction on the map over D, entered at the ints of
-    # q2 = x^2*(r0 + r1*x), q1 = a0 + a1*x + a2*x^2, q0 = b0 + b1*x;
-    # v = -rho/2, t = w - K/rho (D1/4 - b1/b0 at entry), C/2 and K/2 are int
-    # pairs in lowest terms
-    r0, r1 = (q2 + [0, 0, 0, 0])[2:4]
-    a0, a1, a2 = q1 + [0] * (3 - len(q1))
-    b0, b1 = q0 + [0] * (2 - len(q0))
-    yield 0, *_reduced(-b0, a0)
-    m = a0 * a0
-    cn, cd = _reduced(4 * a0 * a2 - 8 * r0 * b0 - a1 * a1, 4 * m)
-    kn, kd = _reduced(a1 * r0 * b0 - a0 * (r0 * b1 + r1 * b0), m * a0)
-    vn, vd = _reduced(a0 * b1 * (a1 * b0 - a0 * b1) - (a0 * a2 - r0 * b0) * b0 * b0,
-                      m * b0 * b0)
-    tn, td = _reduced(a1 * b0 - 2 * a0 * b1, 2 * a0 * b0)
+    # the record's ints, padded so that each shape reads fixed places
+    q2, q1, q0 = ([(c * lam).numerator for c in p] + [0] * 4 for p in polys)
+    if not y0 or any(q2[4:] + q1[3:] + q0[2:]):
+        return None
+    if not any(q2[:2]):
+        # shape A: q2 = x^2*(r0 + r1*x), q1 = a0 + a1*x + a2*x^2, q0 = b0 + b1*x
+        r0, r1 = q2[2:4]
+        a0, a1, a2 = q1[:3]
+        b0, b1 = q0[:2]
+        m = a0 * a0
+        cn, cd = _reduced(4 * a0 * a2 - 8 * r0 * b0 - a1 * a1, 4 * m)
+        kn, kd = _reduced(a1 * r0 * b0 - a0 * (r0 * b1 + r1 * b0), m * a0)
+        vn, vd = _reduced(a0 * b1 * (a1 * b0 - a0 * b1) - (a0 * a2 - r0 * b0) * b0 * b0,
+                          m * b0 * b0)
+        tn, td = _reduced(a1 * b0 - 2 * a0 * b1, 2 * a0 * b0)
+        return _map([(0, y0, 1)], cn, cd, kn, kd, vn, vd, tn, td)
+    # val(p2) = 1 ends here too: y0 != 0 and p2(0) = 0 make p0(0) != 0
+    if q0[0] or not q0[1]:
+        return None
+    # shape B: q0 = c*x and D = (d0 + d1*x + ... + d4*x^4)/d0, with
+    # K = kk/(16*d0^3) and c0 = e/(8*d0^2)
+    d0, d1, d2, d3, d4 = _discriminant(q2[:4], q1[:3], q0[:2])
+    kk = 8 * d0 * d0 * d3 - 4 * d0 * d1 * d2 + d1 ** 3
+    if not kk:
+        return None
+    e = 4 * d0 * d2 - d1 * d1
+    cn, cd = _reduced(8 * d0 * d2 - 3 * d1 * d1, 16 * d0 * d0)
+    kn, kd = _reduced(kk, 32 * d0 ** 3)
+    wn, wd = _reduced(64 * d0 ** 3 * d4 - e * e - 2 * d1 * kk, 8 * d0 * kk)
+    vn, vd = _plus(-wn * wn, wd * wd, -cn, cd)
+    return _map([(0, y0, 1), (0, *_reduced(kk, 32 * d0 * d0 * q2[0] * q0[1]))],
+                cn, cd, kn, kd, vn, vd, -wn, wd)
+
+
+def _map(lead, cn: int, cd: int, kn: int, kd: int, vn: int, vd: int, tn: int, td: int):
+    """The lead steps, then the map's steps from the tail with v = vn/vd
+    and t = tn/td over the fixed C/2 = cn/cd and K/2 = kn/kd, all int
+    pairs in lowest terms, to the end of the fraction (module docstring)."""
+    yield from lead
     while True:
         while vn:
             yield 0, vn, vd
@@ -448,18 +397,25 @@ def _plus(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
 
 def root_transform(eq: Quadratic, order: int) -> HankelTransform:
     """The Hankel transform of the root of ``eq`` at ``order``, equal to
-    ``hankel_transform`` of the root's first ``order`` terms, read off its
-    H-fraction (module docstring): O(order) steps on the integer quadratics
-    of its tails, with no Series and no Fraction built."""
+    ``hankel_transform`` of the root's first ``order`` terms.  A record of
+    either entry shape (module docstring) reads it off its H-fraction:
+    O(order) steps of the fixed-discriminant map on int pairs, with no
+    Series and no Fraction built.  Any other record expands its root and
+    takes Bareiss, O(order^3)."""
     if order < 1:
         raise ValueError("order must be at least 1")
     top = (order - 1) // 2
+    steps = _h_fraction(eq)
+    if steps is None:
+        root = _quadratic_root(eq, order)
+        hn, hd = _hankel_values(root._nums, root._den, top)
+        return HankelTransform(nums=tuple(hn), dens=tuple(hd), source_length=order)
     nums, dens = [0] * (top + 1), [1] * (top + 1)
     # H_(s_(j+1)) = (-1)^(k_j(k_j+1)/2) * H_(s_j) * (v_0...v_j)^(k_j+1) with
     # s_(j+1) = s_j + k_j + 1, and h_n = H_(n+1); H over hd and the running
     # product over pd, both in lowest terms
     s, h, hd, p, pd = 0, 1, 1, 1, 1
-    for k, vn, vd in _h_fraction(eq):
+    for k, vn, vd in steps:
         p, pd = _times(p, pd, vn, vd)
         h, hd = _times(h, hd, p ** (k + 1), pd ** (k + 1))
         if (k * (k + 1) // 2) & 1:

@@ -401,7 +401,10 @@ class Quadratic:
     root is one power series, fixed term by term.  The quadratic alone
     does not name it: f's equation has roots with f(0) = 0 and 1.
     ``_quadratic_root`` expands the root and ``hankel.root_transform``
-    reads its Hankel transform off the same record.
+    reads its Hankel transform off the same record: off its H-fraction
+    when the record has one of the two shapes the fixed-discriminant map
+    enters (every record the library builds does), else by Bareiss on the
+    expanded root.
     """
 
     p2: tuple
@@ -458,6 +461,18 @@ def _image_lam(dens) -> int:
     return lam
 
 
+def _discriminant(p2, p1, p0) -> list:
+    """p1^2 - 4*p2*p0 of coefficient lists, as a coefficient list."""
+    dd = [0] * (max(2 * len(p1), len(p2) + len(p0)) - 1)
+    for i, c in enumerate(p1):
+        for j, e in enumerate(p1):
+            dd[i + j] += c * e
+    for i, c in enumerate(p2):
+        for j, e in enumerate(p0):
+            dd[i + j] -= 4 * c * e
+    return dd
+
+
 def _root_ints(p2, p1, p0, pivot: int, order: int) -> list[int]:
     """Y_0 .. Y_(order-1) of the root of p2*Y^2 + p1*Y + p0 = 0 whose pivot
     2*p2[0]*Y_0 + p1[0] is ``pivot``, +-1, for int coefficient lists.
@@ -482,14 +497,7 @@ def _root_ints(p2, p1, p0, pivot: int, order: int) -> list[int]:
             ys.append(-pivot * r)
         return ys
     v = next(j for j, c in enumerate(p2) if c)
-    dd = [0] * (max(2 * len(p1), len(p2) + len(p0)) - 1)
-    for i, c in enumerate(p1):
-        for j, e in enumerate(p1):
-            dd[i + j] += c * e
-    for i, c in enumerate(p2):
-        for j, e in enumerate(p0):
-            dd[i + j] -= 4 * c * e
-    ds = [(i, c) for i, c in enumerate(dd) if i and c]
+    ds = [(i, c) for i, c in enumerate(_discriminant(p2, p1, p0)) if i and c]
     ss = [pivot]
     for n in range(1, order + v):
         t = 0

@@ -9,8 +9,9 @@ import riopi.hankel
 from riopi.elliptic import f_equation, f_from_curve
 from riopi.family import (FamilyParams, companion, companion_equation, equation, g_ad,
                           g_family)
-from riopi.hankel import (InsufficientTerms, _h_fraction, _leading_minors, _primitive,
-                          hankel_det, hankel_transform, root_transform)
+from riopi.hankel import (InsufficientTerms, _h_fraction, _leading_minors, hankel_det,
+                          hankel_transform, root_transform)
+from riopi.knowndata import GENERATORS
 from riopi.series import Quadratic, Series, _quadratic_root
 
 from conftest import rand_fraction
@@ -634,24 +635,24 @@ class TestRootTransform:
                     (build.__name__, p, order)
 
     def test_every_entry_reads_the_constants_of_d(self, monkeypatch):
-        # each tail's discriminant q1^2 - 4*q2*q0 is the record's D times a
-        # constant square, so the map's C and K, read off the ints of the
-        # closed-shape tail it is entered at, are the constants of D.  The
-        # map is entered once, at the last int tail, and runs to the end of
-        # the fraction: each of its zero blocks yields -K/2 at k = 1 and
-        # again at the k = 0 step after it
-        tails = []
+        # the map's C and K, read off the record's ints at either entry
+        # (shape A for the family and its companion, shape B for curvef),
+        # are the constants of the record's D = p1^2 - 4*p2*p0.  The map is
+        # entered once and runs to the end of the fraction: each of its
+        # zero blocks yields -K/2 at k = 1 and again at the k = 0 step
+        # after it
+        entries, enter = [], riopi.hankel._map
 
-        def spy(*polys):
-            tails.append(_primitive(*polys))
-            return tails[-1]
+        def spy(*args):
+            entries.append(args)
+            return enter(*args)
 
-        monkeypatch.setattr("riopi.hankel._primitive", spy)
+        monkeypatch.setattr(riopi.hankel, "_map", spy)
         for eq in (equation(FamilyParams.of(1, 3, 3)), companion_equation(FamilyParams.of(3, -1, 0)),
                    equation(FamilyParams.of(Fraction(-2, 3), 0, Fraction(1, 2))),
                    companion_equation(FamilyParams.of(Fraction(1, 2), Fraction(-2, 3), 0)),
                    f_equation(1)):
-            tails.clear()
+            entries.clear()
             steps = list(islice(_h_fraction(eq), 64))
             p2, p1, p0 = ([Fraction(c) for c in p] for p in (eq.p2, eq.p1, eq.p0))
             d = [0] * 5
@@ -663,19 +664,11 @@ class TestRootTransform:
                     d[i + j] -= 4 * u * w
             assert d[0] == 1
             c0 = d[2] / 2 - d[1] ** 2 / 8
-            want = (d[2] - 3 * d[1] ** 2 / 8, (d[3] - d[1] * c0) / 2)
-            entries = [i for i, (q2, q1, q0) in enumerate(tails)
-                       if len(q2) <= 4 and not any(q2[:2]) and len(q1) <= 3
-                       and 1 <= len(q0) <= 2 and q0[0]]
-            assert entries == [len(tails) - 1], eq
-            q2, q1, q0 = tails[-1]
-            r0, r1 = (q2 + [0, 0])[2:4]
-            a0, a1, a2 = q1 + [0] * (3 - len(q1))
-            b0, b1 = q0 + [0] * (2 - len(q0))
-            got = (Fraction(4 * a0 * a2 - 8 * r0 * b0 - a1 * a1, 2 * a0 * a0),
-                   Fraction(2 * (a1 * r0 * b0 - a0 * r0 * b1 - a0 * r1 * b0), a0 ** 3))
-            assert got == want, eq
-            v = -want[1] / 2
+            half_c, half_k = (d[2] - 3 * d[1] ** 2 / 8) / 2, (d[3] - d[1] * c0) / 4
+            assert len(entries) == 1, eq
+            _, cn, cd, kn, kd, *_ = entries[0]
+            assert (Fraction(cn, cd), Fraction(kn, kd)) == (half_c, half_k), eq
+            v = -half_k
             blocks = [j for j in range(len(steps) - 1) if steps[j][0]]
             assert len(blocks) >= 5, eq
             for j in blocks:
@@ -683,8 +676,8 @@ class TestRootTransform:
                                           (0, v.numerator, v.denominator)], (eq, j)
 
     # sha256 of " ".join(map(str, values)), first 16 hex digits, at orders
-    # 64 and 128: the values the general int step gives when it takes each
-    # zero block itself
+    # 64 and 128: the values the H-fraction gave when a general int step
+    # took each zero block itself
     PINNED = (
         (equation, (1, 3, 3), "dac84f353c7155fa", "3b5ecf196b665dda"),
         (companion_equation, (1, 3, 3), "e0ed73b8199dbec7", "c63045b901205903"),
@@ -701,18 +694,23 @@ class TestRootTransform:
         (lambda p: f_equation(p.a), (Fraction(-11, 2),), "92d3bc3a2758baa6", "c4b68d9385ea151a"),
     )
 
-    def test_no_tail_step_after_the_lead_step(self, monkeypatch):
-        # a closed-shape record stays on the map from its entry on: the only
-        # general step it may take is the lead step off its own root (whose
-        # q2 has valuation below 2), and its values are the pinned ones
-        tail_step = riopi.hankel._tail_step
+    def test_production_records_never_fall_back(self, rng, monkeypatch):
+        # every equation kind the library builds enters the map (shape A or
+        # B), so root_transform never expands its root for Bareiss; and the
+        # pinned values hold on that route
+        def refuse(eq, order):
+            raise AssertionError(f"{eq} fell back to Bareiss")
 
-        def lead_only(q2, *args):
-            if not any(q2[:2]):
-                raise AssertionError("a general step after the lead step")
-            return tail_step(q2, *args)
-
-        monkeypatch.setattr(riopi.hankel, "_tail_step", lead_only)
+        monkeypatch.setattr(riopi.hankel, "_quadratic_root", refuse)
+        for kind, gen in GENERATORS.items():
+            if gen.equation is None:
+                continue
+            for i in range(6):
+                params = tuple(Fraction(rng.randint(-6, 6)) if i % 2 else
+                               rand_fraction(rng, span=9, dens=(1, 2, 3, 7))
+                               for _ in range(gen.arity))
+                for order in (1, 2, 3, 4, 5, 9, 16, 33, 64, 128):
+                    root_transform(gen.equation(params), order)
         for eq, p, *digests in self.PINNED:
             p = FamilyParams.of(*p, *[0] * (3 - len(p)))
             for order, digest in zip((64, 128), digests):
@@ -729,28 +727,31 @@ class TestRootTransform:
             assert list(values) == [(-1) ** n * psi[n + 1] for n in range(101)], a
 
     def test_zero_blocks_and_first_steps(self):
-        # zero blocks of length 1, 2 and 3, roots with y0 = 0 (first step
-        # with k > 0), p2(0) != 0 (first step off the series kernel), a
-        # polynomial root whose fraction ends, and the zero root
+        # zero blocks of length 1 on the map, and records that take neither
+        # entry (None): zero blocks of length 2 and 3 (deg D > 4), roots
+        # with y0 = 0 (first step with k > 0), p2(0) != 0 with p0(0) != 0,
+        # a polynomial root whose fraction ends, and the zero root
         cases = {
-            Quadratic((0,), (1, 0, 0, -1), (-1,), 1): [0, 1],
+            Quadratic((0,), (1, 0, 0, -1), (-1,), 1): None,
             Quadratic((0, 0, 0, -1), (1,), (-1,), 1): [0, 1, 0, 1, 0, 1],
-            Quadratic((0, 0, 0, 0, -1), (1, 0, -1), (-1,), 1): [0, 0, 0, 2, 0, 0],
-            Quadratic((0,), (1,), (0, 0, 0, -1, 0, 0, 2), 0): [3, 1, 0],
-            Quadratic((1,), (-1,), (0, 0, 1), 0): [2, 0, 0, 0, 0, 0],
-            Quadratic((2, 1), (-1, 3), (0, 0, 0, 1, Fraction(1, 2)), 0): [3, 0, 0, 0, 0, 0],
-            Quadratic((1,), (-1,), (0,), 1): [0],
-            Quadratic((0,), (1,), (0,), 0): [],
+            Quadratic((0, 0, 0, 0, -1), (1, 0, -1), (-1,), 1): None,
+            Quadratic((0,), (1,), (0, 0, 0, -1, 0, 0, 2), 0): None,
+            Quadratic((1,), (-1,), (0, 0, 1), 0): None,
+            Quadratic((2, 1), (-1, 3), (0, 0, 0, 1, Fraction(1, 2)), 0): None,
+            Quadratic((1,), (-1,), (0,), 1): None,
+            Quadratic((0,), (1,), (0,), 0): None,
         }
         for eq, blocks in cases.items():
-            assert [step[0] for _, step in zip(range(6), _h_fraction(eq))] == blocks, eq
+            steps = _h_fraction(eq)
+            assert (steps if blocks is None
+                    else [step[0] for _, step in zip(range(6), steps)]) == blocks, eq
             for order in range(1, 40):
                 want = hankel_transform(_quadratic_root(eq, order))
                 assert root_transform(eq, order) == want, (eq, order)
 
     def test_random_quadratics(self, rng):
-        # random records of every shape the pivot rule allows: tails of
-        # higher degree than the family's take the general step throughout
+        # random records of every shape the pivot rule allows: those outside
+        # both entries to the map take Bareiss
         def poly(constant):
             return tuple([constant] + [rng.choice((0, rand_fraction(rng)))
                                        for _ in range(rng.randint(0, 3))])
@@ -759,6 +760,56 @@ class TestRootTransform:
             c1 = pivot - 2 * c2 * y0
             eq = Quadratic(poly(c2), poly(c1), poly(-c2 * y0 * y0 - c1 * y0), y0)
             for order in (1, 2, 6, 13, 20):
+                want = hankel_transform(_quadratic_root(eq, order))
+                assert root_transform(eq, order) == want, (eq, order)
+
+    def test_shape_b_records(self, rng):
+        # p2(0) = +-1 with y0 = -+1 (pivot -1) or y0 = +-1 (pivot 1, as
+        # curvef), and p0 = c*x for p/q c of both signs: step 0 yields y0,
+        # step 1 the zero-block tail's -K/2 scaled, then the map
+        def poly(constant, degree):
+            return (constant,) + tuple(rng.choice((0, rand_fraction(rng, dens=(1, 2, 3, 7))))
+                                       for _ in range(rng.randint(0, degree)))
+        taken = 0
+        for i in range(40):
+            c2, y0 = rng.choice((1, -1)), rng.choice((1, -1))
+            c = rand_fraction(rng, span=5, dens=(2, 3, 5)) or Fraction(1, 2)
+            c = abs(c) if i % 2 else -abs(c)
+            eq = Quadratic(poly(c2, 3), poly(-c2 * y0, 2), (0, c), y0)
+            steps = _h_fraction(eq)
+            if steps is not None:
+                taken += 1
+                assert next(steps) == (0, y0, 1), eq
+            for order in range(1, 41):
+                want = hankel_transform(_quadratic_root(eq, order))
+                assert root_transform(eq, order) == want, (eq, order)
+        assert taken >= 35
+
+    def test_shape_a_records_off_y0_one(self, rng):
+        # shape A with y0 not in {0, 1}: step 0 yields y0 = -b0/a0
+        for i in range(30):
+            y0, pivot = rng.choice((-3, -2, -1, 2, 3)), rng.choice((1, -1))
+            eq = Quadratic((0, 0, rand_fraction(rng), rand_fraction(rng)),
+                           (pivot, rand_fraction(rng), rand_fraction(rng)),
+                           (-pivot * y0, rand_fraction(rng)), y0)
+            assert next(_h_fraction(eq)) == (0, y0, 1), eq
+            for order in range(1, 41):
+                want = hankel_transform(_quadratic_root(eq, order))
+                assert root_transform(eq, order) == want, (eq, order)
+
+    def test_fallback_shapes_take_bareiss(self):
+        # records with neither entry: y0 = 0, val(p2) = 1, deg D > 4 (from
+        # each of p2, p1 and p0), p2(0) != 0 with p0(0) != 0, and shape B
+        # with K = 0 (p2 = 1 - 2x^2, p1 = 1, p0 = x)
+        for eq in (Quadratic((0, 0, 1), (1, 2), (0, Fraction(1, 3)), 0),
+                   Quadratic((0, 1, -1), (-1, Fraction(1, 2)), (2, 1), 2),
+                   Quadratic((0, 0, 1, 0, Fraction(-1, 2)), (1, 1), (-1,), 1),
+                   Quadratic((0, 0, 1), (1, 0, 0, 2), (-1, 3), 1),
+                   Quadratic((0, 0, -1), (-1, 1), (1, 0, Fraction(2, 3)), 1),
+                   Quadratic((1, 2), (-3, 1), (2, -1), 1),
+                   Quadratic((1, 0, -2), (1,), (0, 1), -1)):
+            assert _h_fraction(eq) is None, eq
+            for order in range(1, 41):
                 want = hankel_transform(_quadratic_root(eq, order))
                 assert root_transform(eq, order) == want, (eq, order)
 
