@@ -111,8 +111,10 @@ with C = D2 - 3*D1^2/8 and K = (D3 - D1*c0)/2, the x^3 term of sqrt(D).
 C and K are read off D alone, so they are fixed for the whole fraction.
 The code keeps v = -rho/2, t = w - K/rho and the fixed C/2 and K/2 as int
 pairs in lowest terms; a sum of two of them takes the gcd of their
-denominators and then of a divisor of it (Knuth), so a step takes two
-gcds on ints the size of v and w and a few with the fixed denominators.
+denominators and then of a divisor of it (Knuth).  A step is one product
+and three such sums, written out in ints with no helper call: two gcds on
+ints the size of v and w, and the others with the fixed denominators or
+a divisor of a denominator.
 
 Zero blocks.  At rho = 0, p2 = rho - c0 = -c0 and rho1 = (D1*p2 + D3)/2
 = K, so T = K*x/(P - sqrt(D)): a step with k = 1 and v = -K/2, and K = 0
@@ -132,10 +134,12 @@ k = 0, keeps t and goes on with v = -(t^2 + C/2), so the map, once
 entered, runs to the end of the fraction.  The values h_n have O(n^2)
 bits, and so do rho and w at step n.
 
-Entry.  ``_h_fraction`` reads the record once, as ints q2, q1, q0: its
-polynomials times the lcm of their denominators, which changes neither
-the root, D nor any v.  It enters the map in closed form from one of two
-shapes, each with deg q2 <= 3 and deg q1 <= 2, so deg D <= 4.
+Entry.  ``_h_fraction`` reads the record once, as ints q2, q1, q0:
+``series._checked`` gives each coefficient as an int pair n/d in lowest
+terms, and n*(lam//d), with lam the lcm of the d, is its coefficient in
+the polynomials times lam, which changes neither the root, D nor any v.
+It enters the map in closed form from one of two shapes, each with
+deg q2 <= 3 and deg q1 <= 2, so deg D <= 4.
 
 Shape A: val(q2) >= 2, deg q0 <= 1 and y0 != 0 (the family, ad,
 companion and curve records), q2 = x^2*(r0 + r1*x), q1 = a0 + a1*x +
@@ -311,9 +315,9 @@ def _h_fraction(eq: Quadratic):
     v_j = vn_j/vd_j in lowest terms with vd_j > 0, until a tail is 0, or
     None when the record takes neither entry to the map (module docstring)."""
     polys, y0, _ = _checked(eq)
-    lam = math.lcm(*[c.denominator for p in polys for c in p])
+    lam = math.lcm(*[d for p in polys for _, d in p])
     # the record's ints, padded so that each shape reads fixed places
-    q2, q1, q0 = ([(c * lam).numerator for c in p] + [0] * 4 for p in polys)
+    q2, q1, q0 = ([n * (lam // d) for n, d in p] + [0] * 4 for p in polys)
     if not y0 or any(q2[4:] + q1[3:] + q0[2:]):
         return None
     if not any(q2[:2]):
@@ -349,18 +353,38 @@ def _h_fraction(eq: Quadratic):
 def _map(lead, cn: int, cd: int, kn: int, kd: int, vn: int, vd: int, tn: int, td: int):
     """The lead steps, then the map's steps from the tail with v = vn/vd
     and t = tn/td over the fixed C/2 = cn/cd and K/2 = kn/kd, all int
-    pairs in lowest terms, to the end of the fraction (module docstring)."""
+    pairs in lowest terms, to the end of the fraction (module docstring).
+    A k = 0 step is one product and three sums of such pairs, written out
+    in ints: a product of a/b and c/d takes gcd(a, d) and gcd(c, b) out,
+    and a sum is ``_plus``'s."""
+    gcd = math.gcd
     yield from lead
     while True:
         while vn:
             yield 0, vn, vd
-            # w = t + K/rho; rho' = 2*w^2 + C - rho, so v' = -(w^2 + C/2 + v)
-            qn, qd = _times(kn, kd, vd, vn)
+            # w = t + K/rho = t - (K/2)/v
+            g1, g2 = gcd(kn, vn), gcd(vd, kd)
+            qn, qd = (kn // g1) * (vd // g2), (kd // g2) * (vn // g1)
             if qd < 0:
                 qn, qd = -qn, -qd
-            wn, wd = _plus(tn, td, -qn, qd)
-            sn, sd = _plus(wn * wn, wd * wd, cn, cd)
-            vn, vd = _plus(-sn, sd, -vn, vd)
+            g = gcd(td, qd)
+            e = td // g
+            n = tn * (qd // g) - qn * e
+            g2 = gcd(n, g)
+            wn, wd = n // g2, e * (qd // g2)
+            # rho' = 2*w^2 + C - rho, so v' = -(w^2 + C/2 + v); w^2 is in
+            # lowest terms as w is
+            sd = wd * wd
+            g = gcd(sd, cd)
+            e = sd // g
+            n = wn * wn * (cd // g) + cn * e
+            g2 = gcd(n, g)
+            sn, sd = n // g2, e * (cd // g2)
+            g = gcd(sd, vd)
+            e = sd // g
+            n = -sn * (vd // g) - vn * e
+            g2 = gcd(n, g)
+            vn, vd = n // g2, e * (vd // g2)
             tn, td = -wn, wd
         # a zero block: the tail at rho = 0 and the one after it both start
         # with -K/2, and the next has v = -(t^2 + C/2) with the same t
@@ -377,12 +401,6 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     if d < 0:
         g = -g
     return n // g, d // g
-
-
-def _times(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-    """(an/ad) * (bn/bd) in lowest terms, both factors in lowest terms."""
-    g1, g2 = math.gcd(an, bd), math.gcd(bn, ad)
-    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
 
 
 def _plus(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
@@ -413,13 +431,21 @@ def root_transform(eq: Quadratic, order: int) -> HankelTransform:
     nums, dens = [0] * (top + 1), [1] * (top + 1)
     # H_(s_(j+1)) = (-1)^(k_j(k_j+1)/2) * H_(s_j) * (v_0...v_j)^(k_j+1) with
     # s_(j+1) = s_j + k_j + 1, and h_n = H_(n+1); H over hd and the running
-    # product over pd, both in lowest terms
+    # product over pd, both in lowest terms: each product of a/b and c/d
+    # takes gcd(a, d) and gcd(c, b) out, and a k = 0 step takes no power
+    gcd = math.gcd
     s, h, hd, p, pd = 0, 1, 1, 1, 1
     for k, vn, vd in steps:
-        p, pd = _times(p, pd, vn, vd)
-        h, hd = _times(h, hd, p ** (k + 1), pd ** (k + 1))
-        if (k * (k + 1) // 2) & 1:
-            h = -h
+        g1, g2 = gcd(p, vd), gcd(vn, pd)
+        p, pd = (p // g1) * (vn // g2), (pd // g2) * (vd // g1)
+        if k:
+            an, ad = p ** (k + 1), pd ** (k + 1)
+            if (k * (k + 1) // 2) & 1:
+                an = -an
+        else:
+            an, ad = p, pd
+        g1, g2 = gcd(h, ad), gcd(an, hd)
+        h, hd = (h // g1) * (an // g2), (hd // g2) * (ad // g1)
         s += k + 1
         if s > top + 1:
             break

@@ -413,23 +413,33 @@ class Quadratic:
     y0: int
 
 
-def _checked(eq: Quadratic) -> tuple[list[list[Fraction]], int, int]:
-    """The polynomials of ``eq`` as Fractions, y0 and the pivot, after
-    checking the conditions ``Quadratic`` states."""
+def _checked(eq: Quadratic) -> tuple[list[list[tuple[int, int]]], int, int]:
+    """The polynomials of ``eq`` as int (numerator, denominator) pairs in
+    lowest terms, y0 and the pivot, after checking the conditions
+    ``Quadratic`` states.  An int is read as it is and any other value
+    through ``rational``, which returns a Fraction as it is."""
     for name, p in (("p2", eq.p2), ("p1", eq.p1), ("p0", eq.p0)):
         if not p:
             raise ValueError(f"{name} is empty: each polynomial needs its constant term")
-    polys = [[rational(c) for c in p] for p in (eq.p2, eq.p1, eq.p0)]
-    consts = [p[0] for p in polys] + [rational(eq.y0)]
-    if any(v.denominator != 1 for v in consts):
+    polys = [[_pair(c) for c in p] for p in (eq.p2, eq.p1, eq.p0)]
+    (c2, e2), (c1, e1), (c0, e0) = [p[0] for p in polys]
+    y0, e = _pair(eq.y0)
+    if e2 != 1 or e1 != 1 or e0 != 1 or e != 1:
         raise ValueError("constant terms and y0 must be integers")
-    c2, c1, c0, y0 = [v.numerator for v in consts]
     pivot = 2 * c2 * y0 + c1
     if pivot not in (1, -1):
         raise ValueError(f"pivot 2*p2(0)*y0 + p1(0) is {pivot}, need +1 or -1")
     if c2 * y0 * y0 + c1 * y0 + c0:
         raise ValueError(f"y0 = {y0} is no root of the constant terms")
     return polys, y0, pivot
+
+
+def _pair(value) -> tuple[int, int]:
+    """An exact rational as its (numerator, denominator) in lowest terms."""
+    if type(value) is int:
+        return value, 1
+    value = rational(value)
+    return value.numerator, value.denominator
 
 
 def _quadratic_root(eq: Quadratic, order: int) -> Series:
@@ -443,8 +453,8 @@ def _quadratic_root(eq: Quadratic, order: int) -> Series:
     if order < 1:
         raise ValueError("order must be at least 1")
     polys, _, pivot = _checked(eq)
-    lam = _image_lam([(j, c.denominator) for p in polys for j, c in enumerate(p)])
-    p2, p1, p0 = ([(c * lam ** j).numerator for j, c in enumerate(p)] for p in polys)
+    lam = _image_lam([(j, d) for p in polys for j, (_, d) in enumerate(p)])
+    p2, p1, p0 = ([n * lam ** j // d for j, (n, d) in enumerate(p)] for p in polys)
     return Series._raw(*_image_values(_root_ints(p2, p1, p0, pivot, order), lam))
 
 

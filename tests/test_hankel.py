@@ -832,3 +832,16 @@ class TestRootTransform:
             root_transform(Quadratic((1,), (0,), (-1,), 1), 8)
         with pytest.raises(ValueError, match="^p0 is empty"):
             hankel_transform(Quadratic((0,), (1,), (), 0), 5)
+        # the record is read as ints: floats stay TypeError, a decimal string
+        # ValueError, and a 'p/q' string reads as its Fraction
+        for eq in (Quadratic((0,), (-1, 0.5), (1,), 1), Quadratic((0,), (-1,), (1,), 1.0)):
+            with pytest.raises(TypeError, match="^not an exact rational"):
+                root_transform(eq, 8)
+        with pytest.raises(ValueError, match="^malformed rational '0.5'"):
+            root_transform(Quadratic((0,), (-1, '0.5'), (1,), 1), 8)
+        fractions = equation(FamilyParams.of('1/2', '-2/3', '5/3'))
+        strings = Quadratic((0, 0, '2/3', '-5/3'), (-1, '1/2', '-2/3'), (1,), Fraction(1))
+        assert fractions.p2[2:] == (Fraction(2, 3), Fraction(-5, 3))
+        for order in (9, 40):
+            want, got = root_transform(fractions, order), root_transform(strings, order)
+            assert (got.nums, got.dens) == (want.nums, want.dens)

@@ -231,3 +231,14 @@ def test_quadratic_root_rejects():
                      (Quadratic((0,), (1,), (), 0), "p0")):
         with pytest.raises(ValueError, match=f"^{name} is empty"):
             _quadratic_root(eq, 5)
+    # the record is read as ints: floats stay TypeError, a decimal string
+    # ValueError, and a 'p/q' string reads as its Fraction
+    for eq in (Quadratic((0,), (-1, 0.5), (1,), 1), Quadratic((0,), (-1,), (1,), 1.0)):
+        with pytest.raises(TypeError, match="^not an exact rational"):
+            _quadratic_root(eq, 8)
+    with pytest.raises(ValueError, match="^malformed rational '0.5'"):
+        _quadratic_root(Quadratic((0,), (-1, '0.5'), (1,), 1), 8)
+    fractions = Quadratic((0, 0, Fraction(2, 3), Fraction(-5, 3)), (-1, Fraction(1, 2), Fraction(-2, 3)),
+                          (1,), 1)
+    strings = Quadratic((0, 0, '2/3', '-5/3'), (-1, '1/2', '-2/3'), (1,), Fraction(1))
+    assert _quadratic_root(strings, 16) == _quadratic_root(fractions, 16)
