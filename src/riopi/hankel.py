@@ -438,10 +438,8 @@ def root_transform(eq: Quadratic, order: int) -> HankelTransform:
     for k, vn, vd in steps:
         g1, g2 = gcd(p, vd), gcd(vn, pd)
         p, pd = (p // g1) * (vn // g2), (pd // g2) * (vd // g1)
-        if k:
-            an, ad = p ** (k + 1), pd ** (k + 1)
-            if (k * (k + 1) // 2) & 1:
-                an = -an
+        if k:  # k = 1, a zero block's first step (``_map``)
+            an, ad = -p * p, pd * pd
         else:
             an, ad = p, pd
         g1, g2 = gcd(h, ad), gcd(an, hd)

@@ -5,10 +5,13 @@ riopi's Riordan array is the Bell array (g, x*g) of a g with g(0) = 1: the
 lower-triangular matrix t[n][k] = [x^n] g*(x*g)^k = [x^(n-k)] g^(k+1),
 whose diagonal is 1.  Its production matrix is its A-sequence: f = x*A(f)
 with f = x*g gives A(x*g) = g, and then g = 1 + x*g*Z(f) gives
-Z = (A - 1)/x.  A Bell array whose signed version (g, -x*g) squares to
-the identity is a pseudo-involution, and those are exactly the arrays that
-admit a B-sequence recurrence along their rows.  One read-off of the
-B-sequence decides both: is_pseudo_involution, b_extract and the
+Z = (A - 1)/x.  The triangle, the A-sequence that ``a_and_z`` solves
+for and the B-sequence walk below all read one table of powers of g
+(``_powers``): g^(k+1) cut to the terms each reader needs, as int rows
+over one denominator.  A Bell array whose signed version (g, -x*g)
+squares to the identity is a pseudo-involution, and those are exactly the
+arrays that admit a B-sequence recurrence along their rows.  One read-off
+of the B-sequence decides both: is_pseudo_involution, b_extract and the
 production matrix share it, and it runs once per g: the last read-off is
 remembered for the next call on the same prefix.
 
@@ -206,6 +209,20 @@ def _b_expansion(b0: Fraction, b1: Fraction, ratio: Fraction, terms: int) -> BSe
         den * q ** top)
 
 
+def _powers(g: Series, widths) -> tuple[list[list[int]], int]:
+    """The table of powers of g: g^(k+1) cut to widths[k] terms, as int
+    rows q[k] over one denominator m, for widths that never grow and start
+    at most g.order.  Each power is the last one cut to the next width
+    times g, so no product works out a term that its row drops."""
+    p = g.truncate(widths[0])
+    powers = [p]
+    for w in widths[1:]:
+        p = p.truncate(w) * g
+        powers.append(p)
+    m = math.lcm(*[p._den for p in powers])
+    return [[v * (m // p._den) for v in p._nums] for p in powers], m
+
+
 class RiordanArray:
     """The Bell array (g, x*g) of a g with unit constant term: t[n][k] is
     [x^n] g*f^k with f = x*g."""
@@ -234,40 +251,39 @@ class RiordanArray:
         """First ``size`` rows, row n holding columns 0..n."""
         if size < 1 or size > self.order:
             raise OutOfOrder(f"size {size} outside 1..{self.order}")
-        g = self.g.truncate(size)
-        f = g.shift(1).truncate(size)
-        rows = [[_ZERO] * (n + 1) for n in range(size)]
-        col = g
-        for k in range(size):
-            cs = col.coeffs
-            for n in range(k, size):
-                rows[n][k] = cs[n]
-            if k + 1 < size:
-                col = col * f
-        return TriangularMatrix(tuple([tuple(r) for r in rows]))
+        q, m = _powers(self.g, range(size, 0, -1))
+        return TriangularMatrix(tuple([tuple([Fraction(q[k][n - k], m) for k in range(n + 1)])
+                                       for n in range(size)]))
 
     # -- production structure ----------------------------------------------
 
     def a_and_z(self) -> ProductionMatrix:
         """The production matrix of size order - 1, its A read off the
-        triangle with no division; order < 2 raises NotRevertible.
+        triangle's entries with no division; order < 2 raises
+        NotRevertible.
 
         Column 1 of M*P = Mbar (M the array, Mbar M without its first row)
         is t[n+1][1] = sum_(j<=n) t[n][j]*a_j, which is f = x*A(f) at
         x^(n+1).  As t[n+1][1] = [x^n] g^2 and the pivot t[n][n] is 1,
         a_n = [x^n] g^2 - sum_(j<n) t[n][j]*a_j, so the identity holds by
         construction.  Column 0 holds with it: A(x*g) = g makes
-        Z = (A - 1)/x solve g = 1 + x*g*Z(f), and Z is A's tail.
+        Z = (A - 1)/x solve g = 1 + x*g*Z(f), and Z is A's tail.  Both g^2
+        and every t[n][j] = [x^(n-j)] g^(j+1) come from one table of
+        powers (``_powers``), and the a_n are solved over its ints; no
+        triangle is built.
         """
         order = self.order
         if order < 2:
             raise NotRevertible("need order >= 2")
-        t = self.triangle(order)
-        square = (self.g * self.g).coeffs
-        a: list[Fraction] = []
+        # t[n][j] = q[j][n-j]/m, [x^n] g^2 = q[1][n]/m and a_j = a[j]/e, so
+        # a_n = (q[1][n]*e - sum_(j<n) q[j][n-j]*a[j]) / (m*e)
+        q, m = _powers(self.g, [order, order, *range(order - 2, 1, -1)])
+        a: list[int] = []
+        e = 1
         for n in range(order):
-            a.append(square[n] - sum(map(mul, a, t[n])))
-        return ProductionMatrix(a)
+            top = q[1][n] * e - sum([q[j][n - j] * a[j] for j in range(n)])
+            a, e = _append_ratio(a, e, top, m)
+        return ProductionMatrix._from_a(Series._reduced(a, e))
 
     def production_matrix(self, size: int | None = None) -> ProductionMatrix:
         """Lower-Hessenberg production matrix P: Z = (A - 1)/x in column 0
@@ -430,15 +446,9 @@ def _rational_b(gs: tuple[int, ...], d: int, head: BSequence, member: tuple,
     the root ``series._root_ints`` expands, in O(terms) products of ints.
     """
     lam, p2, p1, p0 = member
-    # the root's terms Y_n/lam^n are Y_n*lam^(top-n) over lam^top, and d
-    # divides lam^top if g is the root: gs[n]*(lam^top/d) against them
-    top = len(gs) - 1
-    r, rem = divmod(lam ** top, d)
-    if rem:
-        return None
-    scale = 1
-    for c, y in zip(reversed(gs), reversed(_root_ints(p2, p1, p0, -1, len(gs)))):
-        if c * r != y * scale:
+    scale = 1  # gs[n]/d = Y_n/lam^n exactly when gs[n]*lam^n = Y_n*d
+    for c, y in zip(gs, _root_ints(p2, p1, p0, -1, len(gs))):
+        if c * scale != y * d:
             return None
         scale *= lam
     b0, b1, b2 = head.values
@@ -451,15 +461,10 @@ def _walk(gs: tuple[int, ...], d: int) -> tuple[BSequence, int | None]:
     c = len(gs) // 2
     if not c:
         return BSequence(()), None
-    base = Series._reduced(gs[:2 * c], d)
-    powers = [base]  # powers[k] = g^(k+1), read up to x^(2c-2k-1)
-    for k in range(1, c):
-        powers.append(powers[-1].truncate(2 * c - 2 * k) * base)
-    # Over ints: g = gs/d, the powers over one denominator as q[k]/m, and
+    # Over ints: g = gs/d, g^(k+1) = q[k]/m read up to x^(2c-2k-1), and
     # the terms read so far b_k = bs[k]/e, so s_n = t/(e*m) with
     # t = sum bs[k]*q[k][n-2k-1].
-    m = math.lcm(*[p._den for p in powers])
-    q = [[v * (m // p._den) for v in p._nums] for p in powers]
+    q, m = _powers(Series._reduced(gs[:2 * c], d), range(2 * c, 0, -2))
     bs: list[int] = []
     e = 1
     for n in range(1, 2 * c + 1):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,6 +103,34 @@ def sweep_cases(rng, cases):
                 i = order - 1 if rng.random() < 0.5 else rng.randint(1, order - 1)
                 g = perturbed(g, i, rand_nonzero(rng))
         yield g, rng.randint(1, order)
+
+
+def table_cases() -> dict[str, list[Series]]:
+    """Seeded Bell arrays for the pinned digests, by group: integer and p/q
+    arrays that are no pseudo-involutions (but by chance at small orders)
+    at orders 2-40, and two that are."""
+    rng = random.Random(11)
+    orders = (2, 5, 16, 31, 40)
+
+    def params(pq):
+        return FamilyParams.of(*(rand_fraction(rng, 3) if pq else rng.randint(-3, 3)
+                                 for _ in range(3)))
+
+    return {
+        "companion": [companion(params(pq), n) for n in orders for pq in (False, True)],
+        "curvef": [f_from_curve(a, n) for n in orders
+                   for a in (rng.randint(-6, 6), rand_fraction(rng, 6, (2, 3, 5)))],
+        "perturbed": [perturbed(g_family(params(pq), n), rng.randint(1, n - 1),
+                                rand_nonzero(rng) if pq else rng.choice((-2, -1, 1, 2)))
+                      for n in orders for pq in (False, True)],
+        "involution": [pipeline(Fraction(-11, 2), 40).g, g_family(FamilyParams.of(2, -1, 1), 33)],
+    }
+
+
+def digest(tables) -> str:
+    """sha256 of tables of exact rows, each value written as str."""
+    text = "\n\n".join("\n".join(" ".join(map(str, row)) for row in t) for t in tables)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def b_expansion_oracle(a, b, c, terms):
@@ -379,6 +409,67 @@ class TestProduction:
             assert tuple(p[i][0] for i in range(6)) == data.z[:6]
             assert tuple(p[i][1] for i in range(6)) == data.a[:6]
             assert p[0][1] == data.a[0] != 0
+
+
+# sha256 of triangle(order) and triangle(order // 2 + 1) rows, and of
+# a_and_z's (a, z), per group of table_cases: outputs that reading the table
+# of powers must leave bit-identical
+TABLE_PINS = {
+    "companion": ("78e4aaa0e40523bf4d4a5767147ab0bc896f3bff33b9f53e05828a465823b687",
+                  "c1b6b1d81eb7276a51db2acc57d70bcca3033549e0659616a50b0a4273c67d4d"),
+    "curvef": ("8086eb9dcce3ca96663a57bdd33614aa39c1989097e1b7c7d235fced8d711514",
+               "745f8904f69737f71766913bfc776c6a44a1b4a6234aec0e19486693255523f7"),
+    "perturbed": ("481fcee6a2abbe6d118f27efd8baa361b8b5f811295e00ca9bcf3b807354a366",
+                  "c6b687d38ef46eea8c5f0c8cbfd5a23a2bce4269c3d70cdf250dccad48afa278"),
+    "involution": ("426ec5240516091cddfe6340bb0a93488640b463d04e557d6f6bc62c466d910c",
+                   "84801fcfda75704d378834094a13965eb92a0da9c44d75a9b105f6281c31b0b7"),
+}
+
+
+class TestPowers:
+    # triangle, a_and_z and the B-sequence walk read one table of powers of g
+
+    @pytest.mark.parametrize("group", sorted(TABLE_PINS))
+    def test_pinned_digests(self, group):
+        arrays = [bell(g) for g in table_cases()[group]]
+        triangles = [arr.triangle(arr.order).rows + arr.triangle(arr.order // 2 + 1).rows
+                     for arr in arrays]
+        productions = [(p.a, p.z) for p in (arr.a_and_z() for arr in arrays)]
+        assert (digest(triangles), digest(productions)) == TABLE_PINS[group]
+
+    def test_rows_are_repeated_products(self, rng):
+        # the triangle's widths n, n-1, ..., 1, the walk's 2c, 2c-2, ..., 2
+        # and a_and_z's n, n, n-2, ..., 2
+        gs = [g for group in table_cases().values() for g in group[-4:]]
+        gs += [Series([1] + [rand_fraction(rng, 3) for _ in range(n - 1)]) for n in (1, 2, 7)]
+        for g in gs:
+            n = g.order
+            for widths in (range(n, 0, -1), range(n - n % 2, 0, -2),
+                           [n, n, *range(n - 2, 1, -1)]):
+                if not widths or min(widths) < 1:
+                    continue
+                q, m = riopi.riordan._powers(g, widths)
+                assert len(q) == len(widths)
+                power, dens = Series.one(n), []
+                for row, w in zip(q, widths):
+                    power = power * g
+                    assert [Fraction(v, m) for v in row] == list(power.truncate(w).coeffs), \
+                        (g, widths)
+                    dens.append(power.truncate(w)._den)
+                assert m == math.lcm(*dens)
+
+    def test_a_and_z_builds_no_triangle(self, monkeypatch):
+        arrays = [bell(g) for gs in table_cases().values() for g in gs if g.order > 1]
+        want = [oracle.a_and_z_by_reversion(arr) for arr in arrays]
+
+        def refuse(*args):
+            raise AssertionError("a_and_z reads the table of powers, not the triangle")
+
+        monkeypatch.setattr(RiordanArray, "triangle", refuse)
+        monkeypatch.setattr(ProductionMatrix, "__init__", refuse)
+        for arr, (want_z, want_a) in zip(arrays, want):
+            got = arr.a_and_z()
+            assert (got.z, got.a) == (want_z, want_a), arr
 
 
 class TestBell:
