@@ -36,12 +36,15 @@ EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
 # The largest --order accepted.  pipeline(-3, N) in a fresh process takes
-# 0.0005 s of process time at 128, 0.0008 s at 256, 0.0016 s at 512 and
-# 0.0042 s at 1024, and pipeline(-11/2, N) 0.0006 / 0.0011 / 0.0027 /
-# 0.0085 s (Python 3.11 on a shared 2-vCPU Xeon; best of five): 1.7-3.2x
-# per doubling.  The g build and the rational-B certificate of g take
-# about half each, both O(N) products of ints (the linear recurrence of
-# series._root_ints) on coefficients that grow with N.  A g the
+# 0.0003 s of process time at 128, 0.0005 s at 256, 0.0011 s at 512 and
+# 0.0029 s at 1024, and pipeline(-11/2, N) 0.0004 / 0.0009 / 0.0026 /
+# 0.0105 s (Python 3.11 on a shared 2-vCPU Xeon; best of five in each of
+# three runs, caches cleared): 1.8-4.1x per doubling.  The g build
+# expands g's root once, O(N) products of ints (the linear recurrence of
+# series._root_ints), and the rational-B certificate compares g with the
+# ints that build left in series._root_ints's slot, one cross-multiplied
+# pair per term: at 1024, 1.9 ms and 0.8 ms for -3, and 3.5 ms and 6.7 ms
+# for -11/2, whose long coefficients make the compare the larger.  A g the
 # certificate does not take falls back to O(N^3) routes (the walk over
 # the powers of g, or the triangle of a_and_z); the cap bounds those, and
 # one past the index range would overflow in Series.

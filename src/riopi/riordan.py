@@ -23,10 +23,14 @@ num*g^2 - den*g + 1 = 0, which the linear recurrence of
 walks the table of powers g, ..., g^c, O(N^3), and only the walk names
 the first failing power of x.  The quadratic is the paper's B identity
 g = 1 + x*g*B(x^2*g) times the unit 1 + b*x^2*g, so both routes decide
-the same question and give the same terms.  The certified member's
-A-sequence 1/g(-x) is the root of a quadratic too, so
-``production_matrix`` reads it off the same kernel; on the walk's route
-it divides by g(-x) (``a_from_g``).
+the same question and give the same terms.  ``series._root_ints`` keeps
+the last root it expanded, so right after ``pipeline``'s build the
+certificate compares g with the very ints g was built from: the build
+and the certificate expand one root between them.  The
+certified member's A-sequence 1/g(-x) is den(-x) - num(-x)*g(-x), as
+1/g = den - num*g on that quadratic, so ``production_matrix`` reads it
+off g's own ints with no root expanded; on the walk's route it divides by
+g(-x) (``a_from_g``).
 
 The general array (g, f), whose Z is a column of its own, lives in
 ``tests/riordan_oracle.py`` as a test record, beside the group product
@@ -40,10 +44,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
-from .series import (NotRevertible, Series, _append_ratio, _fractions, _image_lam, _image_values,
-                     _lowest, _packed, _root_ints, rational)
+from .series import (NotRevertible, Series, _append_ratio, _fractions, _image_lam, _lowest,
+                     _packed, _root_ints, rational)
 
 _ZERO = Fraction(0)
 
@@ -296,9 +300,9 @@ class RiordanArray:
         at order size+1 is a pseudo-involution there:
         g*g(-x*g) = 1 mod x^(size+1).  Its A is 1/g(-x), and the read-off
         is its only certificate, as A(x*g) = 1/g(-x*g) = g.  When the
-        read-off certified g as a member's root, A is the root of its own
-        quadratic (``_member_a``), O(size) products of ints; after the
-        walk it is ``a_from_g``, a Series division.  Any other g takes A
+        read-off certified g as a member's root, A is read off g's ints
+        (``_member_a``), O(size) products of ints; after the walk it is
+        ``a_from_g``, a Series division.  Any other g takes A
         from ``a_and_z`` of its truncation to order size+1, which solves
         the identity row by row.
         """
@@ -379,12 +383,16 @@ def _b_read_off(g: Series) -> tuple[BSequence, int | None, tuple | None]:
     makes it (``b_extract`` and ``production_matrix`` on the g that
     ``pipeline`` just certified, or a second ``pipeline`` on the same curve
     and c).  For curves -3, -11/2 and 5/2 a hit, the cut to the prefix
-    and its hash and compare, costs 2-8 us at orders 40 and 129 and
+    and its hash and compare, costs 2-9 us at orders 40 and 129 and
     23-51 us at 513, and up to 0.1 ms at 256, where the cut drops g's last
-    term and reduces the rest to lowest terms; a miss, the rational-B
-    certificate of ``_read_off``, costs 0.09-0.12 ms at order 40,
-    0.22-0.28 ms at 129 and 1.1-1.6 ms at 513 (Python 3.11, shared 2-vCPU
-    Xeon, process time, best of seven).
+    term and reduces the rest to lowest terms.  A miss runs the rational-B
+    certificate of ``_read_off``.  Right after g was built from its
+    member's root (as in ``pipeline``), which ``series._root_ints`` still
+    holds, it only compares: 0.06-0.07 ms at order 40, 0.08-0.13 ms at
+    129 and 0.3-1.1 ms at 513.  On any other g it expands the root too:
+    0.10-0.12 ms at 40, 0.22-0.28 ms at 129 and 1.1-2.1 ms at 513
+    (Python 3.11, shared 2-vCPU Xeon, process time, best of seven in each
+    of three interleaved runs).
     """
     c = (g.order - 1) // 2
     head = g.truncate(2 * c + 1)
@@ -444,6 +452,11 @@ def _rational_b(gs: tuple[int, ...], d: int, head: BSequence, member: tuple,
     read off these very terms.  The quadratic's pivot is 1 too, so it
     holds there exactly when g equals its root there: g is compared with
     the root ``series._root_ints`` expands, in O(terms) products of ints.
+    That root is read from the slot of the last one expanded when it is
+    this record's to at least len(gs) terms, as right after ``pipeline``
+    built g from it (the same image ints and pivot -1), so g is compared
+    with the very ints it was built from; the comparison itself runs on
+    every call, slot or not.
     """
     lam, p2, p1, p0 = member
     scale = 1  # gs[n]/d = Y_n/lam^n exactly when gs[n]*lam^n = Y_n*d
@@ -479,26 +492,35 @@ def _walk(gs: tuple[int, ...], d: int) -> tuple[BSequence, int | None]:
 
 def _member_a(member: tuple, g: Series) -> Series:
     """A = 1/g(-x) of a g that ``_read_off`` certified as the root of
-    ``member``'s quadratic p2*g^2 + p1*g + p0 = 0 mod x^(2c+1),
-    c = (g.order-1)//2.
+    ``member``'s quadratic num*g^2 - den*g + 1 = 0 mod x^(2c+1),
+    c = (g.order-1)//2, read off g's own ints.
 
-    With G = g(-x), dividing p2(-x)*G^2 + p1(-x)*G + p0(-x) = 0 by G^2
-    makes A the root A(0) = 1 of p0(-x)*A^2 + p1(-x)*A + p2(-x) = 0, of
-    pivot 2*p0(0) + p1(0) = 1, whose image at x = lam*t has member's lam.
-    That gives A mod x^(2c+1).  At even g.order, A's last term reads g's
-    last, which the read-off did not: it is
-    -sum_(i=1..2c+1) (-1)^i*g_i*A_(2c+1-i), from g itself.
+    Dividing that quadratic by g gives 1/g = den - num*g mod x^(2c+1), so
+    A = den(-x) - num(-x)*g(-x) there: per term, one product of g's ints by
+    each of num's nonzero ints (two at most, none for the b = c = 0
+    member), and no root is expanded.  member holds the ints at x = lam*t,
+    p2 = num and p1 = -den there, so num_j = p2[j]/lam^j and
+    den_j = -p1[j]/lam^j.  At even g.order, A's last term reads g's last,
+    which the read-off did not: it is
+    -sum_(i=1..2c+1) (-1)^i*g_i*A_(2c+1-i), from A*g(-x) = 1.
     """
-    lam, p2, p1, p0 = member
+    lam, p2, p1, _ = member
     k = 2 * ((g.order - 1) // 2) + 1
-    nums, den = _image_values(
-        _root_ints(*[[-c if j & 1 else c for j, c in enumerate(p)] for p in (p0, p1, p2)],
-                   1, k), lam)
+    gs, d = g._nums, g._den
+    # over the denominator d*lam^top, A_n is (-1)^(n+1) times
+    # p1[n]*lam^(top-n)*d + sum_j p2[j]*lam^(top-j)*gs[n-j]
+    top = max(len(p1), len(p2)) - 1
+    rs = [c * lam ** (top - j) * d for j, c in enumerate(p1)] + [0] * (k - len(p1))
+    for j, c in enumerate(p2):
+        if c:
+            w = c * lam ** (top - j)
+            rs[j:] = map(add, rs[j:], [w * y for y in gs[:k - j]])
+    nums = [r if n & 1 else -r for n, r in enumerate(rs)]
+    den = d * lam ** top
     if k == g.order:
-        return Series._raw(nums, den)
-    ga = [-c if i & 1 else c for i, c in enumerate(g._nums[1:], 1)]
-    return Series._reduced(*_append_ratio(list(nums), den, -sum(map(mul, ga, reversed(nums))),
-                                          g._den))
+        return Series._reduced(nums, den)
+    ga = [-c if i & 1 else c for i, c in enumerate(gs[1:], 1)]
+    return Series._reduced(*_append_ratio(nums, den, -sum(map(mul, ga, reversed(nums))), d))
 
 
 def a_from_g(g: Series) -> Series:

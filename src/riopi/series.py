@@ -483,9 +483,36 @@ def _discriminant(p2, p1, p0) -> list:
     return dd
 
 
-def _root_ints(p2, p1, p0, pivot: int, order: int) -> list[int]:
+# The last root ``_root_ints`` expanded: ((p2, p1, p0, pivot), its ints).
+# One immutable tuple, replaced in a single assignment.
+_last_root: tuple = ((), ())
+
+
+def _root_ints(p2, p1, p0, pivot: int, order: int) -> tuple[int, ...]:
     """Y_0 .. Y_(order-1) of the root of p2*Y^2 + p1*Y + p0 = 0 whose pivot
     2*p2[0]*Y_0 + p1[0] is ``pivot``, +-1, for int coefficient lists.
+
+    The last root expanded (``_expand_root``) is kept in one slot, keyed
+    on the record's ints and the pivot.  A request on that record and
+    pivot for no more terms than the slot holds reads its prefix; any
+    other request expands its root afresh and takes the slot.  So the slot
+    hits only when the last root expanded is the same record's: the
+    rational-B certificate that ``pipeline`` runs right after building g
+    (``riordan._rational_b``, on the member read off B's head: the same
+    image ints and pivot) compares g with the ints g was built from.
+    """
+    global _last_root
+    key = (tuple(p2), tuple(p1), tuple(p0), pivot)
+    held, ys = _last_root
+    if held == key and order <= len(ys):
+        return ys[:order]
+    ys = tuple(_expand_root(p2, p1, p0, pivot, order))
+    _last_root = key, ys
+    return ys
+
+
+def _expand_root(p2, p1, p0, pivot: int, order: int) -> list[int]:
+    """``_root_ints`` with no slot: the root's ints by the recurrence below.
 
     S = 2*p2*Y + p1 squares to D = p1^2 - 4*p2*p0, with S(0) = pivot and
     D(0) = pivot^2 = 1, so 2*D*S' = D'*S: its x^(n-1) coefficient is
@@ -529,12 +556,12 @@ def _root_ints(p2, p1, p0, pivot: int, order: int) -> list[int]:
     return ys
 
 
-def _image_values(ys: list[int], lam: int) -> tuple[tuple[int, ...], int]:
+def _image_values(ys: tuple[int, ...], lam: int) -> tuple[tuple[int, ...], int]:
     """The coefficients y_n = ys[n]/lam**n of the root whose integer image
     Y(t) = y(lam*t) has the coefficients ``ys``, as ints over one
     denominator in lowest terms."""
     if lam == 1:
-        return tuple(ys), 1
+        return ys, 1
     nums = [0] * len(ys)
     scale = 1
     for n in range(len(ys) - 1, -1, -1):

@@ -869,12 +869,13 @@ class TestRationalB:
 
 
 class TestMemberA:
-    # production_matrix reads A = 1/g(-x) of a certified member off A's own
-    # quadratic, its last term at even g.order from g itself
+    # production_matrix reads A = 1/g(-x) of a certified member off g's own
+    # ints, as 1/g = den - num*g, its last term at even g.order from g itself
     def members(self, rng):
         half, third = Fraction(1, 2), Fraction(1, 3)
         ps = [FamilyParams.of(half, -2 * third, 5 * third), FamilyParams.of(2, -1, 1),
-              FamilyParams.of(-3, 0, half), FamilyParams.of(half, 4, -2)]
+              FamilyParams.of(-3, 0, half), FamilyParams.of(half, 4, -2),
+              FamilyParams.of(3 * half, 0, 0)]  # b = c = 0: the linear record, p2 = (0,)
         ps += [FamilyParams.of(*(rand_fraction(rng, 5, (1, 2, 3, 7)) for _ in range(3)))
                for _ in range(4)]
         return ps + [family_params_from_curve(a) for a in (-3, Fraction(-11, 2))]
@@ -921,6 +922,98 @@ class TestMemberA:
             for size, a in zip(sizes, row):
                 p = bell(g).production_matrix(size)
                 assert (p._a, p._a_den) == (a._nums, a._den), (g, size)
+
+
+def expansions(monkeypatch):
+    """Count the root expansions the slot of ``series._root_ints`` does not
+    answer, from an empty slot and no remembered read-off."""
+    calls = []
+    expand = series._expand_root
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(series, "_expand_root", counted)
+    monkeypatch.setattr(series, "_last_root", ((), ()))
+    _read_off.cache_clear()
+    return calls
+
+
+class TestRootSlot:
+    # series._root_ints keeps the last root it expanded, so pipeline's
+    # certificate reads the ints g was built from and production_matrix
+    # reads A off g: one expansion per curve parameter, and no answer that
+    # depends on what the slot holds
+    def curves(self, rng):
+        return [Fraction(-3), Fraction(1), Fraction(-11, 2), Fraction(5, 2)] + \
+            [Fraction(rng.randint(-6, 6)) for _ in range(3)] + \
+            [rand_fraction(rng, 12, (2, 3, 5, 7)) for _ in range(5)]
+
+    def test_one_expansion_per_curve_parameter(self, rng, monkeypatch):
+        calls = expansions(monkeypatch)
+        for a in self.curves(rng):
+            monkeypatch.setattr(series, "_last_root", ((), ()))
+            _read_off.cache_clear()
+            del calls[:]
+            g = pipeline(a, 40).g
+            b_extract(g)
+            bell(g).production_matrix()
+            assert len(calls) == 1, a
+
+    def test_perturbed_g_reads_the_same_warm_and_cold(self, rng, monkeypatch):
+        # g differs from its twin at one n in [7, 2c], so B's head and the
+        # member stay the twin's; with b_1 = -(ab + c) != 0 the member's
+        # record is the one the twin was built from (b_1 = 0 takes the
+        # linear record, and a miss)
+        walks = full_walks(monkeypatch)
+        calls = expansions(monkeypatch)
+        ps = [FamilyParams.of(*(rand_fraction(rng, 5, (1, 2, 3, 7)) for _ in range(3)))
+              for _ in range(16)]
+        ps = [p for p in ps if p.somos_weight] + \
+            [family_params_from_curve(a) for a in self.curves(rng)]
+        failures = []
+        for p in ps:
+            order = rng.randint(9, 129)
+            c = (order - 1) // 2
+            twin = g_family(p, order)  # warms the slot
+            g = perturbed(twin, rng.randint(7, 2 * c), rand_nonzero(rng)).truncate(2 * c + 1)
+            del calls[:]
+            warm = _read_off.__wrapped__(g._nums, g._den)
+            assert calls == [], p  # the certificate read the slot
+            monkeypatch.setattr(series, "_last_root", ((), ()))
+            cold = _read_off.__wrapped__(g._nums, g._den)
+            assert len(calls) == 1 and warm == cold, p
+            assert warm[1] == _walk(g._nums, g._den)[1], p
+            failures.append(warm[1])
+        # every case walks, warm and cold; a change at the last odd index
+        # may leave g a pseudo-involution, of another B
+        assert len(walks) == 2 * len(ps)
+        assert all(n is None or n >= 7 for n in failures)
+        assert sum(n is not None for n in failures) > len(ps) // 2
+
+    def test_other_records_and_longer_requests_expand_afresh(self, monkeypatch):
+        cold = series._expand_root
+        calls = expansions(monkeypatch)
+        # curvef 3's record: p2(0) != 0, so both pivots name a root
+        p2, p1, p0 = [1, 2, -1, -2], [-1, -1], [0, -1]
+        held = series._root_ints(p2, p1, p0, 1, 20)
+        assert held == tuple(cold(p2, p1, p0, 1, 20)) and len(calls) == 1
+        others = [(p2, p1, p0, -1, 20),  # the same record, the root y0 = 0
+                  (p2, [-c for c in p1], p0, -1, 20),  # the same discriminant, the root -y
+                  (p2, p1, p0, 1, 25)]  # longer than the slot holds
+        for args in others:
+            monkeypatch.setattr(series, "_last_root", ((), ()))
+            assert series._root_ints(p2, p1, p0, 1, 20) == held  # warms the slot
+            del calls[:]
+            assert series._root_ints(*args) == tuple(cold(*args)), args
+            assert len(calls) == 1, args
+        # the held ints would have been wrong for both other roots
+        assert all(tuple(cold(*args)) != held for args in others[:2])
+        # a shorter request on the held record reads its prefix
+        del calls[:]
+        assert series._root_ints(p2, p1, p0, 1, 12) == held[:12]
+        assert calls == []
 
 
 class TestASequence:
