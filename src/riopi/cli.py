@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import random
@@ -27,8 +28,8 @@ from .family import FamilyParams
 from .hankel import HankelTransform, InsufficientTerms, hankel_transform
 from .riordan import NoBSequence, OutOfOrder, b_extract, bell
 from .series import Series, SeriesError, rational
-from .somos import (NoSomosFit, SomosParams, Underdetermined, conjecture_family,
-                    somos4_check, somos4_fit)
+from .somos import (NoSomosFit, SomosParams, Underdetermined, _check_ints, conjecture_family,
+                    somos4_fit)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -332,16 +333,17 @@ def run_paper_suite() -> list[dict]:
     checks, somos_checks = [], []
     sources = knowndata.build_sources(knowndata.KNOWN_SEQUENCES)
     for entry in knowndata.KNOWN_SEQUENCES:
-        got = knowndata.computed_values(entry, sources)
-        if got == list(entry.prefix):
+        got = nums, dens = knowndata.computed_values(entry, sources)
+        prefix = entry.prefix
+        if len(nums) == len(prefix) and all(n == v * d for n, v, d in zip(nums, prefix, dens)):
             checks.append(_check(entry.label, True))
         else:  # only a failing row prints its values, so only it builds the strings
-            checks.append(_check(entry.label, False, [str(v) for v in entry.prefix],
-                                 [str(v) for v in got]))
+            checks.append(_check(entry.label, False, [str(v) for v in prefix],
+                                 [str(Fraction(n, d)) for n, d in zip(nums, dens)]))
         if entry.somos:
             alpha, beta = entry.somos
-            report = somos4_check(knowndata.somos_terms(entry, got),
-                                  SomosParams(Fraction(alpha), Fraction(beta)))
+            report = _check_ints(*knowndata.somos_terms(entry, got),
+                                 SomosParams(Fraction(alpha), Fraction(beta)))
             somos_checks.append(_check(f"somos({alpha},{beta}) {entry.label}",
                                        not report.failures, "no failures",
                                        f"failures at {list(report.failures)}"))
@@ -420,7 +422,13 @@ def _add_subject_command(commands, name: str, help_text: str, func, offset=False
     sub.set_defaults(func=func)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The riopi parser, built once per process: ``main`` parses each call
+    into a fresh namespace, and parsing leaves no state in the parser, so
+    in-process callers (tests, the benchmark) do not rebuild the argparse
+    tree on every call.  A fresh ``python -m riopi`` builds it once either
+    way."""
     parser = _Parser(prog="riopi",
                      description="Exact Riordan pseudo-involution toolkit")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -452,9 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one riopi command and return its exit code.  Every call parses
+    with the one parser ``build_parser`` keeps for the process."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -102,25 +102,32 @@ def companion(p: FamilyParams, order: int) -> Series:
 
 def binomial_transform(seq, c=1) -> list[Fraction]:
     """t_m = sum_k binom(m, k) * c^(m-k) * s_k, the array (1/(1-cx), x/(1-cx))
-    acting on s; c = 1 is the binomial transform and c = -1 its inverse.
-
-    With s = nums/den over ints and c = p/q, t_m*den*q^m =
-    sum_k binom(m, k) * p^(m-k) * (nums_k*q^k) is entry 0 of the difference
-    table row_(j+1)[i] = p*row_j[i] + row_j[i+1] started from nums_k*q^k.
-    """
-    nums, den = _packed([rational(v) for v in seq])
+    acting on s; c = 1 is the binomial transform and c = -1 its inverse."""
     c = rational(c)
-    p, q = c.numerator, c.denominator
+    nums, den = _packed([rational(v) for v in seq])
+    return list(map(Fraction, *_binomial_ints(nums, den, c.numerator, c.denominator)))
+
+
+def _binomial_ints(nums, den: int, p: int, q: int) -> tuple[list[int], list[int]]:
+    """``binomial_transform`` of s = nums/den at c = p/q, q > 0, over ints:
+    t_m = tops[m]/dens[m] with dens[m] = den*q^m > 0.
+
+    t_m*den*q^m = sum_k binom(m, k) * p^(m-k) * (nums_k*q^k) is entry 0 of
+    the difference table row_(j+1)[i] = p*row_j[i] + row_j[i+1] started
+    from nums_k*q^k.
+    """
     row = [s * q ** k for k, s in enumerate(nums)]
-    out = []
+    tops, dens = [], []
     for m in range(len(nums)):
-        out.append(Fraction(row[0], den * q ** m))
+        tops.append(row[0])
+        dens.append(den * q ** m)
         row = [p * u + v for u, v in zip(row, row[1:])]
-    return out
+    return tops, dens
 
 
-def narayana(n: int, k: int) -> Fraction:
-    """Narayana triangle entry binom(n,k) * binom(n-1, n-k) / (n - k + 1)."""
+def narayana(n: int, k: int) -> int:
+    """Narayana triangle entry binom(n,k) * binom(n-1, n-k) / (n - k + 1),
+    an integer."""
     if k < 0 or k > n:
         raise ValueError("need 0 <= k <= n")
-    return Fraction(binomial(n, k) * binomial(n - 1, n - k), n - k + 1)
+    return binomial(n, k) * binomial(n - 1, n - k) // (n - k + 1)

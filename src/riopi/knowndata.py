@@ -17,18 +17,22 @@ binomial triangle, row by row, from ``family.narayana``) and ``curve_b``
 a (kind, params) series, or for the Hankel entries the transform of that
 kind's equation.  It recomputes every entry from its source and diffs
 exactly, which makes this table the regression corpus for the package.
+The diff runs on ints: ``computed_values`` reads each value as an int
+pair nums[i]/dens[i] off the ints its source holds (a series' numerators
+over its denominator, a transform's pairs, a matrix's int rows), and a
+row passes when nums[i] == prefix[i]*dens[i] for every i; its Somos
+claim goes to the int kernel ``somos._check_ints`` as those pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count, islice
 from math import isqrt
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import elliptic, family, series
-from .family import FamilyParams, binomial_transform
+from .family import FamilyParams, _binomial_ints
 from .hankel import HankelTransform, hankel_transform
 from .riordan import bell
 from .series import Quadratic, Series, rational
@@ -179,13 +183,13 @@ KNOWN_SEQUENCES: tuple[KnownSequence, ...] = (
 )
 
 
-def _triangle(cell: Callable[[int, int], Fraction], n: int) -> Series:
-    """The first n entries of the triangle cell(r, k), 0 <= k <= r, read
-    row by row."""
-    return Series(islice((cell(r, k) for r in count() for k in range(r + 1)), n), n)
+def _triangle(cell: Callable[[int, int], int], n: int) -> Series:
+    """The first n entries of the int triangle cell(r, k), 0 <= k <= r,
+    read row by row."""
+    return Series._raw(tuple(islice((cell(r, k) for r in count() for k in range(r + 1)), n)), 1)
 
 
-def _binomial_narayana(n: int, k: int) -> Fraction:
+def _binomial_narayana(n: int, k: int) -> int:
     return sum(family.binomial(n, j) * family.narayana(j, k) for j in range(k, n + 1))
 
 
@@ -265,37 +269,46 @@ def build_sources(entries) -> dict[tuple[str, tuple[str, ...], bool], Series | H
         for (kind, params, hankel), n in lengths.items()}
 
 
-def computed_values(entry: KnownSequence, sources) -> list[Fraction]:
+def computed_values(entry: KnownSequence, sources) -> tuple[Sequence[int], Sequence[int]]:
     """Recompute the values an entry's prefix claims, same length, from
-    its source in ``sources`` (see ``build_sources``)."""
+    its source in ``sources`` (see ``build_sources``), as int pairs
+    (nums, dens): value i is nums[i]/dens[i], dens[i] > 0, read off the
+    ints the source holds and not brought to lowest terms."""
     want, n = len(entry.prefix), source_length(entry)
     transform = entry.transform
-    if transform in _HANKEL:
-        values = sources[_source_key(entry)].values
-        if transform == "hankel":
-            return list(values[:want])
+    source = sources[_source_key(entry)]
+    if transform == "hankel":
+        return source.nums[:want], source.dens[:want]
+    if transform == "hankel_tail_neg":
         offset = GENERATORS[entry.kind].somos_offset
-        return [-v for v in values[offset:offset + want]]
-    g = sources[_source_key(entry)]
+        return ([-v for v in source.nums[offset:offset + want]],
+                source.dens[offset:offset + want])
     if transform == "triangle":
-        return [v for row in bell(g).triangle(n).rows for v in row]
-    if transform == "prodmat":
-        return [v for row in bell(g).production_matrix(n - 1).rows for v in row]
-    source = list(g[:n])
-    if transform == "":
-        return source
-    if transform == "binomial_inverse":
-        return binomial_transform(source, -1)
-    if transform == "diff":
-        return [source[0]] + [source[n] - source[n - 1] for n in range(1, want)]
-    if transform.startswith("prepend:"):
-        return [rational(v) for v in transform[len("prepend:"):].split(",")] + source
-    raise ValueError(f"unknown transform {entry.transform!r}")
+        t = bell(source).triangle(n)
+        nums, den = [v for row in t._rows for v in row], t._den
+    elif transform == "prodmat":
+        p = bell(source).production_matrix(n - 1)
+        nums, den = [v for row in p._int_rows() for v in row], p._a_den
+    else:
+        nums, den = source._nums[:n], source._den
+        if transform == "binomial_inverse":
+            return _binomial_ints(nums, den, -1, 1)
+        if transform == "diff":
+            nums = nums[:1] + tuple([b - a for a, b in zip(nums, nums[1:])])
+        elif transform.startswith("prepend:"):
+            head = [rational(v) for v in transform[len("prepend:"):].split(",")]
+            return ([v.numerator for v in head] + list(nums),
+                    [v.denominator for v in head] + [den] * len(nums))
+        elif transform:
+            raise ValueError(f"unknown transform {entry.transform!r}")
+    return nums, [den] * len(nums)
 
 
-def somos_terms(entry: KnownSequence, values: list[Fraction]) -> list[Fraction]:
-    """The computed values an entry's Somos claim covers: a ``hankel``
-    entry's from its kind's offset, a ``hankel_tail_neg`` entry's whole."""
+def somos_terms(entry: KnownSequence, values):
+    """The computed (nums, dens) pairs an entry's Somos claim covers: a
+    ``hankel`` entry's from its kind's offset, a ``hankel_tail_neg``
+    entry's whole."""
     if entry.transform == "hankel":
-        return values[GENERATORS[entry.kind].somos_offset:]
+        offset = GENERATORS[entry.kind].somos_offset
+        return values[0][offset:], values[1][offset:]
     return values

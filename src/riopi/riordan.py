@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import add, mul
 
 from .series import (NotRevertible, Series, _append_ratio, _fractions, _image_lam, _lowest,
@@ -64,33 +64,67 @@ class SelfCheckError(RuntimeError):
     """A computed result failed its certifying identity."""
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    out = []
-    for row in rows:
-        if any(c.denominator != 1 for c in row):
-            raise ValueError("non-integer matrix entry")
-        out.append([c.numerator for c in row])
-    return out
+class _Exact:
+    """A value held in the fields its ``__slots__`` name, as ints over one
+    denominator in lowest terms, so equal values have equal fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
-@dataclass(frozen=True)
-class TriangularMatrix:
-    """Staircase rows of exact rationals, row n holding columns 0..n."""
+class TriangularMatrix(_Exact):
+    """Staircase rows of exact rationals, row n holding columns 0..n.
+    ``TriangularMatrix(rows)`` keeps them as int rows over one
+    denominator; ``rows`` and ``m[n]`` build Fractions on each read."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("_rows", "_den")
+
+    def __init__(self, rows):
+        rows = [[rational(v) for v in row] for row in rows]
+        nums, self._den = _packed([v for row in rows for v in row])
+        nums = iter(nums)
+        self._rows = tuple([tuple(islice(nums, len(row))) for row in rows])
+
+    @classmethod
+    def _from_ints(cls, rows: tuple[tuple[int, ...], ...], den: int) -> "TriangularMatrix":
+        """The rows[n][k]/den, in lowest terms as they are given."""
+        t = object.__new__(cls)
+        t._rows, t._den = rows, den
+        return t
 
     def __getitem__(self, n):
-        return self.rows[n]
+        if isinstance(n, slice):
+            return self.rows[n]
+        return _fractions(self._rows[n], self._den)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple([_fractions(row, self._den) for row in self._rows])
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def integers(self) -> list[list[int]]:
-        return _integer_rows(self.rows)
+        if self._den != 1:  # in lowest terms, so some entry is no integer
+            raise ValueError("non-integer matrix entry")
+        return [list(row) for row in self._rows]
+
+    def __repr__(self) -> str:
+        return f"TriangularMatrix(rows={self.rows!r})"
 
 
-class ProductionMatrix:
+class ProductionMatrix(_Exact):
     """The size x size lower-Hessenberg production matrix of a Bell array,
     stored as its A-sequence: column j >= 1 is A shifted down j - 1 rows
     and column 0 is Z = (A - 1)/x, read as A's tail, z_i = a_(i+1).
@@ -140,16 +174,17 @@ class ProductionMatrix:
         return tuple([_row(z[i], a[_band_start(i, size):i + 1][::-1], size)
                       for i in range(size)])
 
+    def _int_rows(self) -> list[tuple[int, ...]]:
+        """The rows as ints over the denominator ``_a_den``."""
+        a, size = self._a, self.size
+        return [_row(a[i + 1], a[_band_start(i, size):i + 1][::-1], size, 0)
+                for i in range(size)]
+
     def integers(self) -> list[list[int]]:
-        return _integer_rows(self.rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProductionMatrix):
-            return NotImplemented
-        return self._a_den == other._a_den and self._a == other._a
-
-    def __hash__(self) -> int:
-        return hash((self._a, self._a_den))
+        d, rows = self._a_den, self._int_rows()
+        if any(v % d for row in rows for v in row):
+            raise ValueError("non-integer matrix entry")
+        return [[v // d for v in row] for row in rows]
 
     def __repr__(self) -> str:
         return f"ProductionMatrix({_fractions(self._a, self._a_den)!r})"
@@ -160,12 +195,12 @@ def _band_start(i: int, size: int) -> int:
     return max(0, i + 2 - size)
 
 
-def _row(z_i: Fraction, band: tuple[Fraction, ...], size: int) -> tuple[Fraction, ...]:
+def _row(z_i, band: tuple, size: int, zero=_ZERO) -> tuple:
     """A row: z_i, then the A band a[i], ..., a[lo], then zeros."""
-    return (z_i, *band, *[_ZERO] * (size - 1 - len(band)))
+    return (z_i, *band, *[zero] * (size - 1 - len(band)))
 
 
-class BSequence:
+class BSequence(_Exact):
     """The certified B-sequence terms, kept as ints over one denominator;
     ``values`` builds Fractions on each read."""
 
@@ -188,14 +223,6 @@ class BSequence:
     @property
     def certified(self) -> int:
         return len(self._nums)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BSequence):
-            return NotImplemented
-        return self._den == other._den and self._nums == other._nums
-
-    def __hash__(self) -> int:
-        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
         return f"BSequence(values={self.values!r})"
@@ -255,9 +282,11 @@ class RiordanArray:
         """First ``size`` rows, row n holding columns 0..n."""
         if size < 1 or size > self.order:
             raise OutOfOrder(f"size {size} outside 1..{self.order}")
+        # the table's ints are in lowest terms over m (each power's are over
+        # its own denominator), and the triangle reads every one of them
         q, m = _powers(self.g, range(size, 0, -1))
-        return TriangularMatrix(tuple([tuple([Fraction(q[k][n - k], m) for k in range(n + 1)])
-                                       for n in range(size)]))
+        return TriangularMatrix._from_ints(
+            tuple([tuple([q[k][n - k] for k in range(n + 1)]) for n in range(size)]), m)
 
     # -- production structure ----------------------------------------------
 

@@ -19,8 +19,9 @@ gives
 which holds exactly when the product form does.  No Fraction is built
 and no gcd taken.  That is one kernel, ``_check_ints(p, q, params)``:
 ``somos4_check`` splits its terms into p and q for it, and
-``conjecture_family`` and ``elliptic.curve_somos_check`` pass it the int
-pairs of their Hankel transforms as they are.
+``conjecture_family``, ``elliptic.curve_somos_check`` and the Somos claims
+of ``verify paper`` pass it the int pairs of their Hankel transforms as
+they are.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ import pytest
 import riopi
 from riopi import cli, elliptic, knowndata, somos
 from riopi.cli import MAX_ORDER, main
-from riopi.series import _quadratic_root
+from riopi.series import Series, _quadratic_root
 
 from conftest import rand_fraction
+from knowndata_oracle import fraction_values
 
 
 def run(capsys, *argv):
@@ -197,16 +198,18 @@ class TestSomos:
     @pytest.mark.parametrize("argv", [("--terms=-1,-1,-2,-3,5,28,67,411,506",),
                                       ("curvef", "-3", "--order", "16")])
     def test_fit_checked_once(self, capsys, monkeypatch, argv):
-        # somos4_fit returns its passing check; the command does not rerun it
+        # somos4_fit returns its passing check; the command does not rerun
+        # it, nor the int kernel that verify's Somos claims call
         calls = []
-        check = somos.somos4_check
 
-        def counted(*args):
-            calls.append(args)
-            return check(*args)
+        def counted(check):
+            def wrapped(*args):
+                calls.append(args)
+                return check(*args)
+            return wrapped
 
-        monkeypatch.setattr(somos, "somos4_check", counted)
-        monkeypatch.setattr(cli, "somos4_check", counted)
+        monkeypatch.setattr(somos, "somos4_check", counted(somos.somos4_check))
+        monkeypatch.setattr(cli, "_check_ints", counted(cli._check_ints))
         code, _, _ = run(capsys, "somos", *argv)
         assert code == 0
         assert len(calls) == 1
@@ -560,6 +563,43 @@ class TestParamsAfterOptions:
         assert "usage error: subject 'curve' takes 1 parameter(s), got 3" in err
 
 
+class TestParserCache:
+    # one parser per process: a call leaves nothing in it for the next
+    SEQUENCE = [
+        (("expand", "family", "2", "-2", "3", "--order", "8"), 0),
+        (("hankel", "curvef", "3", "--order", "9", "--offset", "1"), 0),
+        # a subject run sets its namespace's order to the default; --terms
+        # after it must still find order unset
+        (("somos", "curvef", "-3", "--order", "16"), 0),
+        (("somos", "family", "2", "-2", "3", "--format", "json"), 0),
+        (("somos", "--terms", "-1,-1,-2,-3,5,28,67,411,506"), 0),
+        (("somos", "--terms", "1,1,-1,1,2,-1,-3,-5", "--order", "50"), 1),
+        (("bseq", "curve", "-3", "--order", "9", "--format", "csv"), 0),
+        (("prodmat", "curve", "-3", "--order", "9"), 0),
+        (("expand", "curve", "1.5"), 1),
+        (("expand", "curve", "--order", "5", "-11/2"), 0),
+        (("hankel", "curve", "--order", "9", "3"), 0),
+        (("expand", "curve", "3", "--order", "3"), 1),
+        (("bogus",), 1),
+        (("verify", "paper", "--format", "csv"), 0),
+        (("verify", "conjecture", "--seed", "3", "--trials", "2"), 0),
+        (("verify", "all", "--trials", "1", "--format", "json"), 0),
+        (("expand", "family", "2", "-2", "3"), 0),
+        (("--help",), 0),
+    ]
+
+    def test_calls_match_a_fresh_parser(self, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        cached = [run(capsys, *argv) for argv, _ in self.SEQUENCE]
+        assert [code for code, _, _ in cached] == [code for _, code in self.SEQUENCE]
+        assert cli.build_parser() is cli.build_parser()
+        # build_parser unwrapped builds a new parser on every call
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv, _ in self.SEQUENCE]
+        for (argv, _), got, want in zip(self.SEQUENCE, cached, fresh):
+            assert got == want, argv
+
+
 class TestEntryPoint:
     env = dict(os.environ, PYTHONPATH=str(Path(riopi.__file__).resolve().parents[1]))
 
@@ -727,3 +767,43 @@ class TestVerify:
         assert (code, err) == (0, "")
         want = {k: v for k, v in labels(clean).items() if k not in lost}
         assert labels(out) == want and len(want) == len(labels(clean)) - len(lost)
+
+
+class TestGoldenInts:
+    # verify compares each row on the int pairs its source holds
+
+    def test_pairs_equal_the_fraction_oracle(self):
+        sources = knowndata.build_sources(knowndata.KNOWN_SEQUENCES)
+        for entry in knowndata.KNOWN_SEQUENCES:
+            nums, dens = knowndata.computed_values(entry, sources)
+            assert len(nums) == len(dens) == len(entry.prefix), entry.label
+            assert all(d > 0 for d in dens), entry.label
+            assert all(type(v) is int for v in (*nums, *dens)), entry.label
+            got = [Fraction(n, d) for n, d in zip(nums, dens)]
+            assert got == fraction_values(entry, sources) == list(entry.prefix), entry.label
+
+    def test_non_integral_value_fails_its_row(self, capsys, monkeypatch):
+        # Catalan's series halved: its numerators over 2 are the printed
+        # prefix, yet A000108 fails, with the strings the Fraction route
+        # printed, and every other row still passes
+        _, clean, _ = run(capsys, "verify", "paper")
+        catalan = knowndata.GENERATORS["catalan"]
+        monkeypatch.setitem(knowndata.GENERATORS, "catalan", catalan._replace(
+            build=lambda p, n: Series([Fraction(v, 2) for v in (1, 1, 2, 5, 14, 42)], n)))
+        code, out, _ = run(capsys, "verify", "paper")
+        assert code == 3
+        entry = knowndata.KNOWN_SEQUENCES[0]
+        assert entry.label == "A000108"
+        sources = knowndata.build_sources([entry])
+        expected = str([str(v) for v in entry.prefix])
+        got = str([str(v) for v in fraction_values(entry, sources)])
+        assert "'1/2'" in got
+        assert f"FAIL A000108\n  expected: {expected}\n  got:      {got}\n" in out
+        assert labels(out) == labels(clean) | {"A000108": "FAIL"}
+
+    def test_verify_all_twice_in_one_process(self, capsys):
+        first = run(capsys, "verify", "all", "--format", "json")
+        second = run(capsys, "verify", "all", "--format", "json")
+        assert first == second
+        report = json.loads(first[1])["report"]
+        assert (first[0], report["passed"], report["failed"]) == (0, "106", "0")

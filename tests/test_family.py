@@ -277,6 +277,14 @@ class TestNarayana:
     def test_row_six(self):
         assert [narayana(6, k) for k in range(7)] == [0, 1, 15, 50, 50, 15, 1]
 
+    def test_entries_are_ints(self):
+        # the closed form's division is exact: Narayana numbers are integers
+        for n in range(40):
+            for k in range(n + 1):
+                got = narayana(n, k)
+                assert type(got) is int
+                assert got == Fraction(binomial(n, k) * binomial(n - 1, n - k), n - k + 1)
+
     def test_corner(self):
         assert narayana(0, 0) == 1
         assert narayana(4, 2) == 6

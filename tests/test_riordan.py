@@ -15,6 +15,7 @@ from riopi.riordan import (
     OutOfOrder,
     ProductionMatrix,
     RiordanArray,
+    TriangularMatrix,
     _b_read_off,
     _read_off,
     _walk,
@@ -172,6 +173,26 @@ class TestEntry:
     def test_out_of_order(self):
         with pytest.raises(OutOfOrder):
             pascal(6).triangle(7)
+
+    def test_triangle_is_a_value(self):
+        # int rows over one denominator, in lowest terms: the triangle equals
+        # the matrix built from its own Fraction rows, and rows and m[n]
+        # build Fractions on read
+        for g in [g for group in table_cases().values() for g in group]:
+            for size in {1, g.order // 2 + 1, g.order}:
+                t = bell(g).triangle(size)
+                same = TriangularMatrix(t.rows)
+                assert same == t and hash(same) == hash(t) and repr(same) == repr(t), g
+        t = bell(g_family(FamilyParams.of(Fraction(1, 2), -2, 3), 7)).triangle(7)
+        assert all(type(v) is Fraction for row in t.rows for v in row)
+        assert tuple(t[n] for n in range(-7, 7)) == t.rows * 2 and t[2:4] == t.rows[2:4]
+        assert t.size == 7 and [len(row) for row in t.rows] == list(range(1, 8))
+        assert t != TriangularMatrix(t.rows[:-1]) and t != bell(g_family(
+            FamilyParams.of(Fraction(1, 3), -2, 3), 7)).triangle(7)
+        with pytest.raises(ValueError, match="non-integer matrix entry"):
+            t.integers()
+        assert TriangularMatrix([[1], [Fraction(4, 2), 3]]).integers() == [[1], [2, 3]]
+        assert TriangularMatrix(()).rows == ()
 
 
 class TestGroupOps:

@@ -122,7 +122,7 @@ class TestIntegerCheck:
             if entry.somos is None:
                 continue
             values = knowndata.computed_values(entry, sources)
-            terms = knowndata.somos_terms(entry, values)
+            terms = list(map(Fraction, *knowndata.somos_terms(entry, values)))
             report = somos4_fit(terms)
             assert report.params == SomosParams(*map(Fraction, entry.somos)), entry.label
             reports.append((terms, report))
